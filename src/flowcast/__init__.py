@@ -8,7 +8,7 @@ from .errors import (
     FlowcastError,
     NumericError,
 )
-from .flow import FlowConfig, GaussianBelief, flow_update, step_schedule
+from .flow import FlowConfig, GaussianBelief, edh_flow, step_schedule
 from .forecast import ForecastDistribution, PredictConfig, empirical_quantile, predict
 from .metrics import crps_empirical, evaluate_forecasts, point_metrics, quantile_loss
 from .ssm import Graph, ModelTheta, StateEnsemble, init_model, load_checkpoint, save_checkpoint
@@ -25,7 +25,7 @@ __all__ = [
     "NumericError",
     "FlowConfig",
     "GaussianBelief",
-    "flow_update",
+    "edh_flow",
     "step_schedule",
     "ForecastDistribution",
     "PredictConfig",

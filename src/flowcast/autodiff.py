@@ -447,12 +447,11 @@ def flow_step(x, a_stack: np.ndarray, b_stack: np.ndarray, eps: float):
     are plain arrays — gradients do not flow into them.
     """
     xv = val(x)
-    drift = np.einsum("bij,bpj->bpi", a_stack, xv) + b_stack[:, None, :]
-    out = xv + eps * drift
+    out = xv + eps * (xv @ np.swapaxes(a_stack, 1, 2) + b_stack[:, None, :])
     if not isinstance(x, Var):
         return out
 
     def vjp(g):
-        return g + eps * np.einsum("bpi,bij->bpj", g, a_stack)
+        return g + eps * (g @ a_stack)
 
     return _make(out, [(x, vjp)])

@@ -363,19 +363,12 @@ def flow_filter_linear(
     t_steps = obs.shape[0]
     l0 = _safe_cholesky(ssm.init_cov)
     lq = _safe_cholesky(ssm.Q)
-    particles = ssm.init_mean + rng.standard_normal((n_particles, ssm.state_dim)) @ l0.T
-    r_diag = np.diag(ssm.R).copy()
-    measurement = flow_mod.LinearizedMeasurement(
-        mean_fn=lambda x: ssm.H @ x,
-        jac_fn=lambda x: ssm.H,
-        var_fn=lambda x: r_diag,
-    )
+    particles = (ssm.init_mean + rng.standard_normal((n_particles, ssm.state_dim)) @ l0.T)[None]
+    r_diag = np.diag(ssm.R)
     means = np.empty((t_steps, ssm.state_dim))
-    ens = ssm_mod.StateEnsemble(particles=particles, time_index=1)
     for t in range(t_steps):
         if t > 0:
-            moved = ens.particles @ ssm.F.T + rng.standard_normal(ens.particles.shape) @ lq.T
-            ens = ssm_mod.StateEnsemble(particles=moved, time_index=ens.time_index + 1)
-        ens = flow_mod.flow_update_measurement(ens, obs[t], measurement, config)
-        means[t] = ens.particles.mean(axis=0)
+            particles = particles @ ssm.F.T + rng.standard_normal(particles.shape) @ lq.T
+        particles = flow_mod.edh_flow(particles, ssm.H, obs[None, t], r_diag, config)
+        means[t] = particles[0].mean(axis=0)
     return means

@@ -1,32 +1,32 @@
-"""Particle-flow measurement update.
+"""Particle-flow measurement update (exact Daum–Huang).
 
 Instead of reweighting, particles are transported through a pseudo-time
 ODE whose drift is affine in the state, ``d eta / d lambda = A eta + b``,
 with coefficients chosen so that at ``lambda = 1`` the ensemble matches
-the Gaussian posterior implied by the current linearization:
+the Gaussian posterior of the linear observation ``y = H x + noise``:
 
     A(l) = -1/2 P H^T (l H P H^T + R)^(-1) H
     b(l) = (I + 2 l A) [ (I + l A) P H^T R^(-1) y + A eta_bar ]
 
 ``P`` and ``eta_bar`` are the predictive ensemble moments, estimated once
-from the incoming particles and frozen across pseudo-time; ``H``, the
-offset ``e = h(mean) - H mean`` and the noise variances ``R`` are
-re-linearized at the running particle mean each Euler step.  Steps follow
-a geometric schedule, with coefficients evaluated at the pre-increment
-pseudo-time.
+from the incoming particles and frozen across pseudo-time; ``H`` is
+constant, and the diagonal noise variances ``R`` may be re-read at the
+running particle mean each Euler step.  Steps follow a geometric schedule,
+with coefficients evaluated at the pre-increment pseudo-time.
+
+:func:`edh_flow` moves a stack of ensembles at once; training, forecasting
+and the linear reference filter all call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
-from . import ssm as ssm_mod
+from . import autodiff as ad
 from .errors import DataError, FlowDivergedError, FlowSolveError
-from .kernels import flow_apply
 
 
 @dataclass(frozen=True)
@@ -73,29 +73,6 @@ class GaussianBelief:
             raise DataError("belief covariance has a significantly negative eigenvalue")
 
 
-@dataclass
-class LinearizedMeasurement:
-    """Callables describing a (possibly state-dependent) measurement model.
-
-    ``mean_fn(x) -> (N,)`` observation mean at state x, ``jac_fn(x) ->
-    (N, D)`` its Jacobian, ``var_fn(x) -> (N,)`` diagonal noise variances.
-    """
-
-    mean_fn: Callable[[np.ndarray], np.ndarray]
-    jac_fn: Callable[[np.ndarray], np.ndarray]
-    var_fn: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass
-class FlowStepRecord:
-    """One Euler step of the flow: frozen affine coefficients."""
-
-    lam: float
-    eps: float
-    a: np.ndarray
-    b: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # schedule and moments
 # ---------------------------------------------------------------------------
@@ -113,149 +90,102 @@ def step_schedule(n_lambda: int, ratio: float) -> np.ndarray:
     return eps_1 * ratio ** np.arange(n_lambda)
 
 
-def ensemble_moments(
-    ensemble,
-    jitter: float = 1e-2,
-    single_particle_scale: float = 1.0,
-) -> GaussianBelief:
-    """Mean and regularized population covariance of an ensemble.
+def ensemble_moments(particles, jitter: float = 1e-2, single_particle_scale: float = 1.0):
+    """Per-ensemble mean (B, D) and regularized covariance (B, D, D) of (B, n_p, D) particles.
 
-    Covariance uses the 1/N_p normalization plus ``jitter * I``.  A single
+    Covariance uses the 1/n_p normalization plus ``jitter * I``.  A single
     particle falls back to the isotropic prior ``single_particle_scale * I``
     (no jitter term in that branch).
     """
-    particles = ensemble.particles if isinstance(ensemble, ssm_mod.StateEnsemble) else np.asarray(ensemble, dtype=np.float64)
-    if particles.ndim != 2:
-        raise DataError("ensemble must be a (n_particles, D) array")
-    n_p, d = particles.shape
-    mean = particles.mean(axis=0)
+    particles = np.asarray(particles, dtype=np.float64)
+    if particles.ndim != 3:
+        raise DataError("ensembles must be a (B, n_particles, D) array")
+    b_sz, n_p, d = particles.shape
+    mean = particles.mean(axis=1)
     if n_p == 1:
-        cov = single_particle_scale * np.eye(d)
-    else:
-        centered = particles - mean
-        cov = centered.T @ centered / n_p
-        cov = 0.5 * (cov + cov.T) + jitter * np.eye(d)
-    return GaussianBelief(mean=mean, cov=cov)
+        return mean, np.broadcast_to(single_particle_scale * np.eye(d), (b_sz, d, d))
+    centered = particles - mean[:, None, :]
+    cov = np.swapaxes(centered, 1, 2) @ centered / n_p
+    return mean, 0.5 * (cov + np.swapaxes(cov, 1, 2)) + jitter * np.eye(d)
 
 
 # ---------------------------------------------------------------------------
-# flow coefficients
+# the flow
 # ---------------------------------------------------------------------------
 
 
-def edh_coefficients(
-    belief: GaussianBelief,
+def edh_flow(
+    particles,
     h_mat: np.ndarray,
-    r_diag: np.ndarray,
-    y_eff: np.ndarray,
-    lam: float,
-) -> tuple:
-    """Affine drift coefficients (A, b) at pseudo-time ``lam``.
-
-    ``h_mat`` is the (N, D) linearized observation matrix, ``r_diag`` the
-    diagonal observation noise variances, ``y_eff`` the effective
-    observation (already offset-corrected).  The inner (N, N) system is
-    solved as an SPD system, never inverted explicitly.
-    """
-    p = belief.cov
-    h_mat = np.asarray(h_mat, dtype=np.float64)
-    r_diag = np.asarray(r_diag, dtype=np.float64)
-    y_eff = np.asarray(y_eff, dtype=np.float64)
-    d = p.shape[0]
-    pht = p @ h_mat.T  # (D, N)
-    s = lam * (h_mat @ pht) + np.diag(r_diag)
-    try:
-        cho = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
-        s_inv_h = scipy.linalg.cho_solve(cho, h_mat, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
-        raise FlowSolveError(f"SPD solve failed at pseudo-time lambda={lam:.6g}: {exc}") from exc
-    a = -0.5 * pht @ s_inv_h
-    eye = np.eye(d)
-    rhs = (eye + lam * a) @ (pht @ (y_eff / r_diag)) + a @ belief.mean
-    b = (eye + 2.0 * lam * a) @ rhs
-    return a, b
-
-
-# ---------------------------------------------------------------------------
-# the flow update
-# ---------------------------------------------------------------------------
-
-
-def flow_update_measurement(
-    ensemble: ssm_mod.StateEnsemble,
-    y_t: np.ndarray,
-    measurement: LinearizedMeasurement,
+    y: np.ndarray,
+    r: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
     config: FlowConfig = FlowConfig(),
     return_trace: bool = False,
+    encoder_step: Optional[int] = None,
 ):
-    """Transport an ensemble through the measurement update for ``y_t``.
+    """Transport B ensembles through the measurement update for ``y``.
 
-    Generic core: works for any linearized measurement model.  Returns the
-    updated ensemble, plus the per-step coefficient records when
-    ``return_trace`` is true.
+    ``particles`` is a (B, n_p, D) array, or a taped :class:`autodiff.Var`
+    whose gradient then flows through the affine Euler steps only; ``h_mat``
+    is the constant (N, D) observation matrix and ``y`` the (B, N)
+    observations.  ``r`` gives the diagonal noise variances: an array that
+    broadcasts to (B, N), or a callable mapping the (B, D) running particle
+    means to them, read before the first step and, when
+    ``config.relinearize_every_step`` is set, before every step.
+
+    Returns the moved particles, plus the per-step ``(lam, eps, A, b)``
+    records (A of shape (B, D, D), b of shape (B, D)) when ``return_trace``
+    is true.  ``encoder_step`` only labels the errors: ``FlowSolveError``
+    when an innovation covariance ``lam H P H^T + diag(r)`` is not positive
+    definite, ``FlowDivergedError`` when a particle becomes non-finite.
     """
-    y_t = np.asarray(y_t, dtype=np.float64)
-    particles = np.array(ensemble.particles, dtype=np.float64)
-    belief = ensemble_moments(particles, jitter=config.jitter, single_particle_scale=config.single_particle_prior_scale)
+    xv = ad.val(particles)
+    if xv.ndim != 3:
+        raise DataError("particles must be a (B, n_particles, D) array")
+    b_sz, _, d = xv.shape
+    h_mat = np.asarray(h_mat, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = h_mat.shape[0]
+    if h_mat.shape != (n, d) or y.shape != (b_sz, n):
+        raise DataError(f"need h_mat of shape (N, {d}) and y of shape ({b_sz}, N)")
+    mean0, cov = ensemble_moments(xv, config.jitter, config.single_particle_prior_scale)
+    pht = cov @ h_mat.T  # (B, D, N), frozen with the moments
+    hph = h_mat @ pht  # (B, N, N)
+    h_stack = np.broadcast_to(h_mat, (b_sz, n, d))  # numpy < 2 reads a 2-D right-hand side as vectors
+    diag = np.arange(n)
     eps = step_schedule(config.n_lambda, config.ratio)
+    where = "" if encoder_step is None else f" of encoder step {encoder_step}"
 
-    h_mat = e_off = r_diag = None
+    x = particles
+    r_now = None if callable(r) else np.broadcast_to(np.asarray(r, dtype=np.float64), (b_sz, n))
     lam = 0.0
-    trace: List[FlowStepRecord] = []
+    trace = []
     for m in range(config.n_lambda):
-        if m == 0 or config.relinearize_every_step:
-            mean_now = particles.mean(axis=0)
-            h_mat = measurement.jac_fn(mean_now)
-            e_off = measurement.mean_fn(mean_now) - h_mat @ mean_now
-            r_diag = measurement.var_fn(mean_now)
-        a, b = edh_coefficients(belief, h_mat, r_diag, y_t - e_off, lam)
-        particles = flow_apply(particles, a, b, float(eps[m]))
-        if not np.all(np.isfinite(particles)):
-            bad = int(np.argwhere(~np.isfinite(particles))[0][0])
+        if callable(r) and (m == 0 or config.relinearize_every_step):
+            r_now = r(ad.val(x).mean(axis=1))
+        s = lam * hph
+        s[:, diag, diag] += r_now
+        try:
+            np.linalg.cholesky(s)  # the SPD check: numpy has no triangular solve to reuse the factor
+        except np.linalg.LinAlgError as exc:
+            raise FlowSolveError(
+                f"innovation covariance is not positive definite at pseudo-time step {m + 1}/{config.n_lambda} (lambda={lam:.6g}){where}"
+            ) from exc
+        a = -0.5 * pht @ np.linalg.solve(s, h_stack)
+        ph_ry = pht @ (y / r_now)[:, :, None]
+        rhs = ph_ry + lam * (a @ ph_ry) + a @ mean0[:, :, None]
+        b = (rhs + 2.0 * lam * (a @ rhs))[:, :, 0]
+        x = ad.flow_step(x, a, b, float(eps[m]))
+        xv = ad.val(x)
+        if not np.all(np.isfinite(xv)):
+            row, particle = np.argwhere(~np.isfinite(xv))[0][:2]
             raise FlowDivergedError(
-                f"particle {bad} became non-finite at pseudo-time step {m + 1}/{config.n_lambda} (lambda={lam:.6g})"
+                f"particle {particle} of ensemble {row} became non-finite at pseudo-time step "
+                f"{m + 1}/{config.n_lambda} (lambda={lam:.6g}){where}"
             )
         if return_trace:
-            trace.append(FlowStepRecord(lam=lam, eps=float(eps[m]), a=a, b=b))
+            trace.append((lam, float(eps[m]), a, b))
         lam += float(eps[m])
-
-    out = ssm_mod.StateEnsemble(particles=particles, time_index=ensemble.time_index)
     if return_trace:
-        return out, trace
-    return out
-
-
-def model_measurement(model: ssm_mod.ModelTheta, z_t=None) -> LinearizedMeasurement:
-    """The shipped model's emission as a linearized measurement.
-
-    The emission mean is linear (W_phi x, covariates do not enter), so the
-    Jacobian is constant; only the noise variances depend on the state.
-    """
-    w_phi = model.W_phi
-    c_gamma = model.C_gamma
-
-    def mean_fn(x):
-        return w_phi @ x
-
-    def jac_fn(x):
-        return w_phi
-
-    def var_fn(x):
-        std = np.logaddexp(0.0, c_gamma @ x)
-        return std * std
-
-    return LinearizedMeasurement(mean_fn=mean_fn, jac_fn=jac_fn, var_fn=var_fn)
-
-
-def flow_update(
-    ensemble: ssm_mod.StateEnsemble,
-    y_t: np.ndarray,
-    z_t,
-    model: ssm_mod.ModelTheta,
-    config: FlowConfig = FlowConfig(),
-    return_trace: bool = False,
-):
-    """Measurement update of a predictive ensemble against observation ``y_t``."""
-    if np.asarray(y_t).shape != (model.n_series,):
-        raise DataError(f"y_t must have shape ({model.n_series},)")
-    return flow_update_measurement(ensemble, y_t, model_measurement(model, z_t), config, return_trace)
+        return x, trace
+    return x

@@ -81,12 +81,18 @@ def filter_window(
     p_steps = y_hist.shape[0]
     if noise is None:
         noise = ssm_mod.make_window_noise(seed, 0, n_particles, model, p_steps, 0)
+
+    def noise_var(means):  # emission variances at the running particle mean
+        std = np.logaddexp(0.0, means @ model.C_gamma.T)
+        return std * std
+
     ens = ssm_mod.StateEnsemble(particles=model.rho * noise.init, time_index=1)
     for t in range(1, p_steps + 1):
         if t > 1:
             draw = ssm_mod.NoiseDraws(dyn=noise.dyn[t - 2], provenance=noise.provenance + (t,))
             ens = ssm_mod.transition(model, graph, ens, y_hist[t - 2], _z_row(z, t), draw)
-        ens = flow_mod.flow_update(ens, y_hist[t - 1], _z_row(z, t), model, flow_config)
+        moved = flow_mod.edh_flow(ens.particles[None], model.W_phi, y_hist[None, t - 1], noise_var, flow_config, encoder_step=t)
+        ens = ssm_mod.StateEnsemble(particles=moved[0], time_index=ens.time_index)
     return ens
 
 

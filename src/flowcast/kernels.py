@@ -1,44 +1,21 @@
-"""Hot numeric kernels, each with a numba build and a pure-numpy twin.
-
-The public names (``systematic_resample_indices``, ``forward_fill_array``,
-``crps_batch``, ``diag_gauss_loglik``, ``flow_apply``) dispatch to one of
-the twins according to :data:`flowcast._accel.USE_NUMBA`.  Both twins are
-importable directly (``*_np`` / ``*_nb``) so the test-suite and the
-benchmark can compare them on identical inputs.
-
-Matmul-dominated stages of the library (flow coefficients, Kalman algebra,
-recurrent gates) are deliberately *not* here: those are BLAS-bound and a
-nopython re-implementation would only slow them down.
+"""Small numpy kernels: systematic resampling, forward fill, batched
+empirical CRPS and the diagonal-Gaussian log-likelihood of one observation
+under many particles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import HAVE_NUMBA, USE_NUMBA, njit
-
 # ---------------------------------------------------------------------------
 # systematic resampling
 # ---------------------------------------------------------------------------
 
 
-def _systematic_resample_np(cumulative: np.ndarray, u: float) -> np.ndarray:
+def systematic_resample_indices(cumulative: np.ndarray, u: float) -> np.ndarray:
     n = cumulative.shape[0]
     positions = (u + np.arange(n)) / n
     return np.searchsorted(cumulative, positions, side="left").astype(np.int64)
-
-
-@njit
-def _systematic_resample_nb(cumulative: np.ndarray, u: float) -> np.ndarray:  # pragma: no cover - timed via dispatch
-    n = cumulative.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    i = 0
-    for k in range(n):
-        position = (u + k) / n
-        while cumulative[i] < position:
-            i += 1
-        out[k] = i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -46,22 +23,11 @@ def _systematic_resample_nb(cumulative: np.ndarray, u: float) -> np.ndarray:  # 
 # ---------------------------------------------------------------------------
 
 
-def _forward_fill_np(values: np.ndarray, missing: np.ndarray) -> np.ndarray:
+def forward_fill_array(values: np.ndarray, missing: np.ndarray) -> np.ndarray:
     t, n = values.shape
     idx = np.where(missing, 0, np.arange(t)[:, None])
     idx = np.maximum.accumulate(idx, axis=0)
     return values[idx, np.arange(n)[None, :]]
-
-
-@njit
-def _forward_fill_nb(values: np.ndarray, missing: np.ndarray) -> np.ndarray:  # pragma: no cover - timed via dispatch
-    t, n = values.shape
-    out = values.copy()
-    for j in range(n):
-        for i in range(1, t):
-            if missing[i, j]:
-                out[i, j] = out[i - 1, j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +35,7 @@ def _forward_fill_nb(values: np.ndarray, missing: np.ndarray) -> np.ndarray:  # 
 # ---------------------------------------------------------------------------
 
 
-def _crps_batch_np(samples: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def crps_batch(samples: np.ndarray, targets: np.ndarray) -> np.ndarray:
     m, n = samples.shape
     mae_term = np.mean(np.abs(samples - targets[:, None]), axis=1)
     s = np.sort(samples, axis=1)
@@ -79,23 +45,6 @@ def _crps_batch_np(samples: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return mae_term - spread / (2.0 * n * n)
 
 
-@njit
-def _crps_batch_nb(samples: np.ndarray, targets: np.ndarray) -> np.ndarray:  # pragma: no cover - timed via dispatch
-    m, n = samples.shape
-    out = np.empty(m)
-    row = np.empty(n)
-    for r in range(m):
-        row[:] = samples[r]
-        row.sort()
-        acc = 0.0
-        spread = 0.0
-        for i in range(n):
-            acc += abs(row[i] - targets[r])
-            spread += (2.0 * i - n + 1.0) * row[i]
-        out[r] = acc / n - spread / (n * n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # diagonal-Gaussian log-likelihood of one observation under many particles
 # ---------------------------------------------------------------------------
@@ -103,70 +52,6 @@ def _crps_batch_nb(samples: np.ndarray, targets: np.ndarray) -> np.ndarray:  # p
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _diag_gauss_loglik_np(means: np.ndarray, stds: np.ndarray, y: np.ndarray) -> np.ndarray:
+def diag_gauss_loglik(means: np.ndarray, stds: np.ndarray, y: np.ndarray) -> np.ndarray:
     z = (y[None, :] - means) / stds
     return -0.5 * np.sum(z * z + _LOG_2PI, axis=1) - np.sum(np.log(stds), axis=1)
-
-
-@njit
-def _diag_gauss_loglik_nb(means: np.ndarray, stds: np.ndarray, y: np.ndarray) -> np.ndarray:  # pragma: no cover
-    m, n = means.shape
-    out = np.empty(m)
-    for j in range(m):
-        acc = 0.0
-        for i in range(n):
-            z = (y[i] - means[j, i]) / stds[j, i]
-            acc += -0.5 * (z * z + _LOG_2PI) - np.log(stds[j, i])
-        out[j] = acc
-    return out
-
-
-# ---------------------------------------------------------------------------
-# one Euler step of the particle flow: X <- X + eps * (X A^T + b)
-# ---------------------------------------------------------------------------
-
-
-def _flow_apply_np(particles: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    return particles + eps * (particles @ a.T + b)
-
-
-@njit
-def _flow_apply_nb(particles: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:  # pragma: no cover
-    # the matmul stays on BLAS (np.dot); only the shift-and-scale is fused
-    drift = np.dot(particles, np.ascontiguousarray(a.T))
-    m, d = particles.shape
-    out = np.empty_like(particles)
-    for j in range(m):
-        for i in range(d):
-            out[j, i] = particles[j, i] + eps * (drift[j, i] + b[i])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    systematic_resample_indices = _systematic_resample_nb
-    forward_fill_array = _forward_fill_nb
-    diag_gauss_loglik = _diag_gauss_loglik_nb
-    flow_apply = _flow_apply_nb
-else:
-    systematic_resample_indices = _systematic_resample_np
-    forward_fill_array = _forward_fill_np
-    diag_gauss_loglik = _diag_gauss_loglik_np
-    flow_apply = _flow_apply_np
-
-# CRPS is sort-dominated and numpy's batched sort beats a nopython loop of
-# per-row sorts by a wide margin (see benchmarks/bench_kernels.py), so the
-# numpy twin serves both modes; the numba build stays importable for the
-# comparison.
-crps_batch = _crps_batch_np
-
-IMPLEMENTATIONS = {
-    "systematic_resample_indices": (_systematic_resample_np, _systematic_resample_nb if HAVE_NUMBA else None),
-    "forward_fill_array": (_forward_fill_np, _forward_fill_nb if HAVE_NUMBA else None),
-    "crps_batch": (_crps_batch_np, _crps_batch_nb if HAVE_NUMBA else None),
-    "diag_gauss_loglik": (_diag_gauss_loglik_np, _diag_gauss_loglik_nb if HAVE_NUMBA else None),
-    "flow_apply": (_flow_apply_np, _flow_apply_nb if HAVE_NUMBA else None),
-}

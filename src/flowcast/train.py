@@ -188,45 +188,6 @@ def stack_batch(windows: Sequence[Window], model: ssm_mod.ModelTheta, n_particle
 
 
 # ---------------------------------------------------------------------------
-# batched flow coefficients (plain numpy, frozen by contract)
-# ---------------------------------------------------------------------------
-
-
-def _batched_moments(xv: np.ndarray, cfg: flow_mod.FlowConfig):
-    """Per-window ensemble moments; xv is (B, n_p, D)."""
-    b, n_p, d = xv.shape
-    mean = xv.mean(axis=1)
-    if n_p == 1:
-        cov = np.broadcast_to(cfg.single_particle_prior_scale * np.eye(d), (b, d, d)).copy()
-    else:
-        centered = xv - mean[:, None, :]
-        cov = np.einsum("bpi,bpj->bij", centered, centered) / n_p
-        cov = 0.5 * (cov + cov.transpose(0, 2, 1)) + cfg.jitter * np.eye(d)
-    return mean, cov
-
-
-def _batched_coefficients(mean0, pht, h_mat, r_diag, y_obs, lam):
-    """(A, b) per window, all plain arrays.
-
-    mean0: (B, D) frozen predictive means; pht: (B, D, N) frozen P H^T;
-    h_mat: (N, D); r_diag: (B, N); y_obs: (B, N).
-    """
-    b_sz, d, n = pht.shape
-    s = lam * np.einsum("nd,bdm->bnm", h_mat, pht)
-    idx = np.arange(n)
-    s[:, idx, idx] += r_diag
-    try:
-        s_inv_h = np.linalg.solve(s, np.broadcast_to(h_mat, (b_sz, n, d)))
-    except np.linalg.LinAlgError as exc:
-        raise flow_mod.FlowSolveError(f"batched SPD solve failed at lambda={lam:.6g}: {exc}") from exc
-    a = -0.5 * np.einsum("bdn,bne->bde", pht, s_inv_h)
-    ph_ry = np.einsum("bdn,bn->bd", pht, y_obs / r_diag)
-    rhs = ph_ry + lam * np.einsum("bde,be->bd", a, ph_ry) + np.einsum("bde,be->bd", a, mean0)
-    b_vec = rhs + 2.0 * lam * np.einsum("bde,be->bd", a, rhs)
-    return a, b_vec
-
-
-# ---------------------------------------------------------------------------
 # the batched forward pass (tape-transparent)
 # ---------------------------------------------------------------------------
 
@@ -253,7 +214,6 @@ def batch_forward(
     n_p = batch.init.shape[1]
     d = model.state_dim
     flow_cfg = config.flow
-    eps = flow_mod.step_schedule(flow_cfg.n_lambda, flow_cfg.ratio)
     w_phi_t = ad.transpose2(params["W_phi"])
     c_gamma_t = ad.transpose2(params["C_gamma"])
     w_phi_val = ad.val(params["W_phi"])
@@ -277,6 +237,10 @@ def batch_forward(
         return ad.add(out, ad.mul(params["sigma"], dyn_noise.reshape(b_sz * n_p, d)))
 
     # ---- encoder: assimilate the history -------------------------------
+    def noise_var(means):  # emission variances at the running particle means
+        std = np.logaddexp(0.0, means @ c_gamma_val.T)
+        return std * std
+
     x3 = ad.mul(params["rho"], batch.init)  # (B, n_p, D)
     trace: List[list] = []
     for t in range(1, p_steps + 1):
@@ -284,29 +248,16 @@ def batch_forward(
             x2 = ad.reshape(x3, (b_sz * n_p, d))
             x2 = step_transition(x2, rows(batch.y_hist[:, t - 2, :]), t, batch.dyn[t - 2])
             x3 = ad.reshape(x2, (b_sz, n_p, d))
-        y_t = batch.y_hist[:, t - 1, :]
-        step_records = []
         if frozen_trace is None:
-            xv = ad.val(x3)
-            mean0, cov = _batched_moments(xv, flow_cfg)
-            pht = np.einsum("bij,nj->bin", cov, w_phi_val)
-            lam = 0.0
-            r_diag = None
-            for m in range(flow_cfg.n_lambda):
-                if m == 0 or flow_cfg.relinearize_every_step:
-                    means_now = ad.val(x3).mean(axis=1)
-                    std_now = np.logaddexp(0.0, means_now @ c_gamma_val.T)
-                    r_diag = std_now * std_now
-                a_stack, b_stack = _batched_coefficients(mean0, pht, w_phi_val, r_diag, y_t, lam)
-                x3 = ad.flow_step(x3, a_stack, b_stack, float(eps[m]))
-                step_records.append((lam, float(eps[m]), a_stack, b_stack))
-                lam += float(eps[m])
+            x3, step_records = flow_mod.edh_flow(
+                x3, w_phi_val, batch.y_hist[:, t - 1, :], noise_var, flow_cfg, return_trace=True, encoder_step=t
+            )
         else:
-            for lam, eps_m, a_stack, b_stack in frozen_trace[t - 1]:
+            step_records = frozen_trace[t - 1]
+            for _, eps_m, a_stack, b_stack in step_records:
                 x3 = ad.flow_step(x3, a_stack, b_stack, eps_m)
-                step_records.append((lam, eps_m, a_stack, b_stack))
-        if not np.all(np.isfinite(ad.val(x3))):
-            raise flow_mod.FlowDivergedError(f"particles became non-finite during the flow at encoder step {t}")
+            if not np.all(np.isfinite(ad.val(x3))):
+                raise flow_mod.FlowDivergedError(f"particles became non-finite during the flow at encoder step {t}")
         if collect_trace or frozen_trace is not None:
             trace.append(step_records)
 

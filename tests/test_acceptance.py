@@ -21,7 +21,7 @@ from flowcast import forecast as forecast_mod
 from flowcast import metrics as metrics_mod
 from flowcast import ssm as ssm_mod
 from flowcast import train as train_mod
-from flowcast.flow import FlowConfig, GaussianBelief, LinearizedMeasurement
+from flowcast.flow import FlowConfig, GaussianBelief
 
 
 def _report(name, ok, detail):
@@ -56,15 +56,9 @@ def test_flow_update_matches_kalman_posterior_across_dimensions():
             post = filters_mod.kalman_update(GaussianBelief(mean=m0, cov=p0), y, ssm)
 
             particles = rng.multivariate_normal(m0, p0, size=2000)
-            ens = ssm_mod.StateEnsemble(particles=particles, time_index=1)
-            meas = LinearizedMeasurement(
-                mean_fn=lambda x, h=h: h @ x,
-                jac_fn=lambda x, h=h: h,
-                var_fn=lambda x, r=r_diag: r,
-            )
-            out = flow_mod.flow_update_measurement(ens, y, meas, FlowConfig(n_lambda=29))
-            m_flow = out.particles.mean(axis=0)
-            v_flow = out.particles.var(axis=0)
+            out = flow_mod.edh_flow(particles[None], h, y[None], r_diag, FlowConfig(n_lambda=29))[0]
+            m_flow = out.mean(axis=0)
+            v_flow = out.var(axis=0)
             worst_mean = max(worst_mean, np.linalg.norm(m_flow - post.mean) / np.linalg.norm(post.mean))
             worst_var = max(worst_var, np.max(np.abs(v_flow / np.diag(post.cov) - 1.0)))
     elapsed = time.perf_counter() - t0
@@ -447,14 +441,8 @@ def test_invariant_properties_hold():
 
     # an uninformative measurement (zero Jacobian) leaves particles untouched
     particles = rng.standard_normal((60, 3))
-    ens = ssm_mod.StateEnsemble(particles=particles.copy(), time_index=1)
-    meas = LinearizedMeasurement(
-        mean_fn=lambda x: np.zeros(2),
-        jac_fn=lambda x: np.zeros((2, 3)),
-        var_fn=lambda x: np.ones(2),
-    )
-    out = flow_mod.flow_update_measurement(ens, np.zeros(2), meas, FlowConfig(n_lambda=12))
-    if not np.allclose(out.particles, particles, atol=1e-12):
+    out = flow_mod.edh_flow(particles[None], np.zeros((2, 3)), np.zeros((1, 2)), np.ones(2), FlowConfig(n_lambda=12))[0]
+    if not np.allclose(out, particles, atol=1e-12):
         failures.append("zero-information flow moved particles")
 
     # permuting nodes (graph, embedding, state blocks, observations alike)

@@ -153,6 +153,21 @@ def test_gather_gradient_accumulates_duplicates(rng):
     np.testing.assert_allclose(v.grad, want)
 
 
+def test_flow_step_matches_affine_formula(rng):
+    x = rng.standard_normal((2, 4, 3))
+    a = rng.standard_normal((2, 3, 3))
+    b = rng.standard_normal((2, 3))
+    got = ad.flow_step(x, a, b, 0.25)
+    for i in range(2):
+        np.testing.assert_allclose(got[i], x[i] + 0.25 * (x[i] @ a[i].T + b[i]), rtol=1e-14)
+
+
+def test_flow_step_zero_eps_is_identity(rng):
+    x = rng.standard_normal((2, 4, 3))
+    got = ad.flow_step(x, rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3)), 0.0)
+    np.testing.assert_array_equal(got, x)
+
+
 def test_flow_step_gradient_treats_coefficients_as_constant(rng):
     x0 = rng.standard_normal((2, 3, 4))
     a = rng.standard_normal((2, 4, 4))

@@ -1,21 +1,13 @@
 """Particle-flow update: step schedule, ensemble moments, drift
-coefficients (hand-derived affine cases), and convergence of the Euler
-integration to the exact Gaussian posterior."""
+coefficients (hand-derived affine cases, read from the trace), and
+convergence of the Euler integration to the exact Gaussian posterior."""
 
 import numpy as np
 import pytest
 
-from flowcast import flow as flow_mod
+from flowcast import autodiff as ad
 from flowcast.errors import FlowDivergedError, FlowSolveError
-from flowcast.flow import (
-    FlowConfig,
-    GaussianBelief,
-    LinearizedMeasurement,
-    edh_coefficients,
-    ensemble_moments,
-    flow_update_measurement,
-    step_schedule,
-)
+from flowcast.flow import FlowConfig, GaussianBelief, edh_flow, ensemble_moments, step_schedule
 from flowcast.ssm import StateEnsemble
 
 
@@ -68,36 +60,37 @@ def test_schedule_rejects_bad_arguments():
 
 
 def test_moments_two_point_ensemble():
-    ens = np.array([[0.0], [2.0]])
-    belief = ensemble_moments(StateEnsemble(ens), jitter=0.0)
-    np.testing.assert_allclose(belief.mean, [1.0])
-    np.testing.assert_allclose(belief.cov, [[1.0]])  # population covariance
+    ens = np.array([[[0.0], [2.0]]])
+    mean, cov = ensemble_moments(ens, jitter=0.0)
+    np.testing.assert_allclose(mean, [[1.0]])
+    np.testing.assert_allclose(cov, [[[1.0]]])  # population covariance
 
 
 def test_moments_jitter_inflates_diagonal():
-    ens = np.array([[0.0, 0.0], [2.0, 0.0]])
-    belief = ensemble_moments(StateEnsemble(ens), jitter=0.01)
-    np.testing.assert_allclose(np.diag(belief.cov), [1.01, 0.01], rtol=1e-12)
+    ens = np.array([[[0.0, 0.0], [2.0, 0.0]]])
+    _, cov = ensemble_moments(ens, jitter=0.01)
+    np.testing.assert_allclose(np.diag(cov[0]), [1.01, 0.01], rtol=1e-12)
 
 
 def test_moments_single_particle_uses_prior_scale():
-    ens = np.array([[3.0, -1.0]])
-    belief = ensemble_moments(StateEnsemble(ens), jitter=0.5, single_particle_scale=2.0)
-    np.testing.assert_allclose(belief.mean, [3.0, -1.0])
-    np.testing.assert_allclose(belief.cov, 2.0 * np.eye(2))  # no jitter on top
+    ens = np.array([[[3.0, -1.0]], [[0.5, 4.0]]])
+    mean, cov = ensemble_moments(ens, jitter=0.5, single_particle_scale=2.0)
+    np.testing.assert_allclose(mean, [[3.0, -1.0], [0.5, 4.0]])
+    np.testing.assert_allclose(cov, np.broadcast_to(2.0 * np.eye(2), (2, 2, 2)))  # no jitter on top
 
 
 def test_moments_covariance_is_symmetric(rng):
-    ens = rng.standard_normal((40, 6))
-    belief = ensemble_moments(StateEnsemble(ens))
-    np.testing.assert_array_equal(belief.cov, belief.cov.T)
+    ens = rng.standard_normal((3, 40, 6))
+    _, cov = ensemble_moments(ens)
+    np.testing.assert_array_equal(cov, np.swapaxes(cov, 1, 2))
 
 
 def test_moments_match_numpy_population_covariance(rng):
-    ens = rng.standard_normal((25, 4))
-    belief = ensemble_moments(StateEnsemble(ens), jitter=0.0)
-    np.testing.assert_allclose(belief.mean, ens.mean(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(belief.cov, np.cov(ens.T, bias=True), rtol=1e-10, atol=1e-12)
+    ens = rng.standard_normal((3, 25, 4))
+    mean, cov = ensemble_moments(ens, jitter=0.0)
+    for i in range(3):
+        np.testing.assert_allclose(mean[i], ens[i].mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(cov[i], np.cov(ens[i].T, bias=True), rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +98,25 @@ def test_moments_match_numpy_population_covariance(rng):
 # ---------------------------------------------------------------------------
 
 
+def _scalar_trace(mean, r, y):
+    # one particle, so the frozen prior covariance is single_particle_scale = 1;
+    # ratio 1e-300 makes the first step the whole unit interval, so the two
+    # records sit at lambda = 0 and lambda = 1 exactly
+    cfg = FlowConfig(n_lambda=2, ratio=1e-300, single_particle_prior_scale=1.0)
+    _, trace = edh_flow(np.array([[[mean]]]), np.array([[1.0]]), np.array([[y]]), np.array([r]), cfg, return_trace=True)
+    return trace
+
+
 def _scalar_case(lam):
     # prior N(1, 1), observation y = 1 with unit noise, H = 1
-    belief = GaussianBelief(mean=np.array([1.0]), cov=np.array([[1.0]]))
-    return edh_coefficients(belief, np.array([[1.0]]), np.array([1.0]), np.array([1.0]), lam)
+    lam_rec, _, a, b = _scalar_trace(1.0, 1.0, 1.0)[int(lam)]
+    assert lam_rec == lam
+    return a[0], b[0]
 
 
 def test_coefficients_at_lambda_zero():
     a, b = _scalar_case(0.0)
-    # A = -1/2 * P H (H P H + R)^-1 H = -1/2 * 1/1 ... wait, lam=0 -> S = R = 1
+    # A = -1/2 * P H (lam H P H + R)^-1 H, and lam = 0 -> S = R = 1
     np.testing.assert_allclose(a, [[-0.5]], rtol=1e-12)
     # b = (I + 0)[(I + 0) P H R^-1 y + A mean] = 1*1*1*1 - 0.5*1 = 0.5
     np.testing.assert_allclose(b, [0.5], rtol=1e-12)
@@ -128,17 +131,27 @@ def test_coefficients_at_lambda_one():
 
 
 def test_coefficients_informative_observation_pulls_towards_it():
-    belief = GaussianBelief(mean=np.array([0.0]), cov=np.array([[1.0]]))
-    a, b = edh_coefficients(belief, np.array([[1.0]]), np.array([0.01]), np.array([5.0]), 0.0)
+    _, _, a, b = _scalar_trace(0.0, 0.01, 5.0)[0]
     # tiny measurement noise: drift near y/(2 r) * ... dominated by data pull
-    assert b[0] > 0  # towards the positive observation
-    assert a[0, 0] < 0  # contraction
+    assert b[0, 0] > 0  # towards the positive observation
+    assert a[0, 0, 0] < 0  # contraction
 
 
 def test_coefficients_singular_noise_raises():
-    belief = GaussianBelief(mean=np.array([0.0]), cov=np.array([[1.0]]))
-    with pytest.raises(FlowSolveError):
-        edh_coefficients(belief, np.array([[1.0]]), np.array([-1.0]), np.array([0.0]), 0.5)
+    with pytest.raises(FlowSolveError, match=r"pseudo-time step 1/2 \(lambda=0\)"):
+        _scalar_trace(0.0, -1.0, 0.0)
+
+
+def test_non_spd_innovation_raises_on_taped_and_plain_calls(rng):
+    # r = -1 makes lam H P H^T + diag(r) indefinite; an LU solve would return
+    # an expanding drift instead, so every caller must get the same error
+    cfg = FlowConfig(n_lambda=4)
+    h = np.eye(2)
+    taped = ad.Var(rng.standard_normal((3, 5, 2)))
+    with pytest.raises(FlowSolveError, match=r"pseudo-time step 1/4 \(lambda=0\) of encoder step 7"):
+        edh_flow(taped, h, np.zeros((3, 2)), np.full((3, 2), -1.0), cfg, return_trace=True, encoder_step=7)
+    with pytest.raises(FlowSolveError, match=r"pseudo-time step 1/4 \(lambda=0\)$"):
+        edh_flow(rng.standard_normal((1, 5, 2)), h, np.zeros((1, 2)), lambda means: np.full((1, 2), -1.0), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +159,9 @@ def test_coefficients_singular_noise_raises():
 # ---------------------------------------------------------------------------
 
 
-def _constant_measurement(h, r_diag):
-    return LinearizedMeasurement(
-        mean_fn=lambda m: h @ m,
-        jac_fn=lambda m: h,
-        var_fn=lambda m: np.broadcast_to(r_diag, (h.shape[0],)).astype(float),
-    )
+def _flow_one(particles, y, h, r_diag, cfg):
+    """The flow on a single (n_p, D) ensemble."""
+    return edh_flow(particles[None], h, y[None], r_diag, cfg)[0]
 
 
 def _kalman_posterior(mean0, cov0, h, r_diag, y):
@@ -168,18 +178,13 @@ def test_flow_recovers_scalar_conjugate_posterior(rng):
     # landing point is the Kalman update of the *sample* moments.
     particles = rng.standard_normal((20000, 1))
     m0, p0 = particles.mean(), particles.var()
-    ens = flow_update_measurement(
-        StateEnsemble(particles.copy()),
-        np.array([1.0]),
-        _constant_measurement(np.eye(1), np.array([1.0])),
-        FlowConfig(n_lambda=512, ratio=1.0, jitter=0.0),
-    )
+    out = _flow_one(particles, np.array([1.0]), np.eye(1), np.array([1.0]), FlowConfig(n_lambda=512, ratio=1.0, jitter=0.0))
     want_mean = m0 + p0 / (p0 + 1.0) * (1.0 - m0)
     want_var = p0 / (p0 + 1.0)
-    assert abs(ens.particles.mean() - want_mean) < 2e-3
-    assert abs(ens.particles.var() - want_var) < 2e-3
-    assert abs(ens.particles.mean() - 0.5) < 0.02
-    assert abs(ens.particles.var() - 0.5) < 0.02
+    assert abs(out.mean() - want_mean) < 2e-3
+    assert abs(out.var() - want_var) < 2e-3
+    assert abs(out.mean() - 0.5) < 0.02
+    assert abs(out.var() - 0.5) < 0.02
 
 
 def test_flow_default_schedule_lands_near_posterior(rng):
@@ -187,14 +192,9 @@ def test_flow_default_schedule_lands_near_posterior(rng):
     # endpoint carries a small fixed bias; it must stay within a few percent.
     particles = rng.standard_normal((20000, 1))
     m0, p0 = particles.mean(), particles.var()
-    ens = flow_update_measurement(
-        StateEnsemble(particles.copy()),
-        np.array([1.0]),
-        _constant_measurement(np.eye(1), np.array([1.0])),
-        FlowConfig(n_lambda=29, jitter=0.0),
-    )
+    out = _flow_one(particles, np.array([1.0]), np.eye(1), np.array([1.0]), FlowConfig(n_lambda=29, jitter=0.0))
     want_mean = m0 + p0 / (p0 + 1.0) * (1.0 - m0)
-    assert abs(ens.particles.mean() - want_mean) < 0.05
+    assert abs(out.mean() - want_mean) < 0.05
 
 
 def test_flow_matches_kalman_moments_multivariate(rng):
@@ -207,15 +207,13 @@ def test_flow_matches_kalman_moments_multivariate(rng):
     y = rng.standard_normal(2)
 
     particles = mean0 + rng.standard_normal((40000, d)) @ np.linalg.cholesky(cov0).T
-    ens = flow_update_measurement(
-        StateEnsemble(particles), y, _constant_measurement(h, r_diag), FlowConfig(n_lambda=1024, ratio=1.0, jitter=0.0)
-    )
+    out = _flow_one(particles, y, h, r_diag, FlowConfig(n_lambda=1024, ratio=1.0, jitter=0.0))
     # oracle: what the exact posterior does to the *sample* moments
     m_hat = particles.mean(axis=0)
     p_hat = np.cov(particles.T, bias=True)
     want_mean, want_cov = _kalman_posterior(m_hat, p_hat, h, r_diag, y)
-    got_mean = ens.particles.mean(axis=0)
-    got_cov = np.cov(ens.particles.T, bias=True)
+    got_mean = out.mean(axis=0)
+    got_cov = np.cov(out.T, bias=True)
     np.testing.assert_allclose(got_mean, want_mean, atol=0.01)
     np.testing.assert_allclose(got_cov, want_cov, atol=0.02)
 
@@ -234,13 +232,8 @@ def test_flow_euler_error_shrinks_with_more_uniform_steps(rng):
 
     errs = []
     for n_lambda in (8, 64, 512):
-        ens = flow_update_measurement(
-            StateEnsemble(particles.copy()),
-            y,
-            _constant_measurement(h, r_diag),
-            FlowConfig(n_lambda=n_lambda, ratio=1.0, jitter=0.0),
-        )
-        errs.append(np.linalg.norm(ens.particles.mean(axis=0) - want_mean))
+        out = _flow_one(particles, y, h, r_diag, FlowConfig(n_lambda=n_lambda, ratio=1.0, jitter=0.0))
+        errs.append(np.linalg.norm(out.mean(axis=0) - want_mean))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.01
 
@@ -249,33 +242,39 @@ def test_flow_zero_jacobian_leaves_particles_nearly_alone(rng):
     # H = 0: the observation carries no information, A = 0 and the drift
     # collapses to zero, so particles stay put.
     particles = rng.standard_normal((50, 2))
-    ens = flow_update_measurement(
-        StateEnsemble(particles.copy()),
-        np.array([3.0]),
-        _constant_measurement(np.zeros((1, 2)), np.array([1.0])),
-        FlowConfig(n_lambda=8, jitter=0.0),
-    )
-    np.testing.assert_allclose(ens.particles, particles, atol=1e-12)
+    out = _flow_one(particles, np.array([3.0]), np.zeros((1, 2)), np.array([1.0]), FlowConfig(n_lambda=8, jitter=0.0))
+    np.testing.assert_allclose(out, particles, atol=1e-12)
 
 
 def test_flow_trace_records_full_schedule(rng):
     particles = rng.standard_normal((30, 2))
     cfg = FlowConfig(n_lambda=8)
-    ens, trace = flow_update_measurement(
-        StateEnsemble(particles),
-        np.array([0.5, -0.5]),
-        _constant_measurement(np.eye(2), np.array([1.0, 1.0])),
-        cfg,
-        return_trace=True,
-    )
+    _, trace = edh_flow(particles[None], np.eye(2), np.array([[0.5, -0.5]]), np.array([1.0, 1.0]), cfg, return_trace=True)
     assert len(trace) == 8
     eps = step_schedule(8, cfg.ratio)
     lam = 0.0
-    for k, rec in enumerate(trace):
-        np.testing.assert_allclose(rec.lam, lam, rtol=1e-12)  # coefficients use pre-step lambda
-        np.testing.assert_allclose(rec.eps, eps[k], rtol=1e-12)
-        assert rec.a.shape == (2, 2) and rec.b.shape == (2,)
+    for k, (rec_lam, rec_eps, a, b) in enumerate(trace):
+        np.testing.assert_allclose(rec_lam, lam, rtol=1e-12)  # coefficients use pre-step lambda
+        np.testing.assert_allclose(rec_eps, eps[k], rtol=1e-12)
+        assert a.shape == (1, 2, 2) and b.shape == (1, 2)
         lam += eps[k]
+
+
+def test_flow_batch_slices_match_each_ensemble_flowed_alone(rng):
+    # relinearized noise variances depend on each ensemble's own running mean
+    c = rng.standard_normal((3, 5)) * 0.5
+    h = rng.standard_normal((3, 5))
+    particles = rng.standard_normal((4, 10, 5))
+    y = rng.standard_normal((4, 3))
+
+    def noise_var(means):
+        return np.logaddexp(0.0, means @ c.T) ** 2
+
+    cfg = FlowConfig(n_lambda=12)
+    batched = edh_flow(particles, h, y, noise_var, cfg)
+    for i in range(4):
+        alone = edh_flow(particles[i : i + 1], h, y[i : i + 1], noise_var, cfg)
+        np.testing.assert_allclose(batched[i], alone[0], rtol=1e-12, atol=1e-12)
 
 
 def test_nonfinite_particles_are_rejected_at_construction():
@@ -289,13 +288,8 @@ def test_nonfinite_particles_are_rejected_at_construction():
 def test_flow_divergence_error_names_the_step(rng):
     # an explosive linearization: gigantic drift makes particles overflow
     particles = rng.standard_normal((10, 1)) * 1e150
-    bad = LinearizedMeasurement(
-        mean_fn=lambda m: m * 1e150,
-        jac_fn=lambda m: np.array([[1e150]]),
-        var_fn=lambda m: np.array([1e-300]),
-    )
-    with pytest.raises((FlowDivergedError, FlowSolveError)):
-        flow_update_measurement(StateEnsemble(particles), np.array([1.0]), bad, FlowConfig(n_lambda=4, jitter=0.0))
+    with pytest.raises((FlowDivergedError, FlowSolveError), match=r"pseudo-time step \d/4"):
+        _flow_one(particles, np.array([1.0]), np.array([[1e150]]), np.array([1e-300]), FlowConfig(n_lambda=4, jitter=0.0))
 
 
 def test_flow_config_validation():

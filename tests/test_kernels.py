@@ -1,53 +1,8 @@
-"""Kernel twins: the numba and numpy implementations must agree, and the
-numpy reference must match brute-force oracles."""
+"""Numpy kernels against brute-force oracles."""
 
 import numpy as np
-import pytest
 
 from flowcast import kernels
-from flowcast._accel import HAVE_NUMBA
-
-
-def _twin_pairs():
-    pairs = []
-    for name, (np_fn, nb_fn) in kernels.IMPLEMENTATIONS.items():
-        if nb_fn is not None:
-            pairs.append(pytest.param(np_fn, nb_fn, id=name))
-    return pairs
-
-
-def _case_for(name, rng):
-    if name == "systematic_resample_indices":
-        w = rng.dirichlet(np.ones(17))
-        return (np.cumsum(w), 0.4321)
-    if name == "forward_fill_array":
-        vals = rng.standard_normal((11, 3))
-        miss = rng.uniform(size=(11, 3)) < 0.3
-        miss[0] = False
-        vals[miss] = 0.0
-        return (vals, miss)
-    if name == "crps_batch":
-        return (np.sort(rng.standard_normal((6, 9)), axis=1), rng.standard_normal(6))
-    if name == "diag_gauss_loglik":
-        return (rng.standard_normal((8, 4)), rng.uniform(0.5, 2.0, (8, 4)), rng.standard_normal(4))
-    if name == "flow_apply":
-        return (rng.standard_normal((10, 5)), rng.standard_normal((5, 5)), rng.standard_normal(5), 0.07)
-    raise AssertionError(f"no twin test case defined for kernel {name}")
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("np_fn,nb_fn", _twin_pairs())
-def test_twin_implementations_agree(np_fn, nb_fn, rng):
-    name = next(k for k, v in kernels.IMPLEMENTATIONS.items() if v[0] is np_fn)
-    args = _case_for(name, rng)
-    a = np_fn(*(x.copy() if isinstance(x, np.ndarray) else x for x in args))
-    b = nb_fn(*(x.copy() if isinstance(x, np.ndarray) else x for x in args))
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-def test_every_kernel_has_a_twin_case(rng):
-    for name in kernels.IMPLEMENTATIONS:
-        _case_for(name, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +108,3 @@ def test_diag_gauss_loglik_matches_scipy(rng):
     got = kernels.diag_gauss_loglik(means, stds, y)
     want = [stats.norm.logpdf(y, means[i], stds[i]).sum() for i in range(6)]
     np.testing.assert_allclose(got, want, rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# flow Euler step
-# ---------------------------------------------------------------------------
-
-
-def test_flow_apply_matches_affine_formula(rng):
-    x = rng.standard_normal((4, 3))
-    a = rng.standard_normal((3, 3))
-    b = rng.standard_normal(3)
-    got = kernels.flow_apply(x, a, b, 0.25)
-    np.testing.assert_allclose(got, x + 0.25 * (x @ a.T + b), rtol=1e-14)
-
-
-def test_flow_apply_zero_eps_is_identity(rng):
-    x = rng.standard_normal((4, 3))
-    got = kernels.flow_apply(x, rng.standard_normal((3, 3)), rng.standard_normal(3), 0.0)
-    np.testing.assert_array_equal(got, x)
