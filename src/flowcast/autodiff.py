@@ -440,18 +440,24 @@ def gather(a, indices: np.ndarray, axis: int):
 # ---------------------------------------------------------------------------
 
 
-def flow_step(x, a_stack: np.ndarray, b_stack: np.ndarray, eps: float):
-    """One Euler step ``x + eps * (x @ A^T + b)`` batched over windows.
+def flow_step(x, pht: np.ndarray, s_inv: np.ndarray, h_mat: np.ndarray, beta: np.ndarray, eps: float):
+    """One Euler step of the observation-space flow, batched over windows.
 
-    ``x`` has shape (B, P, D); ``a_stack`` (B, D, D) and ``b_stack`` (B, D)
-    are plain arrays — gradients do not flow into them.
+    Every particle row ``x`` of window ``i`` moves by ``eps * (beta_i - 1/2
+    (x H^T) S_i^-1) PHt_i^T``, the drift ``PHt (beta - 1/2 S^-1 H x)`` for a
+    symmetric ``S^-1``.  ``x`` has shape (B, P, D), ``pht`` (B, D, N),
+    ``s_inv`` (B, N, N), ``h_mat`` (N, D) and ``beta`` (B, N): no (D, D)
+    matrix is formed.  Gradients do not flow into the coefficients.
     """
     xv = val(x)
-    out = xv + eps * (xv @ np.swapaxes(a_stack, 1, 2) + b_stack[:, None, :])
+    b_sz, n_p, d = xv.shape
+    xh = (xv.reshape(b_sz * n_p, d) @ h_mat.T).reshape(b_sz, n_p, -1)  # one product for every particle
+    gamma = eps * beta[:, None, :] - (0.5 * eps) * (xh @ s_inv)
+    out = xv + gamma @ np.swapaxes(pht, 1, 2)
     if not isinstance(x, Var):
         return out
 
     def vjp(g):
-        return g + eps * (g @ a_stack)
+        return g - (0.5 * eps) * (((g @ pht) @ np.swapaxes(s_inv, 1, 2)) @ h_mat)
 
     return _make(out, [(x, vjp)])

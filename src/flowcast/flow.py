@@ -1,27 +1,29 @@
-"""Particle-flow measurement update (exact Daum–Huang).
+"""Particle-flow measurement update (exact Daum–Huang), in observation space.
 
 Instead of reweighting, particles are transported through a pseudo-time
-ODE whose drift is affine in the state, ``d eta / d lambda = A eta + b``,
-with coefficients chosen so that at ``lambda = 1`` the ensemble matches
-the Gaussian posterior of the linear observation ``y = H x + noise``:
+ODE whose drift ``A eta + b`` is affine in the state, chosen so that at
+``lambda = 1`` the ensemble matches the Gaussian posterior of the linear
+observation ``y = H x + noise`` with diagonal noise variances ``r``:
 
-    A(l) = -1/2 P H^T (l H P H^T + R)^(-1) H
-    b(l) = (I + 2 l A) [ (I + l A) P H^T R^(-1) y + A eta_bar ]
+    A(l) = -1/2 P H^T S^-1 H,  S = l H P H^T + diag(r)
+    b(l) = (I + 2 l A) [ (I + l A) P H^T diag(r)^-1 y + A eta_bar ]
 
-``P`` and ``eta_bar`` are the predictive ensemble moments, estimated once
-from the incoming particles and frozen across pseudo-time; ``H`` is
-constant, and the diagonal noise variances ``R`` may be re-read at the
-running particle mean each Euler step.  Steps follow a geometric schedule,
-with coefficients evaluated at the pre-increment pseudo-time.
-
-:func:`edh_flow` moves a stack of ensembles at once; training, forecasting
-and the linear reference filter all call it.
+Both factor through the N-dimensional observation space: with
+``PHt = P H^T`` the drift is ``PHt (beta - 1/2 S^-1 H eta)`` where
+``beta = 1/2 S^-1 (y + r * S^-1 (y - H eta_bar))``, so a step costs N x N
+algebra plus thin (D, N) products and forms no D x D matrix, neither
+``A`` nor ``P``.  ``PHt`` and ``eta_bar`` are estimated once from the
+incoming particles and frozen across pseudo-time; ``H`` is constant, and
+``r`` may be re-read at the running particle mean each Euler step.  Steps
+follow a geometric schedule, with coefficients evaluated at the
+pre-increment pseudo-time.  :func:`edh_flow` moves a stack of ensembles
+at once; training, forecasting and the linear reference filter call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,7 +76,7 @@ class GaussianBelief:
 
 
 # ---------------------------------------------------------------------------
-# schedule and moments
+# the schedule and the flow
 # ---------------------------------------------------------------------------
 
 
@@ -90,28 +92,13 @@ def step_schedule(n_lambda: int, ratio: float) -> np.ndarray:
     return eps_1 * ratio ** np.arange(n_lambda)
 
 
-def ensemble_moments(particles, jitter: float = 1e-2, single_particle_scale: float = 1.0):
-    """Per-ensemble mean (B, D) and regularized covariance (B, D, D) of (B, n_p, D) particles.
+class FlowTrace(NamedTuple):
+    """What a flow froze: enough to replay its Euler steps exactly."""
 
-    Covariance uses the 1/n_p normalization plus ``jitter * I``.  A single
-    particle falls back to the isotropic prior ``single_particle_scale * I``
-    (no jitter term in that branch).
-    """
-    particles = np.asarray(particles, dtype=np.float64)
-    if particles.ndim != 3:
-        raise DataError("ensembles must be a (B, n_particles, D) array")
-    b_sz, n_p, d = particles.shape
-    mean = particles.mean(axis=1)
-    if n_p == 1:
-        return mean, np.broadcast_to(single_particle_scale * np.eye(d), (b_sz, d, d))
-    centered = particles - mean[:, None, :]
-    cov = np.swapaxes(centered, 1, 2) @ centered / n_p
-    return mean, 0.5 * (cov + np.swapaxes(cov, 1, 2)) + jitter * np.eye(d)
-
-
-# ---------------------------------------------------------------------------
-# the flow
-# ---------------------------------------------------------------------------
+    mean: np.ndarray  # (B, D) ensemble means the flow started from
+    pht: np.ndarray  # (B, D, N) P H^T of the starting ensembles
+    h_mat: np.ndarray  # (N, D) observation matrix
+    steps: list  # per Euler step: (lam, eps, S^-1 of shape (B, N, N), beta of shape (B, N))
 
 
 def edh_flow(
@@ -122,6 +109,7 @@ def edh_flow(
     config: FlowConfig = FlowConfig(),
     return_trace: bool = False,
     encoder_step: Optional[int] = None,
+    window_ids: Optional[Sequence] = None,
 ):
     """Transport B ensembles through the measurement update for ``y``.
 
@@ -133,59 +121,67 @@ def edh_flow(
     means to them, read before the first step and, when
     ``config.relinearize_every_step`` is set, before every step.
 
-    Returns the moved particles, plus the per-step ``(lam, eps, A, b)``
-    records (A of shape (B, D, D), b of shape (B, D)) when ``return_trace``
-    is true.  ``encoder_step`` only labels the errors: ``FlowSolveError``
-    when an innovation covariance ``lam H P H^T + diag(r)`` is not positive
-    definite, ``FlowDivergedError`` when a particle becomes non-finite.
+    Returns the moved particles, plus a :class:`FlowTrace` when
+    ``return_trace`` is true.  ``encoder_step`` and ``window_ids`` (one per
+    ensemble) only label the errors: ``FlowSolveError`` when an innovation
+    covariance ``S`` is not positive definite, ``FlowDivergedError`` when a
+    particle becomes non-finite.
     """
     xv = ad.val(particles)
     if xv.ndim != 3:
         raise DataError("particles must be a (B, n_particles, D) array")
-    b_sz, _, d = xv.shape
-    h_mat = np.asarray(h_mat, dtype=np.float64)
+    b_sz, n_p, d = xv.shape
+    h_mat = np.array(h_mat, dtype=np.float64)  # a copy: the trace freezes H
     y = np.asarray(y, dtype=np.float64)
     n = h_mat.shape[0]
     if h_mat.shape != (n, d) or y.shape != (b_sz, n):
         raise DataError(f"need h_mat of shape (N, {d}) and y of shape ({b_sz}, N)")
-    mean0, cov = ensemble_moments(xv, config.jitter, config.single_particle_prior_scale)
-    pht = cov @ h_mat.T  # (B, D, N), frozen with the moments
+    mean0 = xv.mean(axis=1)
+    if n_p == 1:  # a single particle falls back to the prior P = scale * I, without jitter
+        pht = np.broadcast_to(config.single_particle_prior_scale * h_mat.T, (b_sz, d, n))
+    else:  # P = C^T C / n_p + jitter * I, applied to H^T without forming it
+        centered = xv - mean0[:, None, :]
+        # built as the contiguous (B, N, D) array H P, which the Euler steps multiply by
+        pht = np.swapaxes(np.swapaxes(centered @ h_mat.T, 1, 2) @ centered / n_p + config.jitter * h_mat, 1, 2)
     hph = h_mat @ pht  # (B, N, N)
-    h_stack = np.broadcast_to(h_mat, (b_sz, n, d))  # numpy < 2 reads a 2-D right-hand side as vectors
-    diag = np.arange(n)
+    half_y = 0.5 * y[:, :, None]
+    half_innov = half_y - 0.5 * (h_mat @ mean0[:, :, None])  # (y - H eta_bar) / 2, (B, N, 1)
     eps = step_schedule(config.n_lambda, config.ratio)
     where = "" if encoder_step is None else f" of encoder step {encoder_step}"
+
+    def who(row):
+        return f"ensemble {row}" if window_ids is None else f"window {window_ids[row]}"
 
     x = particles
     r_now = None if callable(r) else np.broadcast_to(np.asarray(r, dtype=np.float64), (b_sz, n))
     lam = 0.0
-    trace = []
+    steps = []
     for m in range(config.n_lambda):
         if callable(r) and (m == 0 or config.relinearize_every_step):
             r_now = r(ad.val(x).mean(axis=1))
         s = lam * hph
-        s[:, diag, diag] += r_now
+        s.reshape(b_sz, n * n)[:, :: n + 1] += r_now  # the diagonal of each S
         try:
-            np.linalg.cholesky(s)  # the SPD check: numpy has no triangular solve to reuse the factor
+            np.linalg.cholesky(s)  # the SPD check
         except np.linalg.LinAlgError as exc:
-            raise FlowSolveError(
-                f"innovation covariance is not positive definite at pseudo-time step {m + 1}/{config.n_lambda} (lambda={lam:.6g}){where}"
-            ) from exc
-        a = -0.5 * pht @ np.linalg.solve(s, h_stack)
-        ph_ry = pht @ (y / r_now)[:, :, None]
-        rhs = ph_ry + lam * (a @ ph_ry) + a @ mean0[:, :, None]
-        b = (rhs + 2.0 * lam * (a @ rhs))[:, :, 0]
-        x = ad.flow_step(x, a, b, float(eps[m]))
+            for row in range(b_sz):  # the batched factorization does not say which matrix failed
+                try:
+                    np.linalg.cholesky(s[row])
+                except np.linalg.LinAlgError:
+                    break
+            when = f"pseudo-time step {m + 1}/{config.n_lambda} (lambda={lam:.6g}){where}"
+            raise FlowSolveError(f"innovation covariance of {who(row)} is not positive definite at {when}") from exc
+        s_inv = np.linalg.inv(s)
+        beta = (s_inv @ (half_y + r_now[:, :, None] * (s_inv @ half_innov)))[:, :, 0]
+        x = ad.flow_step(x, pht, s_inv, h_mat, beta, float(eps[m]))
         xv = ad.val(x)
-        if not np.all(np.isfinite(xv)):
+        if not np.isfinite(xv).all():
             row, particle = np.argwhere(~np.isfinite(xv))[0][:2]
-            raise FlowDivergedError(
-                f"particle {particle} of ensemble {row} became non-finite at pseudo-time step "
-                f"{m + 1}/{config.n_lambda} (lambda={lam:.6g}){where}"
-            )
+            when = f"pseudo-time step {m + 1}/{config.n_lambda} (lambda={lam:.6g}){where}"
+            raise FlowDivergedError(f"particle {particle} of {who(row)} became non-finite at {when}")
         if return_trace:
-            trace.append((lam, float(eps[m]), a, b))
+            steps.append((lam, float(eps[m]), s_inv, beta))
         lam += float(eps[m])
     if return_trace:
-        return x, trace
+        return x, FlowTrace(mean0, pht, h_mat, steps)
     return x

@@ -73,8 +73,9 @@ def filter_window(
     flow_config: flow_mod.FlowConfig = flow_mod.FlowConfig(),
     seed: int = 0,
     noise: Optional[ssm_mod.WindowNoise] = None,
+    window_id: Optional[int] = None,
 ) -> ssm_mod.StateEnsemble:
-    """Assimilate ``y_hist`` (P, N); returns the filtered ensemble at time P."""
+    """Assimilate ``y_hist`` (P, N); returns the filtered ensemble at time P (``window_id`` labels errors)."""
     y_hist = np.asarray(y_hist, dtype=np.float64)
     if y_hist.ndim != 2 or y_hist.shape[1] != model.n_series:
         raise DataError(f"y_hist must be (P, {model.n_series})")
@@ -87,11 +88,12 @@ def filter_window(
         return std * std
 
     ens = ssm_mod.StateEnsemble(particles=model.rho * noise.init, time_index=1)
+    ids = None if window_id is None else [window_id]
     for t in range(1, p_steps + 1):
         if t > 1:
             draw = ssm_mod.NoiseDraws(dyn=noise.dyn[t - 2], provenance=noise.provenance + (t,))
             ens = ssm_mod.transition(model, graph, ens, y_hist[t - 2], _z_row(z, t), draw)
-        moved = flow_mod.edh_flow(ens.particles[None], model.W_phi, y_hist[None, t - 1], noise_var, flow_config, encoder_step=t)
+        moved = flow_mod.edh_flow(ens.particles[None], model.W_phi, y_hist[None, t - 1], noise_var, flow_config, encoder_step=t, window_ids=ids)
         ens = ssm_mod.StateEnsemble(particles=moved[0], time_index=ens.time_index)
     return ens
 
@@ -166,7 +168,7 @@ def predict(
     if q_steps is None:
         q_steps = window.y_future.shape[0] if window.y_future is not None else 0
     noise = ssm_mod.make_window_noise(config.seed, window.window_id, config.n_particles, model, p_steps, q_steps)
-    ens = filter_window(model, graph, y_hist, window.z, config.n_particles, config.flow, noise=noise)
+    ens = filter_window(model, graph, y_hist, window.z, config.n_particles, config.flow, noise=noise, window_id=window.window_id)
     dist = rollout(
         model,
         graph,

@@ -381,13 +381,6 @@ def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None):
     return ad.reshape(u, (m, n * d_x))
 
 
-def measurement_core(params_w_phi, params_c_gamma, x):
-    """Measurement mean and std for states ``x`` (rows). Autodiff-transparent."""
-    mean = ad.matmul(x, ad.transpose2(params_w_phi))
-    std = ad.softplus(ad.matmul(x, ad.transpose2(params_c_gamma)))
-    return mean, std
-
-
 # ---------------------------------------------------------------------------
 # public model operations
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The gradient path records one tape over a whole minibatch (windows
 stacked on a leading axis) and differentiates the sampled forecast
 pipeline end to end — through transitions, emissions, the sampled decoder
-feedback and the flow's affine updates.  The flow *coefficients* (A, b,
-ensemble moments, linearization, noise variances) are treated as
+feedback and the flow's affine updates.  The flow *coefficients* (the
+frozen ensemble moments, H, S^-1, beta, noise variances) are treated as
 constants: gradients do not flow into them, and the recorded coefficient
 trace can be replayed so finite-difference checks differentiate exactly
 the same function.
@@ -207,7 +207,8 @@ def batch_forward(
 
     ``params`` maps parameter names to Vars (training) or arrays
     (inference).  Returns (loss, aux) where aux carries the per-step
-    samples, the flow coefficient trace, and the point forecast values.
+    samples, the flow traces (one :class:`flow.FlowTrace` per encoder step),
+    and the point forecast values.
     """
     hyper = model.hyper
     b_sz, p_steps, q_steps, n = batch.sizes
@@ -249,17 +250,19 @@ def batch_forward(
             x2 = step_transition(x2, rows(batch.y_hist[:, t - 2, :]), t, batch.dyn[t - 2])
             x3 = ad.reshape(x2, (b_sz, n_p, d))
         if frozen_trace is None:
-            x3, step_records = flow_mod.edh_flow(
-                x3, w_phi_val, batch.y_hist[:, t - 1, :], noise_var, flow_cfg, return_trace=True, encoder_step=t
-            )
-        else:
-            step_records = frozen_trace[t - 1]
-            for _, eps_m, a_stack, b_stack in step_records:
-                x3 = ad.flow_step(x3, a_stack, b_stack, eps_m)
-            if not np.all(np.isfinite(ad.val(x3))):
-                raise flow_mod.FlowDivergedError(f"particles became non-finite during the flow at encoder step {t}")
+            y_t = batch.y_hist[:, t - 1, :]
+            x3, flow_trace = flow_mod.edh_flow(x3, w_phi_val, y_t, noise_var, flow_cfg, return_trace=True, encoder_step=t, window_ids=batch.window_ids)
+        else:  # replay with everything the flow froze, H included
+            flow_trace = frozen_trace[t - 1]
+            for _, eps_m, s_inv, beta in flow_trace.steps:
+                x3 = ad.flow_step(x3, flow_trace.pht, s_inv, flow_trace.h_mat, beta, eps_m)
+            x3v = ad.val(x3)
+            if not np.isfinite(x3v).all():
+                row, particle = np.argwhere(~np.isfinite(x3v))[0][:2]
+                where = f"window {batch.window_ids[row]} became non-finite during the frozen flow replay of encoder step {t}"
+                raise flow_mod.FlowDivergedError(f"particle {particle} of {where}")
         if collect_trace or frozen_trace is not None:
-            trace.append(step_records)
+            trace.append(flow_trace)
 
     # ---- decoder: sampled rollout ---------------------------------------
     sample_steps = []
@@ -387,7 +390,7 @@ def gradients(
     Flow coefficients are computed from parameter *values* and held
     constant; everything else (transitions, emissions, sampled feedback,
     the affine flow updates, the loss) is differentiated exactly.
-    Returns (loss value, dict of gradients, coefficient trace).
+    Returns (loss value, dict of gradients, flow traces).
     """
     if not isinstance(batch, BatchArrays):
         batch = stack_batch(batch, model, config.n_particles_train, seed_key if seed_key is not None else config.seed)

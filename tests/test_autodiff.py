@@ -153,26 +153,38 @@ def test_gather_gradient_accumulates_duplicates(rng):
     np.testing.assert_allclose(v.grad, want)
 
 
+def _flow_step_coefficients(rng, b_sz=2, d=5, n=3, symmetric=False):
+    """Random (PHt, S^-1, H, beta) with N < D."""
+    pht = rng.standard_normal((b_sz, d, n))
+    s_inv = rng.standard_normal((b_sz, n, n))
+    if symmetric:  # an inverse innovation covariance, as the flow passes it
+        s_inv = np.linalg.inv(s_inv @ np.swapaxes(s_inv, 1, 2) + np.eye(n))
+    h = rng.standard_normal((n, d))
+    beta = rng.standard_normal((b_sz, n))
+    return pht, s_inv, h, beta
+
+
 def test_flow_step_matches_affine_formula(rng):
-    x = rng.standard_normal((2, 4, 3))
-    a = rng.standard_normal((2, 3, 3))
-    b = rng.standard_normal((2, 3))
-    got = ad.flow_step(x, a, b, 0.25)
+    x = rng.standard_normal((2, 4, 5))
+    pht, s_inv, h, beta = _flow_step_coefficients(rng, symmetric=True)
+    got = ad.flow_step(x, pht, s_inv, h, beta, 0.25)
     for i in range(2):
-        np.testing.assert_allclose(got[i], x[i] + 0.25 * (x[i] @ a[i].T + b[i]), rtol=1e-14)
+        a = -0.5 * pht[i] @ s_inv[i] @ h  # the dense drift x A^T + b
+        b = pht[i] @ beta[i]
+        np.testing.assert_allclose(got[i], x[i] + 0.25 * (x[i] @ a.T + b), rtol=1e-14)
 
 
 def test_flow_step_zero_eps_is_identity(rng):
-    x = rng.standard_normal((2, 4, 3))
-    got = ad.flow_step(x, rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3)), 0.0)
+    x = rng.standard_normal((2, 4, 5))
+    got = ad.flow_step(x, *_flow_step_coefficients(rng), 0.0)
     np.testing.assert_array_equal(got, x)
 
 
 def test_flow_step_gradient_treats_coefficients_as_constant(rng):
-    x0 = rng.standard_normal((2, 3, 4))
-    a = rng.standard_normal((2, 4, 4))
-    b = rng.standard_normal((2, 4))
-    _check(lambda v: ad.sum_(ad.square(ad.flow_step(v, a, b, 0.13))), x0)
+    # a general S^-1 also catches a transposed factor in the VJP
+    x0 = rng.standard_normal((2, 3, 5))
+    coefficients = _flow_step_coefficients(rng)
+    _check(lambda v: ad.sum_(ad.square(ad.flow_step(v, *coefficients, 0.13))), x0)
 
 
 def test_gradient_accumulates_across_reuse(rng):

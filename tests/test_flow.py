@@ -7,7 +7,7 @@ import pytest
 
 from flowcast import autodiff as ad
 from flowcast.errors import FlowDivergedError, FlowSolveError
-from flowcast.flow import FlowConfig, GaussianBelief, edh_flow, ensemble_moments, step_schedule
+from flowcast.flow import FlowConfig, GaussianBelief, edh_flow, step_schedule
 from flowcast.ssm import StateEnsemble
 
 
@@ -55,42 +55,55 @@ def test_schedule_rejects_bad_arguments():
 
 
 # ---------------------------------------------------------------------------
-# ensemble moments
+# frozen ensemble moments, read from the trace
 # ---------------------------------------------------------------------------
+
+
+def _frozen_moments(ens, h, jitter=1e-2, scale=1.0):
+    """The (B, D) mean and (B, D, N) P H^T a flow froze for the ensembles ``ens``."""
+    cfg = FlowConfig(n_lambda=1, jitter=jitter, single_particle_prior_scale=scale)
+    n = h.shape[0]
+    _, trace = edh_flow(ens, h, np.zeros((ens.shape[0], n)), np.ones(n), cfg, return_trace=True)
+    return trace.mean, trace.pht
 
 
 def test_moments_two_point_ensemble():
     ens = np.array([[[0.0], [2.0]]])
-    mean, cov = ensemble_moments(ens, jitter=0.0)
+    mean, pht = _frozen_moments(ens, np.eye(1), jitter=0.0)
     np.testing.assert_allclose(mean, [[1.0]])
-    np.testing.assert_allclose(cov, [[[1.0]]])  # population covariance
+    np.testing.assert_allclose(pht, [[[1.0]]])  # population covariance
 
 
 def test_moments_jitter_inflates_diagonal():
     ens = np.array([[[0.0, 0.0], [2.0, 0.0]]])
-    _, cov = ensemble_moments(ens, jitter=0.01)
-    np.testing.assert_allclose(np.diag(cov[0]), [1.01, 0.01], rtol=1e-12)
+    _, pht = _frozen_moments(ens, np.eye(2), jitter=0.01)
+    np.testing.assert_allclose(np.diag(pht[0]), [1.01, 0.01], rtol=1e-12)
 
 
 def test_moments_single_particle_uses_prior_scale():
     ens = np.array([[[3.0, -1.0]], [[0.5, 4.0]]])
-    mean, cov = ensemble_moments(ens, jitter=0.5, single_particle_scale=2.0)
+    h = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 3.0]])
+    mean, pht = _frozen_moments(ens, h, jitter=0.5, scale=2.0)
     np.testing.assert_allclose(mean, [[3.0, -1.0], [0.5, 4.0]])
-    np.testing.assert_allclose(cov, np.broadcast_to(2.0 * np.eye(2), (2, 2, 2)))  # no jitter on top
+    np.testing.assert_allclose(pht, np.broadcast_to(2.0 * h.T, (2, 2, 3)))  # no jitter on top
 
 
 def test_moments_covariance_is_symmetric(rng):
+    # with H = I the frozen P H^T is the covariance itself
     ens = rng.standard_normal((3, 40, 6))
-    _, cov = ensemble_moments(ens)
-    np.testing.assert_array_equal(cov, np.swapaxes(cov, 1, 2))
+    _, pht = _frozen_moments(ens, np.eye(6))
+    np.testing.assert_array_equal(pht, np.swapaxes(pht, 1, 2))
 
 
 def test_moments_match_numpy_population_covariance(rng):
     ens = rng.standard_normal((3, 25, 4))
-    mean, cov = ensemble_moments(ens, jitter=0.0)
-    for i in range(3):
-        np.testing.assert_allclose(mean[i], ens[i].mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(cov[i], np.cov(ens[i].T, bias=True), rtol=1e-10, atol=1e-12)
+    h = rng.standard_normal((3, 4))
+    for jitter in (0.0, 0.3):
+        mean, pht = _frozen_moments(ens, h, jitter=jitter)
+        for i in range(3):
+            np.testing.assert_allclose(mean[i], ens[i].mean(axis=0), rtol=1e-12)
+            want = np.cov(ens[i], rowvar=False, bias=True) @ h.T + jitter * h.T
+            np.testing.assert_allclose(pht[i], want, rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +111,18 @@ def test_moments_match_numpy_population_covariance(rng):
 # ---------------------------------------------------------------------------
 
 
+def _dense_drift(trace, k):
+    """(lam, A, b) of Euler step ``k``, rebuilt from the trace: A = -1/2 PHt S^-1 H, b = PHt beta."""
+    lam, _, s_inv, beta = trace.steps[k]
+    a = -0.5 * trace.pht @ s_inv @ trace.h_mat
+    b = (trace.pht @ beta[:, :, None])[:, :, 0]
+    return lam, a, b
+
+
 def _scalar_trace(mean, r, y):
     # one particle, so the frozen prior covariance is single_particle_scale = 1;
     # ratio 1e-300 makes the first step the whole unit interval, so the two
-    # records sit at lambda = 0 and lambda = 1 exactly
+    # steps sit at lambda = 0 and lambda = 1 exactly
     cfg = FlowConfig(n_lambda=2, ratio=1e-300, single_particle_prior_scale=1.0)
     _, trace = edh_flow(np.array([[[mean]]]), np.array([[1.0]]), np.array([[y]]), np.array([r]), cfg, return_trace=True)
     return trace
@@ -109,7 +130,7 @@ def _scalar_trace(mean, r, y):
 
 def _scalar_case(lam):
     # prior N(1, 1), observation y = 1 with unit noise, H = 1
-    lam_rec, _, a, b = _scalar_trace(1.0, 1.0, 1.0)[int(lam)]
+    lam_rec, a, b = _dense_drift(_scalar_trace(1.0, 1.0, 1.0), int(lam))
     assert lam_rec == lam
     return a[0], b[0]
 
@@ -131,7 +152,7 @@ def test_coefficients_at_lambda_one():
 
 
 def test_coefficients_informative_observation_pulls_towards_it():
-    _, _, a, b = _scalar_trace(0.0, 0.01, 5.0)[0]
+    _, a, b = _dense_drift(_scalar_trace(0.0, 0.01, 5.0), 0)
     # tiny measurement noise: drift near y/(2 r) * ... dominated by data pull
     assert b[0, 0] > 0  # towards the positive observation
     assert a[0, 0, 0] < 0  # contraction
@@ -152,6 +173,79 @@ def test_non_spd_innovation_raises_on_taped_and_plain_calls(rng):
         edh_flow(taped, h, np.zeros((3, 2)), np.full((3, 2), -1.0), cfg, return_trace=True, encoder_step=7)
     with pytest.raises(FlowSolveError, match=r"pseudo-time step 1/4 \(lambda=0\)$"):
         edh_flow(rng.standard_normal((1, 5, 2)), h, np.zeros((1, 2)), lambda means: np.full((1, 2), -1.0), cfg)
+
+
+def test_non_spd_innovation_names_the_failing_window(rng):
+    # only the middle ensemble gets a non-positive noise variance
+    r = np.ones((3, 2))
+    r[1, 0] = -0.5
+    with pytest.raises(FlowSolveError, match=r"^innovation covariance of window 17 is not positive definite at pseudo-time step 1/4"):
+        edh_flow(rng.standard_normal((3, 5, 2)), np.eye(2), np.zeros((3, 2)), r, FlowConfig(n_lambda=4), window_ids=[5, 17, 9])
+
+
+# ---------------------------------------------------------------------------
+# against the dense D x D drift
+# ---------------------------------------------------------------------------
+
+
+def _dense_reference_flow(particles, h, y, r, cfg):
+    """Euler steps of the textbook drift A x + b, one ensemble at a time, with
+
+    A(l) = -1/2 P H^T (l H P H^T + R)^-1 H
+    b(l) = (I + 2 l A) [ (I + l A) P H^T R^-1 y + A eta_bar ]
+    """
+    b_sz, n_p, d = particles.shape
+    eye = np.eye(d)
+    mean0 = particles.mean(axis=1)
+    x = particles.copy()
+    lam = 0.0
+    r_now = None
+    for m, eps in enumerate(step_schedule(cfg.n_lambda, cfg.ratio)):
+        if callable(r):
+            if m == 0 or cfg.relinearize_every_step:
+                r_now = r(x.mean(axis=1))
+        else:
+            r_now = np.broadcast_to(r, (b_sz, h.shape[0]))
+        for i in range(b_sz):
+            if n_p == 1:
+                p = cfg.single_particle_prior_scale * eye
+            else:
+                p = np.cov(particles[i], rowvar=False, bias=True) + cfg.jitter * eye
+            r_mat = np.diag(r_now[i])
+            a = -0.5 * p @ h.T @ np.linalg.solve(lam * h @ p @ h.T + r_mat, h)
+            b = (eye + 2 * lam * a) @ ((eye + lam * a) @ p @ h.T @ np.linalg.solve(r_mat, y[i]) + a @ mean0[i])
+            x[i] = x[i] + eps * (x[i] @ a.T + b)
+        lam += eps
+    return x
+
+
+@pytest.mark.parametrize(
+    "b_sz, n_p, d, n, relinearized",
+    [
+        (1, 20, 6, 3, False),  # N < D
+        (1, 20, 4, 4, False),  # N = D
+        (1, 20, 3, 6, False),  # N > D
+        (2, 1, 5, 2, False),  # single-particle prior
+        (4, 10, 5, 3, False),  # a batch of ensembles
+        (4, 10, 5, 3, True),  # noise variances re-read at the running means
+    ],
+)
+def test_flow_matches_dense_drift_reference(rng, b_sz, n_p, d, n, relinearized):
+    particles = rng.standard_normal((b_sz, n_p, d))
+    h = rng.standard_normal((n, d)) * 0.5
+    y = rng.standard_normal((b_sz, n))
+    if relinearized:
+        c = rng.standard_normal((n, d)) * 0.3
+
+        def r(means):
+            return 0.5 + np.logaddexp(0.0, means @ c.T) ** 2
+
+    else:
+        r = rng.uniform(0.5, 1.5, size=(b_sz, n))
+    cfg = FlowConfig(n_lambda=29)
+    got = edh_flow(particles, h, y, r, cfg)
+    want = _dense_reference_flow(particles, h, y, r, cfg)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +342,18 @@ def test_flow_zero_jacobian_leaves_particles_nearly_alone(rng):
 
 def test_flow_trace_records_full_schedule(rng):
     particles = rng.standard_normal((30, 2))
+    h = np.array([[1.0, -0.5]])
     cfg = FlowConfig(n_lambda=8)
-    _, trace = edh_flow(particles[None], np.eye(2), np.array([[0.5, -0.5]]), np.array([1.0, 1.0]), cfg, return_trace=True)
-    assert len(trace) == 8
+    _, trace = edh_flow(particles[None], h, np.array([[0.5]]), np.array([1.0]), cfg, return_trace=True)
+    assert trace.mean.shape == (1, 2) and trace.pht.shape == (1, 2, 1)
+    np.testing.assert_array_equal(trace.h_mat, h)
+    assert len(trace.steps) == 8
     eps = step_schedule(8, cfg.ratio)
     lam = 0.0
-    for k, (rec_lam, rec_eps, a, b) in enumerate(trace):
+    for k, (rec_lam, rec_eps, s_inv, beta) in enumerate(trace.steps):
         np.testing.assert_allclose(rec_lam, lam, rtol=1e-12)  # coefficients use pre-step lambda
         np.testing.assert_allclose(rec_eps, eps[k], rtol=1e-12)
-        assert a.shape == (1, 2, 2) and b.shape == (1, 2)
+        assert s_inv.shape == (1, 1, 1) and beta.shape == (1, 1)
         lam += eps[k]
 
 

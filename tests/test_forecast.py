@@ -9,7 +9,7 @@ import pytest
 from flowcast import data as data_mod
 from flowcast import forecast
 from flowcast import ssm
-from flowcast.errors import DataError
+from flowcast.errors import DataError, FlowSolveError
 from flowcast.flow import FlowConfig
 from flowcast.forecast import ForecastDistribution, PredictConfig, empirical_quantile, predict
 
@@ -37,6 +37,20 @@ def _config(**kw):
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
+
+
+def test_predict_flow_error_names_the_window(rng):
+    vals = rng.standard_normal((30, 1)) * 0.5
+    s = data_mod.SeriesSet(values=vals, missing=np.zeros((30, 1), bool), names=["a"])
+    window = data_mod.make_windows(s, 4, 2)[7]
+    model = ssm.init_model(kind="gru", n_series=1, d_x=2, layers=1, rho=0.8, sigma=0.05, init_scale=0.5, seed=3)
+    cfg = _config(n_particles=1)
+    # a huge emission scale pointing away from the one particle: the softplus
+    # noise std underflows to 0, so S = diag(r) is singular at lambda = 0
+    init = ssm.make_window_noise(cfg.seed, window.window_id, 1, model, 4, 2).init[0]
+    model.C_gamma = -1e4 * np.sign(init)[None, :]
+    with pytest.raises(FlowSolveError, match=r"of window 7 is not positive definite .* of encoder step 1$"):
+        predict(model, None, window, cfg)
 
 
 def test_predict_shapes_and_metadata(tiny_gru_model, window):

@@ -2,6 +2,7 @@
 the optimizer, the schedule knobs, and the fit loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from flowcast import data as data_mod
 from flowcast import forecast as forecast_mod
 from flowcast import ssm as ssm_mod
 from flowcast import train
+from flowcast.errors import FlowDivergedError, FlowSolveError
 from flowcast.flow import FlowConfig
 from flowcast.forecast import ForecastDistribution
 
@@ -220,6 +222,63 @@ def test_gradients_zero_for_unused_parameters(rng):
     assert set(grads) == set(train.param_names(model))
     for g in grads.values():
         assert np.all(np.isfinite(g))
+
+
+def _with_params(model, **replaced):
+    values = {name: train.get_param(model, name) for name in train.param_names(model)}
+    values.update(replaced)
+    return train.model_with_params(model, values)
+
+
+def test_flow_solve_error_names_the_window(rng):
+    # a huge emission scale: the softplus noise std underflows to 0 (r = 0,
+    # so S = diag(r) is singular at lambda = 0) where the particle mean is
+    # negative, and only the middle window's particle is pushed there
+    model = _with_params(_tiny_model(), C_gamma=np.array([[1e4, 0.0]]))
+    windows = _windows(rng)[3:6]
+    cfg = _config()
+    batch = train.stack_batch(windows, model, 1, cfg.seed)
+    batch.init = np.array([[[1.0, 0.0]], [[-1.0, 0.0]], [[1.0, 0.0]]])
+    want = r"^innovation covariance of window 4 is not positive definite at pseudo-time step 1/5 \(lambda=0\) of encoder step 1$"
+    with pytest.raises(FlowSolveError, match=want):
+        train.gradients(model, batch, cfg)  # the path fit takes
+    with pytest.raises(FlowSolveError, match=want):
+        train.batch_loss(model, batch, cfg)  # the path evaluate_loss takes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_frozen_replay_divergence_names_the_window(rng):
+    model = _tiny_model()
+    windows = _windows(rng)[3:6]
+    cfg = _config()
+    batch = train.stack_batch(windows, model, 1, cfg.seed)
+    _, _, traces = train.gradients(model, batch, cfg)
+    _, _, _, beta = traces[1].steps[0]
+    beta[1] = np.inf
+    with pytest.raises(FlowDivergedError, match=r"particle 0 of window 4 became non-finite during the frozen flow replay of encoder step 2"):
+        train.batch_loss(model, batch, cfg, frozen_trace=traces)
+
+
+def test_gradients_memory_grows_with_observations_not_state_squared(rng):
+    # the schema-default state (d_x = 64 per series, so D = 320 with N = 5):
+    # dense (B, D, D) drifts kept for 29 x 4 flow steps would take ~760 MB
+    n = 5
+    model = ssm_mod.init_model(kind="graph_gru", n_series=n, d_x=64, rho=0.8, sigma=0.05, init_scale=0.5, seed=2)
+    graph = ssm_mod.Graph.from_weights(np.ones((n, n)))
+    windows = _windows(rng, n=n, p=4, q=2)[:8]
+    cfg = _config(flow=FlowConfig(n_lambda=29))
+    batch = train.stack_batch(windows, model, 1, cfg.seed)
+    tracemalloc.start()
+    try:
+        _, _, traces = train.gradients(model, batch, cfg, graph=graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    d = model.state_dim
+    arrays = [a for tr in traces for a in (tr.mean, tr.pht, tr.h_mat, *(x for step in tr.steps for x in step[2:]))]
+    assert len(traces) == 4 and all(len(tr.steps) == 29 for tr in traces)
+    assert all(a.shape[-2:] != (d, d) for a in arrays)
 
 
 # ---------------------------------------------------------------------------
