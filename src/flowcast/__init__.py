@@ -11,7 +11,7 @@ from .errors import (
 from .flow import FlowConfig, GaussianBelief, edh_flow, step_schedule
 from .forecast import ForecastDistribution, PredictConfig, empirical_quantile, predict
 from .metrics import crps_empirical, evaluate_forecasts, point_metrics, quantile_loss
-from .ssm import Graph, ModelTheta, StateEnsemble, init_model, load_checkpoint, save_checkpoint
+from .ssm import Graph, ModelTheta, init_model, load_checkpoint, save_checkpoint
 from .train import TrainConfig, TrainData, TrainResult, fit
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "quantile_loss",
     "Graph",
     "ModelTheta",
-    "StateEnsemble",
     "init_model",
     "load_checkpoint",
     "save_checkpoint",

@@ -271,17 +271,12 @@ def cmd_forecast(args) -> int:
         noiseless=args.noiseless,
         point=args.point,
     )
-    dists = []
-    targets = []
-    ids = []
-    for window in chosen:
-        dist = forecast_mod.predict(model, graph, window, pcfg)
+    dists = forecast_mod.predict_windows(model, graph, chosen, pcfg)
+    for dist in dists:
         dist.samples = data_mod.destandardize(dist.samples, stats)
         dist.point = data_mod.destandardize(dist.point, stats)
-        dists.append(dist)
-        ids.append(window.window_id)
-        if window.y_future is not None:
-            targets.append(data_mod.destandardize(np.asarray(window.y_future), stats))
+    ids = [window.window_id for window in chosen]
+    targets = [data_mod.destandardize(np.asarray(w.y_future), stats) for w in chosen if w.y_future is not None]
     os.makedirs(args.out, exist_ok=True)
     forecast_mod.write_forecast_samples(os.path.join(args.out, "samples.csv"), ids, dists)
     forecast_mod.write_forecast_summary(os.path.join(args.out, "summary.csv"), ids, dists)

@@ -2,21 +2,19 @@
 
 The Kalman filter is the exact oracle on linear-Gaussian systems; the
 bootstrap particle filter (BPF) is the classical sequential
-importance-resampling baseline.  Both the BPF and the particle flow can
-run either against the learned state-space model or against a
-:class:`LinearGaussianSSM`, which is what the filter benchmark and the
-oracle comparisons use.
+importance-resampling baseline.  The BPF and the particle-flow filter
+here run against a :class:`LinearGaussianSSM`, which is what the filter
+benchmark and the oracle comparisons use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import flow as flow_mod
-from . import ssm as ssm_mod
 from .errors import DataError, DegenerateWeightsError, NumericError
 from .kernels import diag_gauss_loglik, systematic_resample_indices
 
@@ -213,76 +211,6 @@ def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bpf_core(
-    ensemble: WeightedEnsemble,
-    y_t: np.ndarray,
-    propagate: Callable[[np.ndarray], np.ndarray],
-    loglik: Callable[[np.ndarray], np.ndarray],
-    rng: np.random.Generator,
-    ess_threshold: float,
-    diagnostics: Optional[dict] = None,
-) -> WeightedEnsemble:
-    particles = propagate(ensemble.particles)
-    log_w = ensemble.log_weights + loglik(particles)
-    new_time = ensemble.time_index + 1
-    if np.all(np.isneginf(log_w)):
-        raise DegenerateWeightsError(f"all particle weights vanished at time index {new_time}")
-    out = WeightedEnsemble(particles=particles, log_weights=log_w, time_index=new_time)
-    w = out.normalized_weights()
-    ess = float(1.0 / np.sum(w * w))
-    resampled = False
-    if ess < ess_threshold * out.n_particles:
-        idx = systematic_resample(w, float(rng.uniform()))
-        out = WeightedEnsemble(
-            particles=particles[idx],
-            log_weights=np.full(out.n_particles, -np.log(out.n_particles)),
-            time_index=new_time,
-        )
-        resampled = True
-    else:
-        out = WeightedEnsemble(particles=particles, log_weights=np.log(w), time_index=new_time)
-    if diagnostics is not None:
-        diagnostics["ess"] = ess
-        diagnostics["resampled"] = resampled
-    return out
-
-
-def bpf_step(
-    ensemble: WeightedEnsemble,
-    y_t: np.ndarray,
-    z_t,
-    model: ssm_mod.ModelTheta,
-    rng: np.random.Generator,
-    ess_threshold: float = 0.5,
-    graph: Optional[ssm_mod.Graph] = None,
-    y_prev: Optional[np.ndarray] = None,
-    diagnostics: Optional[dict] = None,
-) -> WeightedEnsemble:
-    """One BPF predict/weight/(re)sample step under the learned model.
-
-    ``y_prev`` is the previous observation fed to the dynamics (required —
-    the model conditions on it); measurement weights come from the
-    state-dependent diagonal Gaussian emission.
-    """
-    if y_prev is None:
-        raise DataError("bpf_step requires the previous observation y_prev")
-    y_t = np.asarray(y_t, dtype=np.float64)
-
-    def propagate(particles: np.ndarray) -> np.ndarray:
-        ens = ssm_mod.StateEnsemble(particles=particles, time_index=ensemble.time_index)
-        noise = ssm_mod.NoiseDraws(
-            dyn=rng.standard_normal(particles.shape),
-            provenance=("bpf", ensemble.time_index),
-        )
-        return ssm_mod.transition(model, graph, ens, y_prev, z_t, noise).particles
-
-    def loglik(particles: np.ndarray) -> np.ndarray:
-        mean, std = ssm_mod.measurement_moments(model, particles, z_t)
-        return diag_gauss_loglik(mean, std, y_t)
-
-    return _bpf_core(ensemble, y_t, propagate, loglik, rng, ess_threshold, diagnostics)
-
-
 def bpf_step_linear(
     ensemble: WeightedEnsemble,
     y_t: np.ndarray,
@@ -291,21 +219,28 @@ def bpf_step_linear(
     ess_threshold: float = 0.5,
     diagnostics: Optional[dict] = None,
 ) -> WeightedEnsemble:
-    """One BPF step under a linear-Gaussian reference system (diagonal R)."""
+    """One BPF predict/weight/(re)sample step under a linear-Gaussian reference system (diagonal R)."""
     y_t = np.asarray(y_t, dtype=np.float64)
     lq = _safe_cholesky(ssm.Q)
     r_std = np.sqrt(np.diag(ssm.R))
-
-    def propagate(particles: np.ndarray) -> np.ndarray:
-        noise = rng.standard_normal(particles.shape)
-        return particles @ ssm.F.T + noise @ lq.T
-
-    def loglik(particles: np.ndarray) -> np.ndarray:
-        means = particles @ ssm.H.T
-        stds = np.broadcast_to(r_std, means.shape)
-        return diag_gauss_loglik(means, np.ascontiguousarray(stds), y_t)
-
-    return _bpf_core(ensemble, y_t, propagate, loglik, rng, ess_threshold, diagnostics)
+    particles = ensemble.particles @ ssm.F.T + rng.standard_normal(ensemble.particles.shape) @ lq.T
+    means = particles @ ssm.H.T
+    log_w = ensemble.log_weights + diag_gauss_loglik(means, np.ascontiguousarray(np.broadcast_to(r_std, means.shape)), y_t)
+    new_time = ensemble.time_index + 1
+    if np.all(np.isneginf(log_w)):
+        raise DegenerateWeightsError(f"all particle weights vanished at time index {new_time}")
+    w = WeightedEnsemble(particles=particles, log_weights=log_w, time_index=new_time).normalized_weights()
+    ess = float(1.0 / np.sum(w * w))
+    resampled = ess < ess_threshold * len(w)
+    if resampled:
+        idx = systematic_resample(w, float(rng.uniform()))
+        out = WeightedEnsemble(particles=particles[idx], log_weights=np.full(len(w), -np.log(len(w))), time_index=new_time)
+    else:
+        out = WeightedEnsemble(particles=particles, log_weights=np.log(w), time_index=new_time)
+    if diagnostics is not None:
+        diagnostics["ess"] = ess
+        diagnostics["resampled"] = resampled
+    return out
 
 
 # ---------------------------------------------------------------------------

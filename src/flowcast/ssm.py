@@ -6,21 +6,22 @@ The latent state stacks one hidden vector of width ``d_x`` per series, so
 adjacency); emissions are linear with a state-dependent diagonal noise
 scale ``softplus(C_gamma x)``.
 
-Transitions and measurements are written against :mod:`flowcast.autodiff`
-ops, so the same code runs as plain numpy during inference and records a
-tape when handed ``Var`` parameters during training.
+Transitions are written against :mod:`flowcast.autodiff` ops, so the same
+code runs as plain numpy during inference and records a tape when handed
+``Var`` parameters during training; :func:`train.batch_forward` runs them,
+the flow and the emissions over stacked windows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, NumericError
+from .errors import DataError
 
 CHECKPOINT_FORMAT = 1
 
@@ -130,44 +131,6 @@ class ModelTheta:
 
 
 @dataclass
-class StateEnsemble:
-    """A set of equally weighted state particles at one time index."""
-
-    particles: np.ndarray
-    time_index: int = 1
-
-    def __post_init__(self):
-        self.particles = np.asarray(self.particles, dtype=np.float64)
-        if self.particles.ndim != 2 or self.particles.shape[0] < 1:
-            raise DataError("particles must be a (n_particles, D) array with n_particles >= 1")
-        if not np.all(np.isfinite(self.particles)):
-            raise NumericError(f"non-finite particles at time index {self.time_index}")
-
-    @property
-    def n_particles(self) -> int:
-        return self.particles.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.particles.shape[1]
-
-
-@dataclass
-class NoiseDraws:
-    """Recorded Gaussian draws for one transition/measurement step."""
-
-    dyn: np.ndarray
-    meas: Optional[np.ndarray] = None
-    provenance: tuple = ()
-
-    @classmethod
-    def draw(cls, rng: np.random.Generator, n_particles: int, model: "ModelTheta", provenance: tuple = ()) -> "NoiseDraws":
-        dyn = rng.standard_normal((n_particles, model.state_dim))
-        meas = rng.standard_normal((n_particles, model.n_series))
-        return cls(dyn=dyn, meas=meas, provenance=provenance)
-
-
-@dataclass
 class WindowNoise:
     """Every Gaussian draw a window forward pass consumes, pre-generated.
 
@@ -180,7 +143,6 @@ class WindowNoise:
     init: np.ndarray
     dyn: np.ndarray
     meas: np.ndarray
-    provenance: tuple = ()
 
 
 def make_window_noise(seed, window_id: int, n_particles: int, model: "ModelTheta", p_steps: int, q_steps: int) -> WindowNoise:
@@ -192,7 +154,7 @@ def make_window_noise(seed, window_id: int, n_particles: int, model: "ModelTheta
     init = rng.standard_normal((n_particles, d))
     dyn = rng.standard_normal((max(total - 1, 0), n_particles, d))
     meas = rng.standard_normal((q_steps, n_particles, n))
-    return WindowNoise(init=init, dyn=dyn, meas=meas, provenance=(*key, int(window_id)))
+    return WindowNoise(init=init, dyn=dyn, meas=meas)
 
 
 # ---------------------------------------------------------------------------
@@ -379,80 +341,6 @@ def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None):
     for layer in range(layers):
         u = _graph_gru_cell(u, h, mixing, params, layer)
     return ad.reshape(u, (m, n * d_x))
-
-
-# ---------------------------------------------------------------------------
-# public model operations
-# ---------------------------------------------------------------------------
-
-
-def init_ensemble(n_particles: int, model: ModelTheta, seed) -> StateEnsemble:
-    """Draw the time-1 prior ensemble x ~ N(0, rho^2 I)."""
-    if n_particles < 1:
-        raise DataError("n_particles must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    particles = model.rho * rng.standard_normal((n_particles, model.state_dim))
-    return StateEnsemble(particles=particles, time_index=1)
-
-
-def _broadcast_y_prev(y_prev: np.ndarray, n_particles: int, n_series: int) -> np.ndarray:
-    y = np.asarray(y_prev, dtype=np.float64)
-    if y.ndim == 1:
-        y = np.broadcast_to(y, (n_particles, n_series))
-    if y.shape != (n_particles, n_series):
-        raise DataError(f"y_prev must have shape ({n_series},) or ({n_particles}, {n_series})")
-    return y
-
-
-def gru_transition(model: ModelTheta, ensemble: StateEnsemble, y_prev: np.ndarray, z_t, noise: NoiseDraws) -> StateEnsemble:
-    """One stochastic GRU transition of every particle."""
-    if model.kind != "gru":
-        raise DataError("gru_transition requires a model with kind='gru'")
-    y = _broadcast_y_prev(y_prev, ensemble.n_particles, model.n_series)
-    out = transition_core(model.dyn_params, model.hyper, ensemble.particles, y, z_t)
-    out = out + model.sigma * noise.dyn
-    return StateEnsemble(particles=out, time_index=ensemble.time_index + 1)
-
-
-def graph_gru_transition(model: ModelTheta, graph: Optional[Graph], ensemble: StateEnsemble, y_prev: np.ndarray, z_t, noise: NoiseDraws) -> StateEnsemble:
-    """One stochastic graph-convolutional GRU transition of every particle."""
-    if model.kind != "graph_gru":
-        raise DataError("graph_gru_transition requires a model with kind='graph_gru'")
-    y = _broadcast_y_prev(y_prev, ensemble.n_particles, model.n_series)
-    mixing = build_mixing(model.dyn_params, model.hyper, graph)
-    out = transition_core(model.dyn_params, model.hyper, ensemble.particles, y, z_t, mixing=mixing)
-    out = out + model.sigma * noise.dyn
-    return StateEnsemble(particles=out, time_index=ensemble.time_index + 1)
-
-
-def transition(model: ModelTheta, graph: Optional[Graph], ensemble: StateEnsemble, y_prev, z_t, noise: NoiseDraws) -> StateEnsemble:
-    """Kind-dispatching transition."""
-    if model.kind == "gru":
-        return gru_transition(model, ensemble, y_prev, z_t, noise)
-    return graph_gru_transition(model, graph, ensemble, y_prev, z_t, noise)
-
-
-def measurement_moments(model: ModelTheta, state: np.ndarray, z_t=None):
-    """Mean and std of y | x.  ``state`` may be (D,) or stacked (..., D)."""
-    x = np.asarray(state, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[-1] != model.state_dim:
-        raise DataError(f"state dimension {x.shape[-1]} does not match model D={model.state_dim}")
-    mean = x @ model.W_phi.T
-    std = np.logaddexp(0.0, x @ model.C_gamma.T)
-    if single:
-        return mean[0], std[0]
-    return mean, std
-
-
-def sample_measurement(model: ModelTheta, ensemble: StateEnsemble, z_t, noise: NoiseDraws) -> np.ndarray:
-    """One observation draw per particle: mean + std * xi."""
-    mean, std = measurement_moments(model, ensemble.particles, z_t)
-    if noise.meas is None:
-        raise DataError("NoiseDraws.meas is required to sample measurements")
-    return mean + std * noise.meas
 
 
 # ---------------------------------------------------------------------------

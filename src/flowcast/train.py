@@ -7,14 +7,15 @@ feedback and the flow's affine updates.  The flow *coefficients* (the
 frozen ensemble moments, H, S^-1, beta, noise variances) are treated as
 constants: gradients do not flow into them, and the recorded coefficient
 trace can be replayed so finite-difference checks differentiate exactly
-the same function.
+the same function.  Forecasting runs the same :func:`batch_forward` on
+plain parameter arrays.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -24,9 +25,11 @@ from . import flow as flow_mod
 from . import ssm as ssm_mod
 from .data import Window
 from .errors import DataError, NumericError
-from .forecast import ForecastDistribution
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# windows per stacked batch when evaluating a whole split
+CHUNK_WINDOWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +162,24 @@ class BatchArrays:
 
 
 def stack_batch(windows: Sequence[Window], model: ssm_mod.ModelTheta, n_particles: int, seed_key) -> BatchArrays:
-    """Stack windows and pre-draw every noise tensor (one child seed per window)."""
+    """Stack windows and pre-draw every noise tensor (one child seed per window).
+
+    Q is read from the windows; windows without target rows give Q = 0.
+    """
     y_hist = np.stack([np.asarray(w.y_past, dtype=np.float64) for w in windows])
-    if any(w.y_future is None for w in windows):
-        raise DataError("training windows need target rows")
-    y_future = np.stack([np.asarray(w.y_future, dtype=np.float64) for w in windows])
+    b, p, n = y_hist.shape
+    y_future = np.stack([np.zeros((0, n)) if w.y_future is None else np.asarray(w.y_future, dtype=np.float64) for w in windows])
     z = None
     if windows[0].z is not None:
         z = np.stack([np.asarray(w.z, dtype=np.float64) for w in windows])
-    b, p, n = y_hist.shape
     q = y_future.shape[1]
-    noises = [
-        ssm_mod.make_window_noise(seed_key, w.window_id, n_particles, model, p, q)
-        for w in windows
-    ]
-    init = np.stack([nz.init for nz in noises])
-    dyn = np.stack([nz.dyn for nz in noises]).transpose(1, 0, 2, 3) if p + q > 1 else np.zeros((0, b, n_particles, model.state_dim))
-    meas = np.stack([nz.meas for nz in noises]).transpose(1, 0, 2, 3) if q else np.zeros((0, b, n_particles, n))
+    d = model.state_dim
+    init = np.empty((b, n_particles, d))
+    dyn = np.empty((max(p + q - 1, 0), b, n_particles, d))
+    meas = np.empty((q, b, n_particles, n))
+    for i, w in enumerate(windows):  # one window's draws at a time, straight into the stacks
+        noise = ssm_mod.make_window_noise(seed_key, w.window_id, n_particles, model, p, q)
+        init[i], dyn[:, i], meas[:, i] = noise.init, noise.dyn, noise.meas
     return BatchArrays(
         y_hist=y_hist,
         y_future=y_future,
@@ -196,25 +200,34 @@ def batch_forward(
     params: Dict[str, object],
     model: ssm_mod.ModelTheta,
     batch: BatchArrays,
-    config: TrainConfig,
+    flow_config: flow_mod.FlowConfig,
     graph: Optional[ssm_mod.Graph] = None,
     ss_mask: Optional[np.ndarray] = None,
     frozen_trace: Optional[list] = None,
     collect_trace: bool = False,
     noiseless: bool = False,
 ):
-    """Run the assimilate-then-rollout pipeline for a stacked batch.
+    """Run the assimilate-then-roll-out pipeline for a stacked batch.
+
+    The encoder runs each window's particle ensemble through P
+    transition/flow cycles against the observed history (no transition
+    into the first step: the initial draw already is the time-1 prior).
+    The decoder then alternates transitions and emissions for Q steps: the
+    first decoder transition conditions every particle on the last
+    observed value, later ones on each particle's own previous sample (or,
+    where ``ss_mask`` is set, on the true value), and each particle emits
+    one observation draw per horizon.
 
     ``params`` maps parameter names to Vars (training) or arrays
-    (inference).  Returns (loss, aux) where aux carries the per-step
-    samples, the flow traces (one :class:`flow.FlowTrace` per encoder step),
-    and the point forecast values.
+    (inference).  Returns ``(samples, means, stds, trace)``: the (B, n_p,
+    Q, N) samples, the per-step (B, n_p, N) emission means and stds, and
+    the flow traces (one :class:`flow.FlowTrace` per encoder step, kept
+    when ``collect_trace`` is set or a ``frozen_trace`` is replayed).
     """
     hyper = model.hyper
     b_sz, p_steps, q_steps, n = batch.sizes
     n_p = batch.init.shape[1]
     d = model.state_dim
-    flow_cfg = config.flow
     w_phi_t = ad.transpose2(params["W_phi"])
     c_gamma_t = ad.transpose2(params["C_gamma"])
     w_phi_val = ad.val(params["W_phi"])
@@ -243,7 +256,7 @@ def batch_forward(
         return std * std
 
     x3 = ad.mul(params["rho"], batch.init)  # (B, n_p, D)
-    trace: List[list] = []
+    trace: List[flow_mod.FlowTrace] = []
     for t in range(1, p_steps + 1):
         if t > 1:
             x2 = ad.reshape(x3, (b_sz * n_p, d))
@@ -251,7 +264,7 @@ def batch_forward(
             x3 = ad.reshape(x2, (b_sz, n_p, d))
         if frozen_trace is None:
             y_t = batch.y_hist[:, t - 1, :]
-            x3, flow_trace = flow_mod.edh_flow(x3, w_phi_val, y_t, noise_var, flow_cfg, return_trace=True, encoder_step=t, window_ids=batch.window_ids)
+            x3, flow_trace = flow_mod.edh_flow(x3, w_phi_val, y_t, noise_var, flow_config, return_trace=True, encoder_step=t, window_ids=batch.window_ids)
         else:  # replay with everything the flow froze, H included
             flow_trace = frozen_trace[t - 1]
             for _, eps_m, s_inv, beta in flow_trace.steps:
@@ -264,17 +277,16 @@ def batch_forward(
         if collect_trace or frozen_trace is not None:
             trace.append(flow_trace)
 
-    # ---- decoder: sampled rollout ---------------------------------------
+    # ---- decoder: sampled roll-out --------------------------------------
     sample_steps = []
     mean_steps = []
     std_steps = []
-    y_prev_sample = None
     for k in range(1, q_steps + 1):
         t = p_steps + k
         if k == 1:
             y_in = rows(batch.y_hist[:, p_steps - 1, :])
         else:
-            y_in = ad.reshape(y_prev_sample, (b_sz * n_p, n))
+            y_in = ad.reshape(sample_steps[-1], (b_sz * n_p, n))
             if ss_mask is not None:
                 truth = rows(batch.y_future[:, k - 2, :])
                 mask = np.repeat(ss_mask[:, k - 2].astype(np.float64), n_p)[:, None]  # (B*n_p, 1)
@@ -282,45 +294,14 @@ def batch_forward(
         x2 = ad.reshape(x3, (b_sz * n_p, d))
         x2 = step_transition(x2, y_in, t, batch.dyn[t - 2])
         x3 = ad.reshape(x2, (b_sz, n_p, d))
-        mean2 = ad.matmul(x2, w_phi_t)
-        std2 = ad.softplus(ad.matmul(x2, c_gamma_t))
-        mean3 = ad.reshape(mean2, (b_sz, n_p, n))
-        std3 = ad.reshape(std2, (b_sz, n_p, n))
-        if noiseless:
-            y_samp = mean3
-        else:
-            y_samp = ad.add(mean3, ad.mul(std3, batch.meas[k - 1]))
-        sample_steps.append(y_samp)
+        mean3 = ad.reshape(ad.matmul(x2, w_phi_t), (b_sz, n_p, n))
+        std3 = ad.reshape(ad.softplus(ad.matmul(x2, c_gamma_t)), (b_sz, n_p, n))
+        sample_steps.append(mean3 if noiseless else ad.add(mean3, ad.mul(std3, batch.meas[k - 1])))
         mean_steps.append(mean3)
         std_steps.append(std3)
-        y_prev_sample = y_samp
 
     samples = ad.stack(sample_steps, axis=2) if q_steps else np.zeros((b_sz, n_p, 0, n))
-
-    # ---- loss ------------------------------------------------------------
-    if config.loss == "mae":
-        point = _particle_median(samples)
-        loss = ad.mean_(ad.abs_(ad.sub(point, batch.y_future)))
-    else:
-        per_window = None
-        for k in range(q_steps):
-            y_t = batch.y_future[:, k, :][:, None, :]  # (B, 1, N)
-            diff = ad.sub(y_t, mean_steps[k])
-            zsc = ad.div(diff, std_steps[k])
-            quad = ad.add(ad.mul(0.5, ad.square(zsc)), ad.log(std_steps[k]))
-            ll = ad.sub(ad.neg(ad.sum_(quad, axis=2)), 0.5 * n * _LOG_2PI)  # (B, n_p)
-            lme = ad.sub(ad.logsumexp(ll, axis=1), math.log(n_p))  # (B,)
-            per_window = lme if per_window is None else ad.add(per_window, lme)
-        loss = ad.neg(ad.mean_(per_window))
-
-    aux = {
-        "samples": samples,
-        "trace": trace,
-        "means": mean_steps,
-        "stds": std_steps,
-        "states": None,
-    }
-    return loss, aux
+    return samples, mean_steps, std_steps, trace
 
 
 def _particle_median(samples):
@@ -340,35 +321,23 @@ def _particle_median(samples):
     return ad.reshape(picked, shape)
 
 
-# ---------------------------------------------------------------------------
-# public per-window losses
-# ---------------------------------------------------------------------------
-
-
-def mae_loss(dist: ForecastDistribution, target: np.ndarray) -> float:
-    """Mean absolute error of the point forecast, averaged over all cells."""
-    target = np.asarray(target, dtype=np.float64)
-    point = dist.point if dist.point is not None else np.median(dist.samples, axis=0)
-    if point.shape != target.shape:
-        raise DataError("forecast and target shapes differ")
-    return float(np.mean(np.abs(point - target)))
-
-
-def nll_loss(dist: ForecastDistribution, target: np.ndarray, model: ssm_mod.ModelTheta) -> float:
-    """Negative log marginal likelihood of the target under the sample mixture.
-
-    Per horizon step: -log mean_j exp( sum_i log N(y_i; mean_ij, std_ij^2) ).
-    """
-    target = np.asarray(target, dtype=np.float64)
-    n_p, q, _ = dist.state_particles.shape
-    total = 0.0
-    for k in range(q):
-        mean, std = ssm_mod.measurement_moments(model, dist.state_particles[:, k, :])
-        z = (target[k][None, :] - mean) / std
-        ll = -0.5 * np.sum(z * z + _LOG_2PI, axis=1) - np.sum(np.log(std), axis=1)
-        m = np.max(ll)
-        total += float(m + np.log(np.mean(np.exp(ll - m))))
-    return -total
+def _loss(kind: str, batch: BatchArrays, samples, means, stds):
+    """MAE of the particle median, or the NLL of the targets under the per-step particle mixture."""
+    _, _, q_steps, n = batch.sizes
+    if q_steps == 0:
+        raise DataError("training windows need target rows")
+    if kind == "mae":
+        return ad.mean_(ad.abs_(ad.sub(_particle_median(samples), batch.y_future)))
+    n_p = batch.init.shape[1]
+    per_window = None
+    for k in range(q_steps):
+        y_t = batch.y_future[:, k, :][:, None, :]  # (B, 1, N)
+        zsc = ad.div(ad.sub(y_t, means[k]), stds[k])
+        quad = ad.add(ad.mul(0.5, ad.square(zsc)), ad.log(stds[k]))
+        ll = ad.sub(ad.neg(ad.sum_(quad, axis=2)), 0.5 * n * _LOG_2PI)  # (B, n_p)
+        lme = ad.sub(ad.logsumexp(ll, axis=1), math.log(n_p))  # (B,)
+        per_window = lme if per_window is None else ad.add(per_window, lme)
+    return ad.neg(ad.mean_(per_window))
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +364,22 @@ def gradients(
     if not isinstance(batch, BatchArrays):
         batch = stack_batch(batch, model, config.n_particles_train, seed_key if seed_key is not None else config.seed)
     params = {name: ad.Var(get_param(model, name)) for name in param_names(model)}
-    loss, aux = batch_forward(
+    samples, means, stds, trace = batch_forward(
         params,
         model,
         batch,
-        config,
+        config.flow,
         graph=graph,
         ss_mask=ss_mask,
         frozen_trace=frozen_trace,
         collect_trace=True,
     )
+    loss = _loss(config.loss, batch, samples, means, stds)
     ad.backward(loss)
     grads = {}
     for name, var in params.items():
         grads[name] = var.grad if var.grad is not None else np.zeros_like(var.value)
-    return float(ad.val(loss)), grads, aux["trace"]
+    return float(ad.val(loss)), grads, trace
 
 
 def batch_loss(
@@ -423,8 +393,8 @@ def batch_loss(
 ) -> float:
     """Plain (un-taped) batch loss, optionally at replaced parameter values."""
     params = {name: (values[name] if values is not None else get_param(model, name)) for name in param_names(model)}
-    loss, _ = batch_forward(params, model, batch, config, graph=graph, ss_mask=ss_mask, frozen_trace=frozen_trace)
-    return float(ad.val(loss))
+    samples, means, stds, _ = batch_forward(params, model, batch, config.flow, graph=graph, ss_mask=ss_mask, frozen_trace=frozen_trace)
+    return float(ad.val(_loss(config.loss, batch, samples, means, stds)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +444,6 @@ def evaluate_loss(
     graph: Optional[ssm_mod.Graph] = None,
     n_particles: Optional[int] = None,
     seed_key=None,
-    batch_size: int = 256,
 ) -> float:
     """Dataset loss without gradients (eval particle count, no teacher forcing)."""
     if not windows:
@@ -482,13 +451,11 @@ def evaluate_loss(
     n_p = config.n_particles_eval if n_particles is None else n_particles
     seed_key = seed_key if seed_key is not None else (config.seed, 9)
     total = 0.0
-    count = 0
-    for lo in range(0, len(windows), batch_size):
-        chunk = windows[lo : lo + batch_size]
+    for lo in range(0, len(windows), CHUNK_WINDOWS):
+        chunk = windows[lo : lo + CHUNK_WINDOWS]
         batch = stack_batch(chunk, model, n_p, seed_key)
         total += batch_loss(model, batch, config, graph=graph) * len(chunk)
-        count += len(chunk)
-    return total / count
+    return total / len(windows)
 
 
 def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig) -> TrainResult:
@@ -526,12 +493,12 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
         for lo in range(0, n_train, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             windows = [dataset.train_windows[i] for i in idx]
-            q_steps = windows[0].y_future.shape[0]
+            batch = stack_batch(windows, model, config.n_particles_train, (config.seed, 3, iteration))
+            q_steps = batch.y_future.shape[1]
             p_truth = truth_probability(iteration, config.scheduled_sampling_tau)
             ss_mask = None
             if q_steps > 1:
                 ss_mask = rng.uniform(size=(len(windows), q_steps - 1)) < p_truth
-            batch = stack_batch(windows, model, config.n_particles_train, (config.seed, 3, iteration))
             try:
                 loss, grads, _ = gradients(model, batch, config, graph=graph, ss_mask=ss_mask)
             except NumericError:

@@ -175,6 +175,14 @@ def test_train_unknown_config_key_is_a_data_error(tmp_path):
     assert cli.main(["train", "--config", str(config_path), "--set", "train.learning_rate=0.1"]) == 2
 
 
+def test_train_zero_horizon_is_a_data_error(tmp_path, capsys):
+    # a zero horizon leaves the training losses nothing to score
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_base_config(tmp_path / "run")))
+    assert cli.main(["train", "--config", str(config_path), "--set", "windows.horizon=0"]) == 2
+    assert "target rows" in capsys.readouterr().err
+
+
 def test_train_divergence_is_a_numeric_failure(tmp_path, capsys):
     config = _base_config(tmp_path / "run")
     config["train"]["loss"] = "nll"
@@ -232,6 +240,29 @@ def test_forecast_bad_split_is_a_usage_error(trained_run, tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_forecast_zero_horizon_writes_header_only_files(trained_run, tmp_path):
+    # the config allows windows.horizon = 0: the forecast files then hold no
+    # rows, and with no realized values there is no truth.csv
+    cfg = json.loads((trained_run["run"] / "resolved_config.json").read_text())
+    cfg["windows"]["horizon"] = 0
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg))
+    fc = tmp_path / "fc"
+    code = cli.main(
+        [
+            "forecast",
+            "--checkpoint", str(trained_run["run"] / "checkpoint.npz"),
+            "--config", str(config_path),
+            "--particles", "3",
+            "--out", str(fc),
+        ]
+    )
+    assert code == 0
+    assert (fc / "samples.csv").read_text().splitlines() == ["window,horizon,series,sample,value"]
+    assert (fc / "summary.csv").read_text().splitlines() == ["window,horizon,series,point,q10,q50,q90"]
+    assert not (fc / "truth.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,11 @@ import pytest
 
 from flowcast import filters
 from flowcast import flow as flow_mod
-from flowcast.errors import DataError, DegenerateWeightsError, NumericError
+from flowcast.errors import DataError, DegenerateWeightsError
 from flowcast.filters import (
     LinearGaussianSSM,
     WeightedEnsemble,
     bpf_filter_linear,
-    bpf_step,
     flow_filter_linear,
     kalman_filter,
     kalman_predict,
@@ -218,27 +217,6 @@ def test_bpf_resamples_when_ess_collapses(rng):
     # threshold is exactly a resampling event
     assert (ess < 0.5 * 500).any()
     assert ess.shape == (5,)
-
-
-def test_bpf_step_model_interface(tiny_gru_model, rng):
-    import flowcast.ssm as ssm_mod
-
-    ens = WeightedEnsemble(
-        particles=ssm_mod.init_ensemble(200, tiny_gru_model, seed=0).particles,
-        log_weights=np.zeros(200),
-    )
-    out = bpf_step(ens, np.array([0.2]), None, tiny_gru_model, rng, y_prev=np.array([0.1]))
-    assert out.particles.shape == (200, 2)
-    assert out.time_index == ens.time_index + 1
-    assert np.isfinite(out.log_weights).all()
-    # weights should not be uniform: the observation discriminates
-    assert np.ptp(out.log_weights) > 0
-
-
-def test_bpf_step_requires_previous_observation(tiny_gru_model, rng):
-    ens = WeightedEnsemble(particles=np.zeros((10, 2)), log_weights=np.zeros(10))
-    with pytest.raises(DataError):
-        bpf_step(ens, np.array([0.2]), None, tiny_gru_model, rng, y_prev=None)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from flowcast import autodiff as ad
 from flowcast.errors import FlowDivergedError, FlowSolveError
 from flowcast.flow import FlowConfig, GaussianBelief, edh_flow, step_schedule
-from flowcast.ssm import StateEnsemble
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +371,6 @@ def test_flow_batch_slices_match_each_ensemble_flowed_alone(rng):
     for i in range(4):
         alone = edh_flow(particles[i : i + 1], h, y[i : i + 1], noise_var, cfg)
         np.testing.assert_allclose(batched[i], alone[0], rtol=1e-12, atol=1e-12)
-
-
-def test_nonfinite_particles_are_rejected_at_construction():
-    from flowcast.errors import NumericError
-
-    with pytest.raises(NumericError):
-        StateEnsemble(np.array([[np.inf, 0.0]]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,12 +4,41 @@ noise bookkeeping, and checkpoint persistence."""
 import numpy as np
 import pytest
 
+from flowcast import autodiff as ad
+from flowcast import data as data_mod
 from flowcast import ssm
-from flowcast.errors import DataError, NumericError
+from flowcast import train
+from flowcast.errors import DataError
+from flowcast.flow import FlowConfig, edh_flow
 
 
 def _zero_params(model):
     return {k: np.zeros_like(v) for k, v in model.dyn_params.items()}
+
+
+_FLOW = FlowConfig(n_lambda=8)
+
+
+def _short_batch(model, rng, n_particles, q_steps):
+    """One stacked window with a one-step history and ``q_steps`` horizon steps."""
+    n = model.n_series
+    vals = 0.5 * rng.standard_normal((1 + q_steps, n))
+    s = data_mod.SeriesSet(values=vals, missing=np.zeros(vals.shape, bool), names=[f"s{i}" for i in range(n)])
+    return train.stack_batch(data_mod.make_windows(s, 1, q_steps), model, n_particles, 0)
+
+
+def _forward(model, batch):
+    """batch_forward's (samples, emission means, emission stds) on plain parameter arrays."""
+    params = {name: train.get_param(model, name) for name in train.param_names(model)}
+    return train.batch_forward(params, model, batch, _FLOW)[:3]
+
+
+def _first_decoder_state(model, batch):
+    """The state the first decoder step emits from: the prior flowed onto y_1, then one transition."""
+    y_1 = batch.y_hist[:, 0]
+    x = edh_flow(model.rho * batch.init, model.W_phi, y_1, lambda m: np.logaddexp(0.0, m @ model.C_gamma.T) ** 2, _FLOW)[0]
+    y_rows = np.broadcast_to(y_1[0], (x.shape[0], model.n_series))
+    return ssm.transition_core(model.dyn_params, model.hyper, x, y_rows, None) + model.sigma * batch.dyn[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +262,18 @@ def test_covariates_shift_the_transition(rng):
         ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, None)
 
 
-def test_transition_applies_noise_scale(tiny_gru_model):
+def test_transition_applies_noise_scale(tiny_gru_model, rng):
+    # a one-step history: the flow does not read sigma, so the first decoder
+    # states of the two models differ by sigma times the transition draw
     model = tiny_gru_model
-    ens = ssm.init_ensemble(4, model, seed=0)
-    noise = ssm.NoiseDraws(dyn=np.ones((4, model.state_dim)))
-    stepped = ssm.transition(model, None, ens, np.array([0.5]), None, noise)
-    base = ssm.transition_core(model.dyn_params, model.hyper, ens.particles, np.full((4, 1), 0.5), None)
-    np.testing.assert_allclose(stepped.particles, base + model.sigma * 1.0, rtol=1e-10)
-    assert stepped.time_index == ens.time_index + 1
+    quiet = ssm.ModelTheta(rho=model.rho, sigma=0.0, dyn_params=model.dyn_params, W_phi=model.W_phi, C_gamma=model.C_gamma, hyper=model.hyper)
+    batch = _short_batch(model, rng, 4, 1)
+    _, noisy_means, _ = _forward(model, batch)
+    _, quiet_means, _ = _forward(quiet, batch)
+    np.testing.assert_allclose(noisy_means[0] - quiet_means[0], model.sigma * batch.dyn[0] @ model.W_phi.T, rtol=1e-10, atol=1e-14)
 
 
-def test_sigma_zero_transition_is_deterministic(tiny_gru_model):
+def test_sigma_zero_transition_is_deterministic(tiny_gru_model, rng):
     model = ssm.ModelTheta(
         rho=tiny_gru_model.rho,
         sigma=0.0,
@@ -252,12 +282,11 @@ def test_sigma_zero_transition_is_deterministic(tiny_gru_model):
         C_gamma=tiny_gru_model.C_gamma,
         hyper=tiny_gru_model.hyper,
     )
-    # identical particles stay identical when the noise term is off
-    parts = np.tile(np.array([[0.4, -0.2]]), (5, 1))
-    ens = ssm.StateEnsemble(parts)
-    noise = ssm.NoiseDraws(dyn=np.random.default_rng(0).standard_normal((5, 2)))
-    out = ssm.transition(model, None, ens, np.array([1.0]), None, noise)
-    assert np.ptp(out.particles, axis=0).max() == 0.0
+    # with the noise term off, the transition draws do not reach the samples
+    batch = _short_batch(model, rng, 5, 3)
+    before = _forward(model, batch)[0]
+    batch.dyn = np.random.default_rng(0).standard_normal(batch.dyn.shape)
+    np.testing.assert_array_equal(_forward(model, batch)[0], before)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +294,19 @@ def test_sigma_zero_transition_is_deterministic(tiny_gru_model):
 # ---------------------------------------------------------------------------
 
 
-def test_init_ensemble_scales_with_rho():
+def test_init_ensemble_scales_with_rho(rng):
+    # the first flow starts from rho times the window's initial draws: its
+    # trace holds their mean and their P H^T
     model = ssm.init_model(kind="gru", n_series=1, d_x=2, layers=1, d_z=0, rho=2.0, seed=0)
-    ens1 = ssm.init_ensemble(2000, model, seed=3)
-    assert ens1.time_index == 1
-    assert abs(ens1.particles.std() - 2.0) < 0.1
-    ens2 = ssm.init_ensemble(2000, model, seed=3)
-    np.testing.assert_array_equal(ens1.particles, ens2.particles)
+    batch = _short_batch(model, rng, 2000, 1)
+    params = {name: train.get_param(model, name) for name in train.param_names(model)}
+    first = train.batch_forward(params, model, batch, _FLOW, collect_trace=True)[3][0]
+    prior = model.rho * batch.init[0]
+    assert abs(prior.std() - 2.0) < 0.1
+    np.testing.assert_allclose(first.mean[0], prior.mean(axis=0), rtol=1e-12, atol=1e-15)
+    pht = np.cov(prior, rowvar=False, bias=True) @ model.W_phi.T + _FLOW.jitter * model.W_phi.T
+    np.testing.assert_allclose(first.pht[0], pht, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(_short_batch(model, rng, 2000, 1).init, batch.init)
 
 
 def test_window_noise_shapes_and_replay(tiny_gru_model):
@@ -300,38 +335,34 @@ def test_window_noise_accepts_composite_seed(tiny_gru_model):
 # ---------------------------------------------------------------------------
 
 
-def test_measurement_mean_is_linear_readout():
+def test_measurement_mean_is_linear_readout(rng):
     model = ssm.init_model(kind="gru", n_series=2, d_x=2, layers=1, d_z=0, seed=0)
-    x = np.array([1.0, 0.0, 0.0, 0.0])
-    mean, _ = ssm.measurement_moments(model, x[None, :])
-    np.testing.assert_allclose(mean[0], model.W_phi @ x, rtol=1e-12)
+    model.C_gamma = 0.5 * rng.standard_normal(model.C_gamma.shape)
+    batch = _short_batch(model, rng, 3, 1)
+    _, means, _ = _forward(model, batch)
+    np.testing.assert_allclose(means[0][0], _first_decoder_state(model, batch) @ model.W_phi.T, rtol=1e-12)
 
 
-def test_measurement_std_is_softplus_of_readout():
-    model = ssm.init_model(kind="gru", n_series=1, d_x=1, layers=1, d_z=0, seed=0)
-    model.C_gamma[:] = 1.0
-    for v, want in [(3.0, np.log1p(np.exp(3.0))), (0.0, np.log(2.0)), (-40.0, np.logaddexp(0.0, -40.0))]:
-        _, std = ssm.measurement_moments(model, np.array([[v]]))
-        np.testing.assert_allclose(std[0, 0], want, rtol=1e-12)
-    # softplus(3) is about 3.0486, comfortably positive
-    _, std3 = ssm.measurement_moments(model, np.array([[3.0]]))
-    assert abs(std3[0, 0] - 3.048587351573742) < 1e-12
+def test_measurement_std_is_softplus_of_readout(rng):
+    model = ssm.init_model(kind="gru", n_series=2, d_x=2, layers=1, d_z=0, seed=0)
+    model.C_gamma = 0.5 * rng.standard_normal(model.C_gamma.shape)
+    batch = _short_batch(model, rng, 3, 1)
+    _, _, stds = _forward(model, batch)
+    np.testing.assert_allclose(stds[0][0], np.logaddexp(0.0, _first_decoder_state(model, batch) @ model.C_gamma.T), rtol=1e-12)
+    # the softplus itself, at both tails; softplus(3) is about 3.0486, comfortably positive
+    got = ad.softplus(np.array([3.0, 0.0, -40.0]))
+    np.testing.assert_allclose(got, [np.log1p(np.exp(3.0)), np.log(2.0), np.logaddexp(0.0, -40.0)], rtol=1e-12)
+    assert abs(got[0] - 3.048587351573742) < 1e-12
 
 
-def test_measurement_accepts_single_state_vector(tiny_gru_model):
-    x = np.array([0.5, -0.5])
-    mean_one, std_one = ssm.measurement_moments(tiny_gru_model, x)
-    mean_two, std_two = ssm.measurement_moments(tiny_gru_model, x[None, :])
-    np.testing.assert_allclose(mean_one, mean_two[0], rtol=1e-15)
-    np.testing.assert_allclose(std_one, std_two[0], rtol=1e-15)
-
-
-def test_sample_measurement_uses_given_draws(tiny_gru_model):
-    ens = ssm.init_ensemble(3, tiny_gru_model, seed=1)
-    mean, std = ssm.measurement_moments(tiny_gru_model, ens.particles)
-    draws = np.random.default_rng(2).standard_normal((3, 1))
-    y = ssm.sample_measurement(tiny_gru_model, ens, None, ssm.NoiseDraws(dyn=np.zeros((3, 2)), meas=draws))
-    np.testing.assert_allclose(y, mean + std * draws, rtol=1e-12)
+def test_sample_measurement_uses_given_draws(tiny_gru_model, rng):
+    # each sample is its emission mean plus std times the window's own draw
+    model = tiny_gru_model
+    batch = _short_batch(model, rng, 3, 3)
+    samples, means, stds = _forward(model, batch)
+    draws = ssm.make_window_noise(0, batch.window_ids[0], 3, model, 1, 3).meas
+    for k in range(3):
+        np.testing.assert_array_equal(samples[0, :, k], means[k][0] + stds[k][0] * draws[k])
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from flowcast import data as data_mod
-from flowcast import forecast as forecast_mod
 from flowcast import ssm as ssm_mod
 from flowcast import train
-from flowcast.errors import FlowDivergedError, FlowSolveError
+from flowcast.errors import DataError, FlowDivergedError, FlowSolveError
 from flowcast.flow import FlowConfig
-from flowcast.forecast import ForecastDistribution
 
 
 def _tiny_model(n_series=1, d_x=2, sigma=0.05, seed=3, kind="gru", layers=1, d_z=0):
@@ -67,48 +65,77 @@ def test_param_names_cover_all_trainables():
 # ---------------------------------------------------------------------------
 
 
-def test_mae_loss_single_sample_is_absolute_error():
-    samples = np.array([[[1.0], [3.0]]])  # (1 particle, Q=2, N=1)
-    dist = ForecastDistribution(samples=samples, state_particles=np.zeros((1, 2, 2)), point=np.median(samples, axis=0), meta={})
-    got = train.mae_loss(dist, np.array([[0.0], [5.0]]))
-    np.testing.assert_allclose(got, (1.0 + 2.0) / 2)
+def _params(model):
+    return {name: train.get_param(model, name) for name in train.param_names(model)}
 
 
-def test_mae_loss_uses_particle_median():
-    samples = np.array([[[0.0]], [[10.0]], [[1.0]]])  # 3 particles, Q=1, N=1
-    dist = ForecastDistribution(samples=samples, state_particles=np.zeros((3, 1, 2)), point=None, meta={})
-    got = train.mae_loss(dist, np.array([[2.0]]))
-    np.testing.assert_allclose(got, 1.0)  # median 1.0 vs target 2.0
+def _batch_emitting(model, windows, cfg, wanted, target):
+    """A stacked batch whose decoder draws make the samples ``wanted`` (B, n_p, Q, N), scored against ``target`` (B, Q, N)."""
+    batch = train.stack_batch(windows, model, wanted.shape[1], cfg.seed)
+    for k in range(wanted.shape[2]):  # step k's mean and std depend only on the draws before it
+        _, means, stds, _ = train.batch_forward(_params(model), model, batch, cfg.flow)
+        batch.meas[k] = (wanted[:, :, k] - means[k]) / stds[k]
+    batch.y_future = np.asarray(target, dtype=np.float64)
+    return batch
 
 
-def test_nll_loss_single_gaussian_closed_form():
+def test_mae_loss_single_sample_is_absolute_error(rng):
+    model = _tiny_model()
+    cfg = _config(loss="mae")
+    wanted = np.array([[[[1.0], [3.0]]]])  # (B=1, 1 particle, Q=2, N=1)
+    batch = _batch_emitting(model, _windows(rng, q=2)[:1], cfg, wanted, [[[0.0], [5.0]]])
+    np.testing.assert_allclose(train.batch_loss(model, batch, cfg), (1.0 + 2.0) / 2)
+
+
+def test_mae_loss_uses_particle_median(rng):
+    model = _tiny_model()
+    cfg = _config(loss="mae")
+    wanted = np.array([[[[0.0]], [[10.0]], [[1.0]]]])  # (B=1, 3 particles, Q=1, N=1)
+    batch = _batch_emitting(model, _windows(rng, q=1)[:1], cfg, wanted, [[[2.0]]])
+    np.testing.assert_allclose(train.batch_loss(model, batch, cfg), 1.0)  # median 1.0 vs target 2.0
+
+
+def test_nll_loss_single_gaussian_closed_form(rng):
     # one particle, one step: -log N(y; mean, std^2)
     model = _tiny_model()
-    state = np.array([[[0.4, -0.2]]])  # (n_p=1, Q=1, D=2)
-    mean, std = ssm_mod.measurement_moments(model, state[0, 0])
-    y = np.array([[0.9]])
-    dist = ForecastDistribution(samples=np.zeros((1, 1, 1)), state_particles=state, point=None, meta={})
-    got = train.nll_loss(dist, y, model)
-    want = 0.5 * np.log(2 * np.pi * std[0] ** 2) + (y[0, 0] - mean[0]) ** 2 / (2 * std[0] ** 2)
-    np.testing.assert_allclose(got, want.item(), rtol=1e-10)
+    cfg = _config(loss="nll")
+    batch = train.stack_batch(_windows(rng, q=1)[:1], model, 1, cfg.seed)
+    batch.y_future = np.array([[[0.9]]])
+    _, means, stds, _ = train.batch_forward(_params(model), model, batch, cfg.flow)
+    mean, std, y = means[0][0, 0, 0], stds[0][0, 0, 0], 0.9
+    want = 0.5 * np.log(2 * np.pi * std**2) + (y - mean) ** 2 / (2 * std**2)
+    np.testing.assert_allclose(train.batch_loss(model, batch, cfg), want, rtol=1e-10)
 
 
 def test_nll_loss_multiple_particles_mixes_before_log(rng):
     model = _tiny_model()
-    state = rng.standard_normal((4, 2, 2))
-    y = rng.standard_normal((2, 1)) * 0.3
-    dist = ForecastDistribution(samples=np.zeros((4, 2, 1)), state_particles=state, point=None, meta={})
-    got = train.nll_loss(dist, y, model)
+    model.C_gamma = np.array([[0.7, -0.4]])  # a state-dependent std, different per particle
+    cfg = _config(loss="nll")
+    batch = train.stack_batch(_windows(rng, q=2)[:1], model, 4, cfg.seed)
+    y = batch.y_future[0]
+    _, means, stds, _ = train.batch_forward(_params(model), model, batch, cfg.flow)
 
     total = 0.0
     for t in range(2):
         lls = []
         for j in range(4):
-            mean, std = ssm_mod.measurement_moments(model, state[j, t])
+            mean, std = means[t][0, j], stds[t][0, j]
             lls.append(-0.5 * np.log(2 * np.pi * std**2).sum() - ((y[t] - mean) ** 2 / (2 * std**2)).sum())
         m = max(lls)
         total += -(m + np.log(np.mean(np.exp(np.array(lls) - m))))
-    np.testing.assert_allclose(got, total, rtol=1e-10)
+    np.testing.assert_allclose(train.batch_loss(model, batch, cfg), total, rtol=1e-10)
+
+
+def test_losses_need_target_rows(rng):
+    model = _tiny_model()
+    windows = _windows(rng, q=0)[:2]
+    batch = train.stack_batch(windows, model, 1, 0)
+    assert batch.y_future.shape == (2, 0, 1)
+    for loss in ("mae", "nll"):
+        with pytest.raises(DataError, match="target rows"):
+            train.batch_loss(model, batch, _config(loss=loss))
+        with pytest.raises(DataError, match="target rows"):
+            train.gradients(model, windows, _config(loss=loss))
 
 
 def test_batch_forward_mae_equals_quantile_loss_at_half(rng):
@@ -120,41 +147,10 @@ def test_batch_forward_mae_equals_quantile_loss_at_half(rng):
     windows = _windows(rng)[:3]
     cfg = _config(n_particles_train=3)
     batch = train.stack_batch(windows, model, 3, 0)
-    params = {n: train.get_param(model, n) for n in train.param_names(model)}
-    loss, aux = train.batch_forward(params, model, batch, cfg)
-    med = np.median(np.asarray([np.asarray(v) for v in aux["samples"].value]) if hasattr(aux["samples"], "value") else np.asarray(aux["samples"]), axis=1)
-    target = batch.y_future
-    ql = metrics.quantile_loss(target.ravel(), np.moveaxis(med, 0, 0).ravel(), 0.5)
-    np.testing.assert_allclose(float(np.asarray(loss.value if hasattr(loss, "value") else loss)), ql.mean(), rtol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# batched forward pass consistency with the public per-window path
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind,n", [("gru", 1), ("graph_gru", 3)])
-def test_batched_pass_matches_per_window_predictions(rng, kind, n):
-    model = _tiny_model(n_series=n, kind=kind, seed=5)
-    graph = ssm_mod.Graph.from_weights(np.ones((n, n))) if kind == "graph_gru" else None
-    windows = _windows(rng, n=n)[:4]
-    cfg = _config(n_particles_train=2)
-    batch = train.stack_batch(windows, model, 2, cfg.seed)
-    params = {name: train.get_param(model, name) for name in train.param_names(model)}
-    _, aux = train.batch_forward(params, model, batch, cfg, graph=graph)
-    batched_samples = np.asarray(ad_val(aux["samples"]))  # (B, n_p, Q, N)
-
-    pcfg = forecast_mod.PredictConfig(n_particles=2, flow=cfg.flow, seed=cfg.seed, point="median")
-    for i, w in enumerate(windows):
-        noise = ssm_mod.make_window_noise(cfg.seed, w.window_id, 2, model, 4, 3)
-        dist = forecast_mod.predict(model, graph, w, pcfg)
-        np.testing.assert_allclose(batched_samples[i], dist.samples, rtol=1e-9, atol=1e-9)
-
-
-def ad_val(x):
-    from flowcast import autodiff
-
-    return autodiff.val(x)
+    samples = train.batch_forward(_params(model), model, batch, cfg.flow)[0]
+    med = np.median(samples, axis=1)
+    ql = metrics.quantile_loss(batch.y_future.ravel(), med.ravel(), 0.5)
+    np.testing.assert_allclose(train.batch_loss(model, batch, cfg), ql.mean(), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +395,15 @@ def test_evaluate_loss_uses_eval_particle_count(rng):
     v2 = train.evaluate_loss(model, windows, cfg, None)
     assert v1 == v2
     assert np.isfinite(v1)
+
+
+def test_evaluate_loss_weighs_chunks_by_window_count(rng, monkeypatch):
+    model = _tiny_model()
+    windows = _windows(rng)[:5]
+    cfg = _config(n_particles_eval=3)
+    whole = train.evaluate_loss(model, windows, cfg, None)
+    monkeypatch.setattr(train, "CHUNK_WINDOWS", 2)  # chunks of 2, 2 and 1 windows
+    np.testing.assert_allclose(train.evaluate_loss(model, windows, cfg, None), whole, rtol=1e-12)
 
 
 def test_training_log_csv_format(tmp_path, rng):
