@@ -33,7 +33,6 @@ __all__ = [
     "tanh",
     "softplus",
     "relu",
-    "exp",
     "log",
     "square",
     "sqrt",
@@ -270,13 +269,6 @@ def relu(a):
     return _make(out, parents)
 
 
-def exp(a):
-    av = val(a)
-    out = np.exp(av)
-    parents = [(a, lambda g: g * out)] if isinstance(a, Var) else []
-    return _make(out, parents)
-
-
 def log(a):
     av = val(a)
     out = np.log(av)
@@ -334,7 +326,7 @@ def mean_(a, axis=None, keepdims=False):
     if not isinstance(a, Var):
         return out
     shape = av.shape
-    count = av.size if axis is None else out.size and av.size // out.size
+    count = av.size
     if axis is not None:
         axes = axis if isinstance(axis, tuple) else (axis,)
         count = int(np.prod([shape[x % len(shape)] for x in axes]))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -51,6 +50,14 @@ def _apply_thread_cap(argv) -> None:
         os.environ[var] = str(n)
 
 
+def _int_list(text) -> list:
+    """argparse type of a comma-separated list of integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="flowcast", description="Probabilistic multivariate time-series forecasting")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -78,13 +85,13 @@ def build_parser() -> _Parser:
     p_ev.add_argument("--samples", required=True)
     p_ev.add_argument("--summary", required=True)
     p_ev.add_argument("--truth", required=True)
-    p_ev.add_argument("--horizons", default=None, help="comma-separated horizons (default: quarters of Q)")
+    p_ev.add_argument("--horizons", type=_int_list, default=None, help="comma-separated horizons (default: quarters of Q)")
     p_ev.add_argument("--threads", type=int, default=None)
     p_ev.add_argument("--out", required=True, help="metrics CSV path")
 
     p_fb = sub.add_parser("filter-bench", help="flow vs BPF vs Kalman on linear-Gaussian systems")
-    p_fb.add_argument("--dims", default="4,16", help="comma-separated state dimensions")
-    p_fb.add_argument("--particles", default="100", help="comma-separated particle counts")
+    p_fb.add_argument("--dims", type=_int_list, default="4,16", help="comma-separated state dimensions")
+    p_fb.add_argument("--particles", type=_int_list, default="100", help="comma-separated particle counts")
     p_fb.add_argument("--t", type=int, default=20, help="steps per trajectory")
     p_fb.add_argument("--seeds", type=int, default=5, help="replicates per cell")
     p_fb.add_argument("--seed", type=int, default=0)
@@ -215,7 +222,7 @@ def cmd_train(args) -> int:
     from . import ssm as ssm_mod
     from . import train as train_mod
 
-    raw = config_mod.apply_overrides(_read_json(args.config), args.set)
+    raw = config_mod.apply_overrides(config_mod.read_json(args.config), args.set)
     if args.seed is not None:
         raw.setdefault("train", {})["seed"] = args.seed
     if args.out is not None:
@@ -233,9 +240,9 @@ def cmd_train(args) -> int:
     config_mod.dump_config(cfg, os.path.join(out_dir, "resolved_config.json"))
     ssm_mod.save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), result.model)
     train_mod.write_training_log(os.path.join(out_dir, "training_log.csv"), result)
-    _write_json(
-        os.path.join(out_dir, "norm_stats.json"),
+    config_mod.dump_config(
         {"mean": stats.mean.tolist(), "std": stats.std.tolist(), "per_series": stats.per_series},
+        os.path.join(out_dir, "norm_stats.json"),
     )
     print(f"trained {len(result.log)} epochs; best val loss {result.best_val:.6g} at epoch {result.best_epoch}")
     print(f"artifacts in {out_dir}: checkpoint.npz, training_log.csv, resolved_config.json")
@@ -254,7 +261,7 @@ def cmd_forecast(args) -> int:
     from . import ssm as ssm_mod
     from .errors import DataError
 
-    cfg = config_mod.validate_config(_read_json(args.config))
+    cfg = config_mod.validate_config(config_mod.read_json(args.config))
     model = ssm_mod.load_checkpoint(args.checkpoint)
     windows, graph, stats, names, q_steps = _prepare_dataset(cfg)
     if model.n_series != len(names):
@@ -286,81 +293,14 @@ def cmd_forecast(args) -> int:
     return EXIT_OK
 
 
-def _read_forecast_csv(path, value_cols):
-    """Long-format CSV -> nested dict keyed by (window, horizon, series)."""
-    from .errors import DataError
-
-    table = {}
-    try:
-        with open(path, "r", newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in ("window", "horizon", "series", *value_cols) if c not in (reader.fieldnames or [])]
-            if missing:
-                raise DataError(f"{path} lacks columns: {missing}")
-            for row in reader:
-                key = (int(row["window"]), int(row["horizon"]), int(row["series"]))
-                table.setdefault(key, []).append([float(row[c]) for c in value_cols])
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
-    except ValueError as exc:
-        raise DataError(f"bad cell in {path}: {exc}")
-    return table
-
-
 def cmd_evaluate(args) -> int:
-    import numpy as np
-
+    from . import forecast as forecast_mod
     from . import metrics as metrics_mod
     from .errors import DataError
 
-    sample_rows = {}
-    try:
-        with open(args.samples, "r", newline="") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"window", "horizon", "series", "sample", "value"}
-            if not needed.issubset(reader.fieldnames or []):
-                raise DataError(f"{args.samples} lacks columns {sorted(needed)}")
-            for row in reader:
-                key = (int(row["window"]), int(row["horizon"]), int(row["series"]))
-                sample_rows.setdefault(key, {})[int(row["sample"])] = float(row["value"])
-    except OSError as exc:
-        raise DataError(f"cannot read {args.samples}: {exc}")
-    except ValueError as exc:
-        raise DataError(f"bad cell in {args.samples}: {exc}")
-    summary = _read_forecast_csv(args.summary, ["point"])
-    truth = _read_forecast_csv(args.truth, ["value"])
-
-    if set(sample_rows) != set(truth):
-        raise DataError("samples and truth files cover different (window, horizon, series) cells")
-    if set(summary) != set(truth):
-        raise DataError("summary and truth files cover different (window, horizon, series) cells")
-
-    window_ids = sorted({k[0] for k in truth})
-    horizons_seen = sorted({k[1] for k in truth})
-    series_seen = sorted({k[2] for k in truth})
-    q = len(horizons_seen)
-    if horizons_seen != list(range(1, q + 1)):
-        raise DataError(f"truth horizons {horizons_seen} are not contiguous from 1")
-    n = len(series_seen)
-    m = len(window_ids)
-    n_p = len(next(iter(sample_rows.values())))
-    samples = np.empty((m, n_p, q, n))
-    points = np.empty((m, q, n))
-    targets = np.empty((m, q, n))
-    for wi, w in enumerate(window_ids):
-        for h in range(1, q + 1):
-            for si, s in enumerate(series_seen):
-                cell = sample_rows[(w, h, s)]
-                if len(cell) != n_p:
-                    raise DataError(f"window {w} horizon {h} series {s} has {len(cell)} samples, expected {n_p}")
-                samples[wi, :, h - 1, si] = [cell[j] for j in range(n_p)]
-                points[wi, h - 1, si] = summary[(w, h, s)][0][0]
-                targets[wi, h - 1, si] = truth[(w, h, s)][0][0]
-
-    if args.horizons:
-        horizons = [int(x) for x in args.horizons.split(",")]
-    else:
-        horizons = sorted({max(1, (q * k) // 4) for k in range(1, 5)}) if q >= 1 else []
+    samples, points, targets = forecast_mod.read_forecast_files(args.samples, args.summary, args.truth)
+    q = targets.shape[1]
+    horizons = args.horizons or sorted({max(1, (q * k) // 4) for k in range(1, 5)})
     bad = [h for h in horizons if not 1 <= h <= q]
     if bad:
         raise DataError(f"requested horizons {bad} exceed the forecast horizon {q}")
@@ -378,18 +318,16 @@ def cmd_filter_bench(args) -> int:
     from . import filters as filters_mod
     from . import flow as flow_mod
 
-    dims = [int(x) for x in args.dims.split(",")]
-    counts = [int(x) for x in args.particles.split(",")]
     fcfg = flow_mod.FlowConfig(n_lambda=args.n_lambda)
     rows = []
-    for d in dims:
+    for d in args.dims:
         for seed in range(args.seeds):
             result = data_mod.synth_generate("linear_gaussian", (d, d), args.t, seed=args.seed + seed)
             ssm = result.oracle
             obs = result.series.values
             kf_means, _ = filters_mod.kalman_filter(ssm, obs)
             rows.append({"dim": d, "n_particles": "", "method": "kalman", "seed": args.seed + seed, "rmse_vs_kalman": 0.0, "ess_mean": ""})
-            for n_p in counts:
+            for n_p in args.particles:
                 rng = np.random.default_rng(np.random.SeedSequence((args.seed + seed, d, n_p, 11)))
                 flow_means = filters_mod.flow_filter_linear(ssm, obs, n_p, rng, fcfg)
                 rmse_flow = float(np.sqrt(np.mean((flow_means - kf_means) ** 2)))
@@ -436,24 +374,6 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def _read_json(path) -> dict:
-    from .errors import DataError
-
-    try:
-        with open(path, "r") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def main(argv=None) -> int:

@@ -146,15 +146,15 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
-def load_config(path) -> dict:
+def read_json(path) -> dict:
+    """A config file's raw JSON object, before overrides and validation."""
     try:
         with open(path, "r") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"config file {path} is not valid JSON: {exc}")
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}")
-    return validate_config(raw)
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
@@ -180,7 +180,7 @@ def apply_overrides(raw: dict, overrides) -> dict:
 
 
 def dump_config(cfg: dict, path) -> None:
-    """Stable, re-loadable snapshot of the resolved configuration."""
+    """Stable, re-loadable JSON snapshot of a resolved configuration (or any JSON object)."""
     with open(path, "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")

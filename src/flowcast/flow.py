@@ -68,12 +68,6 @@ class GaussianBelief:
         if self.cov.shape != (d, d):
             raise DataError("belief covariance must be (D, D)")
 
-    def validate(self, sym_tol: float = 1e-10, eig_floor: float = -1e-8) -> None:
-        if not np.allclose(self.cov, self.cov.T, atol=sym_tol):
-            raise DataError("belief covariance is not symmetric")
-        if np.min(np.linalg.eigvalsh(self.cov)) < eig_floor:
-            raise DataError("belief covariance has a significantly negative eigenvalue")
-
 
 # ---------------------------------------------------------------------------
 # the schedule and the flow

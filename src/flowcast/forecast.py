@@ -4,10 +4,14 @@ Forecasts run the same batched pipeline as training and validation,
 :func:`train.batch_forward`, on plain parameter arrays: windows are
 stacked into chunks, and every window draws its own noise from (seed,
 window id), so its forecast does not depend on the chunk it ran in.
+The forecast file format lives here too: the three long-format writers and
+:func:`read_forecast_files`, the one reader.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -53,14 +57,6 @@ class ForecastDistribution:
     point: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
-    @property
-    def n_particles(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.samples.shape[1]
-
 
 def predict_windows(
     model: ssm_mod.ModelTheta,
@@ -103,56 +99,92 @@ def empirical_quantile(dist, alpha) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV export
+# forecast files
 # ---------------------------------------------------------------------------
+#
+# Long format: key columns window,horizon,series[,sample] (horizon 1-based),
+# then value columns, one row per cell, ``repr`` values, CRLF rows (the csv
+# module's default).  Rows run window by window, then by horizon, series and
+# sample.
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_rows(path, header, window_ids, blocks) -> None:
+    """One row per cell of each window's ``(Q, N, ..., C)`` block: the keys of the cell, then its C values."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for wid, block in zip(window_ids, blocks):
+            keys = np.indices(block.shape[:-1]).reshape(block.ndim - 1, -1).T
+            keys[:, 0] += 1
+            values = block.reshape(-1, block.shape[-1]).tolist()
+            writer.writerows([wid, *k, *v] for k, v in zip(keys.tolist(), values))
 
 
 def write_forecast_samples(path, window_ids, dists: List[ForecastDistribution]) -> None:
     """Long-format sample paths: window,horizon,series,sample,value."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "horizon", "series", "sample", "value"])
-        for wid, dist in zip(window_ids, dists):
-            n_p, q, n = dist.samples.shape
-            for h in range(q):
-                for i in range(n):
-                    for j in range(n_p):
-                        writer.writerow([wid, h + 1, i, j, _fmt(dist.samples[j, h, i])])
+    blocks = [dist.samples.transpose(1, 2, 0)[..., None] for dist in dists]
+    _write_rows(path, ["window", "horizon", "series", "sample", "value"], window_ids, blocks)
 
 
 def write_forecast_summary(path, window_ids, dists: List[ForecastDistribution], quantiles=(0.1, 0.5, 0.9)) -> None:
     """Point + quantile summary: window,horizon,series,point,q…"""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        q_names = [f"q{int(round(100 * a)):02d}" for a in quantiles]
-        writer.writerow(["window", "horizon", "series", "point"] + q_names)
-        for wid, dist in zip(window_ids, dists):
-            qs = empirical_quantile(dist, list(quantiles))
-            point = dist.point if dist.point is not None else np.median(dist.samples, axis=0)
-            n_p, q, n = dist.samples.shape
-            for h in range(q):
-                for i in range(n):
-                    row = [wid, h + 1, i, _fmt(point[h, i])] + [_fmt(qs[k][h, i]) for k in range(len(quantiles))]
-                    writer.writerow(row)
+    q_names = [f"q{int(round(100 * a)):02d}" for a in quantiles]
+    blocks = []
+    for dist in dists:
+        point = dist.point if dist.point is not None else np.median(dist.samples, axis=0)
+        blocks.append(np.stack([point, *empirical_quantile(dist, list(quantiles))], axis=-1))
+    _write_rows(path, ["window", "horizon", "series", "point"] + q_names, window_ids, blocks)
 
 
 def write_truth(path, window_ids, targets: List[np.ndarray]) -> None:
     """Realized future values aligned with the forecasts."""
-    import csv
+    _write_rows(path, ["window", "horizon", "series", "value"], window_ids, [np.asarray(y)[..., None] for y in targets])
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "horizon", "series", "value"])
-        for wid, y in zip(window_ids, targets):
-            q, n = y.shape
-            for h in range(q):
-                for i in range(n):
-                    writer.writerow([wid, h + 1, i, _fmt(y[h, i])])
+
+def _read_long(path, keys, value):
+    """Scatter one long-format file onto its sorted key grid: (key labels per axis, values of shape (labels...))."""
+    try:
+        with open(path, "r") as fh:
+            header = fh.readline().strip().split(",")
+            missing = [c for c in (*keys, value) if c not in header]
+            if missing:
+                raise DataError(f"{path} lacks columns: {missing}")
+            text = fh.read()
+            if not text.strip():
+                raise DataError(f"{path} has no rows")
+            cols = [header.index(c) for c in (*keys, value)]
+            table = np.loadtxt(text.splitlines(), delimiter=",", usecols=cols, ndmin=2)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}")
+    except ValueError as exc:
+        raise DataError(f"bad cell in {path}: {exc}")
+    key_cells = table[:, :-1]
+    if not ((np.abs(key_cells) < 2**53).all() and (key_cells == np.floor(key_cells)).all()):
+        raise DataError(f"bad cell in {path}: the {', '.join(keys)} columns must hold integers")
+    labels, index = zip(*(np.unique(col.astype(np.int64), return_inverse=True) for col in key_cells.T))
+    shape = tuple(len(u) for u in labels)
+    size, cells = math.prod(shape), f"({', '.join(keys)}) cells"
+    if size > len(table):  # more cells than rows: some cell has no row, however the labels are spread
+        raise DataError(f"{path} lacks rows for at least {size - len(table)} of its {size} {cells}")
+    # rows >= cells here, so a cell without a row forces another with two: the duplicate check covers both
+    counts = np.bincount(np.ravel_multi_index(index, shape), minlength=size)
+    if (counts > 1).any():
+        raise DataError(f"{path} holds {int((counts > 1).sum())} duplicated {cells}")
+    grid = np.empty(shape)
+    grid[index] = table[:, -1]
+    return labels, grid
+
+
+def read_forecast_files(samples_path, summary_path, truth_path):
+    """Read the three forecast files: samples (M, n_p, Q, N), points and targets (M, Q, N) on the sorted cell grid."""
+    cell = ("window", "horizon", "series")
+    sample_labels, samples = _read_long(samples_path, cell + ("sample",), "value")
+    point_labels, points = _read_long(summary_path, cell, "point")
+    truth_labels, targets = _read_long(truth_path, cell, "value")
+    for name, labels in (("samples", sample_labels[:3]), ("summary", point_labels)):
+        if not all(np.array_equal(a, b) for a, b in zip(labels, truth_labels)):
+            raise DataError(f"{name} and truth files cover different (window, horizon, series) cells")
+    horizons = truth_labels[1]
+    if not np.array_equal(horizons, np.arange(1, len(horizons) + 1)):
+        raise DataError(f"truth horizons {horizons.tolist()} are not contiguous from 1")
+    return np.ascontiguousarray(samples.transpose(0, 3, 1, 2)), points, targets

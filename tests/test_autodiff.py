@@ -81,7 +81,7 @@ def test_node_mix_gradients(rng):
 
 @pytest.mark.parametrize(
     "op",
-    [ad.sigmoid, ad.tanh, ad.softplus, ad.exp, ad.square, ad.abs_],
+    [ad.sigmoid, ad.tanh, ad.softplus, ad.square, ad.abs_],
     ids=lambda f: f.__name__,
 )
 def test_elementwise_gradients(op, x):

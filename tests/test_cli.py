@@ -364,6 +364,91 @@ def test_evaluate_mismatched_coverage_is_a_data_error(trained_run, tmp_path):
     assert code == 2
 
 
+def _edited_copy(fc, dst, edit, newline="\r\n"):
+    """The three forecast files of ``fc`` in ``dst``, each file's rows (after the header) passed through ``edit(name, rows)``."""
+    dst.mkdir()
+    for name in ("samples", "summary", "truth"):
+        header, *rows = (fc / f"{name}.csv").read_text().splitlines()
+        (dst / f"{name}.csv").write_bytes(newline.join([header, *edit(name, rows)]).encode() + newline.encode())
+    return dst
+
+
+def _evaluate_dir(files, out, *extra):
+    return cli.main(
+        [
+            "evaluate",
+            "--samples", str(files / "samples.csv"),
+            "--summary", str(files / "summary.csv"),
+            "--truth", str(files / "truth.csv"),
+            "--out", str(out),
+            *extra,
+        ]
+    )
+
+
+def _assert_data_error(code, capsys, match=""):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error:") and match in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_reads_lf_files_like_crlf_files(trained_run, tmp_path):
+    fc = trained_run["fc"]
+    lf = _edited_copy(fc, tmp_path / "lf", lambda name, rows: rows, newline="\n")
+    assert b"\r" not in (lf / "samples.csv").read_bytes()
+    assert _evaluate_dir(fc, tmp_path / "crlf.csv") == 0
+    assert _evaluate_dir(lf, tmp_path / "lf.csv") == 0
+    assert (tmp_path / "lf.csv").read_bytes() == (tmp_path / "crlf.csv").read_bytes()
+
+
+def test_evaluate_ragged_coverage_is_a_data_error(trained_run, tmp_path, capsys):
+    # the last window loses its last horizon in all three files
+    last = (trained_run["fc"] / "truth.csv").read_text().splitlines()[-1].split(",")[0]
+
+    def drop_last_horizon(name, rows):
+        return [r for r in rows if not (r.split(",")[0] == last and r.split(",")[1] == "4")]
+
+    files = _edited_copy(trained_run["fc"], tmp_path / "ragged", drop_last_horizon)
+    _assert_data_error(_evaluate_dir(files, tmp_path / "metrics.csv"), capsys, "lacks rows")
+
+
+def test_evaluate_header_only_files_are_a_data_error(trained_run, tmp_path, capsys):
+    files = _edited_copy(trained_run["fc"], tmp_path / "empty", lambda name, rows: [])
+    _assert_data_error(_evaluate_dir(files, tmp_path / "metrics.csv"), capsys, "has no rows")
+
+
+def test_evaluate_duplicated_truth_row_is_a_data_error(trained_run, tmp_path, capsys):
+    def duplicate_first(name, rows):
+        if name != "truth":
+            return rows
+        key = rows[0].rsplit(",", 1)[0]
+        return rows + [key + ",12345.0"]
+
+    files = _edited_copy(trained_run["fc"], tmp_path / "dup", duplicate_first)
+    _assert_data_error(_evaluate_dir(files, tmp_path / "metrics.csv"), capsys, "duplicated")
+
+
+def test_evaluate_fractional_horizon_is_a_data_error(trained_run, tmp_path, capsys):
+    def fractional_horizon(name, rows):
+        if name != "truth":
+            return rows
+        cells = rows[0].split(",")
+        return [",".join([cells[0], "1.5", *cells[2:]])] + rows[1:]
+
+    files = _edited_copy(trained_run["fc"], tmp_path / "frac", fractional_horizon)
+    _assert_data_error(_evaluate_dir(files, tmp_path / "metrics.csv"), capsys, "bad cell")
+
+
+def test_non_integer_list_items_are_usage_errors(trained_run, tmp_path, capsys):
+    assert _evaluate_dir(trained_run["fc"], tmp_path / "metrics.csv", "--horizons", "1,x") == 1
+    assert "comma-separated integers" in capsys.readouterr().err
+    for option in ("--dims", "--particles"):
+        assert cli.main(["filter-bench", option, "4,x", "--out", str(tmp_path / "bench.csv")]) == 1
+        assert "comma-separated integers" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "bench.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # filter-bench
 # ---------------------------------------------------------------------------

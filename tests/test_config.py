@@ -179,7 +179,7 @@ def test_dump_and_load_round_trip(tmp_path):
     cfg = config_mod.validate_config(_minimal())
     path = tmp_path / "config.json"
     config_mod.dump_config(cfg, path)
-    again = config_mod.load_config(path)
+    again = config_mod.validate_config(config_mod.read_json(path))
     assert again == cfg
 
 
@@ -195,9 +195,9 @@ def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(DataError, match="not valid JSON"):
-        config_mod.load_config(path)
+        config_mod.read_json(path)
 
 
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
-        config_mod.load_config(tmp_path / "absent.json")
+        config_mod.read_json(tmp_path / "absent.json")

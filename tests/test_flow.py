@@ -7,7 +7,7 @@ import pytest
 
 from flowcast import autodiff as ad
 from flowcast.errors import FlowDivergedError, FlowSolveError
-from flowcast.flow import FlowConfig, GaussianBelief, edh_flow, step_schedule
+from flowcast.flow import FlowConfig, edh_flow, step_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +388,3 @@ def test_flow_config_validation():
         FlowConfig(ratio=-1.0)
     with pytest.raises(ValueError):
         FlowConfig(jitter=-0.1)
-
-
-def test_gaussian_belief_validation(rng):
-    with pytest.raises(Exception):
-        GaussianBelief(mean=np.zeros(2), cov=np.array([[1.0, 0.5], [0.4, 1.0]])).validate()
-    GaussianBelief(mean=np.zeros(2), cov=np.eye(2)).validate()

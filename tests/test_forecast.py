@@ -2,6 +2,7 @@
 sample-based distributions, quantiles, and CSV artifacts."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -279,24 +280,71 @@ def _read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def test_forecast_csvs_round_trip_values(tmp_path, tiny_gru_model, window):
-    dist = predict(tiny_gru_model, None, window, _config(n_particles=3))
-    forecast.write_forecast_samples(tmp_path / "samples.csv", [window.window_id], [dist])
-    forecast.write_forecast_summary(tmp_path / "summary.csv", [window.window_id], [dist])
-    forecast.write_truth(tmp_path / "truth.csv", [window.window_id], [window.y_future])
+def test_forecast_csvs_round_trip_values(tmp_path, rng):
+    model = ssm.init_model(kind="gru", n_series=3, d_x=2, layers=1, d_z=0, rho=0.8, sigma=0.05, init_scale=0.5, seed=3)
+    vals = rng.standard_normal((25, 3)) * 0.5
+    s = data_mod.SeriesSet(values=vals, missing=np.zeros((25, 3), bool), names=["a", "b", "c"])
+    windows = data_mod.make_windows(s, 12, 12)
+    ids = [w.window_id for w in windows]
+    assert len(windows) == 2 and ids == sorted(ids)
+    dists = forecast.predict_windows(model, None, windows, _config(n_particles=3, point="mean"))
+    paths = [tmp_path / name for name in ("samples.csv", "summary.csv", "truth.csv")]
+    forecast.write_forecast_samples(paths[0], ids, dists)
+    forecast.write_forecast_summary(paths[1], ids, dists)
+    forecast.write_truth(paths[2], ids, [w.y_future for w in windows])
 
-    rows = _read_rows(tmp_path / "samples.csv")
-    assert len(rows) == 3 * 12 * 1
-    r0 = rows[0]
-    assert set(r0) == {"window", "horizon", "series", "sample", "value"}
-    # repr round trip: parsing the text recovers the exact float
-    got = float(next(r["value"] for r in rows if r["horizon"] == "3" and r["sample"] == "2"))
-    assert got == dist.samples[2, 2, 0]
+    # byte for byte what a row-at-a-time writer produces: CRLF rows by window,
+    # horizon, series and sample, repr values
+    per_window = zip(ids, dists, [empirical_quantile(d, [0.1, 0.5, 0.9]) for d in dists], [w.y_future for w in windows])
+    cells = [(wid, d, qs, y, h, i) for wid, d, qs, y in per_window for h in range(12) for i in range(3)]
+    reference = {
+        "samples": [[wid, h + 1, i, j, repr(float(d.samples[j, h, i]))] for wid, d, _, _, h, i in cells for j in range(3)],
+        "summary": [[wid, h + 1, i, *(repr(float(v)) for v in (d.point[h, i], *qs[:, h, i]))] for wid, d, qs, _, h, i in cells],
+        "truth": [[wid, h + 1, i, repr(float(y[h, i]))] for wid, _, _, y, h, i in cells],
+    }
+    for path, header in zip(paths, ("window,horizon,series,sample,value", "window,horizon,series,point,q10,q50,q90", "window,horizon,series,value")):
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header.split(",")] + reference[path.stem])
+        assert path.read_bytes() == buf.getvalue().encode()
 
-    srows = _read_rows(tmp_path / "summary.csv")
-    assert len(srows) == 12
-    assert float(srows[0]["q50"]) == np.quantile(dist.samples[:, 0, 0], 0.5)
-    assert float(srows[4]["point"]) == dist.point[4, 0]
+    # quantiles are per cell, across the particles
+    assert float(_read_rows(paths[1])[0]["q50"]) == np.quantile(dists[0].samples[:, 0, 0], 0.5)
 
-    trows = _read_rows(tmp_path / "truth.csv")
-    assert float(trows[7]["value"]) == window.y_future[7, 0]
+    # repr values read back exactly: the reader returns the written arrays bitwise
+    samples, points, targets = forecast.read_forecast_files(*paths)
+    assert samples.shape == (2, 3, 12, 3) and points.shape == targets.shape == (2, 12, 3)
+    assert samples.tobytes() == np.stack([d.samples for d in dists]).tobytes()
+    assert points.tobytes() == np.stack([d.point for d in dists]).tobytes()
+    assert targets.tobytes() == np.stack([w.y_future for w in windows]).astype(np.float64).tobytes()
+
+
+def _shift_horizon(row):
+    cells = row.split(",")
+    return ",".join([cells[0], str(int(cells[1]) + 1), *cells[2:]])
+
+
+@pytest.mark.parametrize(
+    "name, edit, match",
+    [
+        ("samples", lambda rows: [rows[0].replace("sample", "draw")] + rows[1:], "lacks columns: \\['sample'\\]"),
+        ("truth", lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0] + ",oops"] + rows[2:], "bad cell"),
+        ("samples", lambda rows: rows[:1] + [rows[1].replace(",1,", ",1.5,", 1)] + rows[2:], "must hold integers"),
+        ("samples", lambda rows: rows + rows[-1:], "1 duplicated"),
+        ("samples", lambda rows: rows[:-1], "lacks rows for at least 1 of its 16"),
+        ("truth", lambda rows: rows[:1], "has no rows"),
+        ("summary", lambda rows: [r for r in rows if not r.startswith("8,")], "summary and truth files cover different"),
+        ("all", lambda rows: rows[:1] + [_shift_horizon(r) for r in rows[1:]], "not contiguous from 1"),
+    ],
+    ids=["missing-column", "non-numeric", "non-integer-key", "duplicate", "missing-cell", "no-rows", "other-cells", "horizons"],
+)
+def test_read_forecast_files_rejects_malformed_files(tmp_path, rng, name, edit, match):
+    dists = [forecast.ForecastDistribution(samples=rng.standard_normal((2, 2, 2)), point=rng.standard_normal((2, 2))) for _ in range(2)]
+    paths = {key: tmp_path / f"{key}.csv" for key in ("samples", "summary", "truth")}
+    forecast.write_forecast_samples(paths["samples"], [7, 8], dists)
+    forecast.write_forecast_summary(paths["summary"], [7, 8], dists)
+    forecast.write_truth(paths["truth"], [7, 8], [rng.standard_normal((2, 2)) for _ in range(2)])
+    for key, path in paths.items():
+        if name in (key, "all"):
+            path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(DataError, match=match):
+        forecast.read_forecast_files(paths["samples"], paths["summary"], paths["truth"])
