@@ -45,7 +45,7 @@ __all__ = [
     "stack",
     "reshape",
     "gather",
-    "flow_step",
+    "flow_map",
 ]
 
 
@@ -428,28 +428,27 @@ def gather(a, indices: np.ndarray, axis: int):
 
 
 # ---------------------------------------------------------------------------
-# batched flow step (coefficients are constants by contract)
+# the composed flow map (its coefficients are constants by contract)
 # ---------------------------------------------------------------------------
 
 
-def flow_step(x, pht: np.ndarray, s_inv: np.ndarray, h_mat: np.ndarray, beta: np.ndarray, eps: float):
-    """One Euler step of the observation-space flow, batched over windows.
+def flow_map(x, pht: np.ndarray, h_mat: np.ndarray, k_mat: np.ndarray, k_vec: np.ndarray):
+    """A whole observation-space flow as one affine map, batched over windows.
 
-    Every particle row ``x`` of window ``i`` moves by ``eps * (beta_i - 1/2
-    (x H^T) S_i^-1) PHt_i^T``, the drift ``PHt (beta - 1/2 S^-1 H x)`` for a
-    symmetric ``S^-1``.  ``x`` has shape (B, P, D), ``pht`` (B, D, N),
-    ``s_inv`` (B, N, N), ``h_mat`` (N, D) and ``beta`` (B, N): no (D, D)
-    matrix is formed.  Gradients do not flow into the coefficients.
+    Every particle row ``x`` of window ``i`` moves to ``x + (x H^T K_i +
+    k_i) PHt_i^T``, the composition of the flow's Euler steps.  ``x`` has
+    shape (B, P, D), ``pht`` (B, D, N), ``h_mat`` (N, D), ``k_mat`` (B, N, N)
+    and ``k_vec`` (B, 1, N): no (D, D) matrix is formed.  ``K`` is not
+    symmetric in general.  Gradients do not flow into the coefficients.
     """
     xv = val(x)
     b_sz, n_p, d = xv.shape
     xh = (xv.reshape(b_sz * n_p, d) @ h_mat.T).reshape(b_sz, n_p, -1)  # one product for every particle
-    gamma = eps * beta[:, None, :] - (0.5 * eps) * (xh @ s_inv)
-    out = xv + gamma @ np.swapaxes(pht, 1, 2)
+    out = xv + (xh @ k_mat + k_vec) @ np.swapaxes(pht, 1, 2)
     if not isinstance(x, Var):
         return out
 
     def vjp(g):
-        return g - (0.5 * eps) * (((g @ pht) @ np.swapaxes(s_inv, 1, 2)) @ h_mat)
+        return g + ((g @ pht) @ np.swapaxes(k_mat, 1, 2)) @ h_mat
 
     return _make(out, [(x, vjp)])

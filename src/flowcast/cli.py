@@ -26,11 +26,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_usage(message))
-
-    def exit_code_usage(self, message) -> int:
         sys.stderr.write(f"{self.prog}: error: {message}\n")
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 def _apply_thread_cap(argv) -> None:
@@ -115,10 +112,8 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_dataset(cfg: dict):
-    """Config -> (split window lists, graph, stats, series names, q_steps)."""
-    import numpy as np
-
+def _prepare_dataset(cfg: dict, splits):
+    """Config -> (window lists of the named splits, graph, stats, series names)."""
     from . import data as data_mod
     from .errors import DataError
 
@@ -126,35 +121,26 @@ def _prepare_dataset(cfg: dict):
     p_steps, q_steps = cfg["windows"]["history"], cfg["windows"]["horizon"]
     if d["synth"]["kind"] is not None:
         s = d["synth"]
-        dims = (s["n_series"], s["state_dim"] or s["n_series"])
-        if s["kind"] == "var_graph":
-            dims = s["n_series"]
+        dims = s["n_series"] if s["kind"] == "var_graph" else (s["n_series"], s["state_dim"] or s["n_series"])
         result = data_mod.synth_generate(s["kind"], dims, s["t_steps"], s["seed"])
         series, graph = result.series, result.graph
     else:
         series = data_mod.load_series(d["path"])
-        graph = None
-        if d["graph"] is not None:
-            graph = data_mod.load_graph(d["graph"], series.n_series)
+        graph = None if d["graph"] is None else data_mod.load_graph(d["graph"], series.n_series)
     series = data_mod.forward_fill(series)
     fr = cfg["split"]
-    train_s, val_s, test_s = data_mod.chronological_split(
-        series, (fr["train"], fr["val"], fr["test"]), min_length=p_steps + q_steps
-    )
-    train_s, stats = data_mod.standardize(train_s, per_series=d["per_series_norm"])
-    val_s, _ = data_mod.standardize(val_s, stats=stats)
-    test_s, _ = data_mod.standardize(test_s, stats=stats)
+    segments = data_mod.chronological_split(series, (fr["train"], fr["val"], fr["test"]), min_length=p_steps + q_steps)
+    _, stats = data_mod.standardize(segments[0], per_series=d["per_series_norm"])
     period = d["period"] if d["covariates"] else None
     if d["covariates"] and d["period"] is None:
         raise DataError("config key 'data.period' is required when covariates are enabled")
-    n1 = train_s.n_steps
-    n2 = n1 + val_s.n_steps
-    windows = {
-        "train": data_mod.make_windows(train_s, p_steps, q_steps, period=period, start_offset=0),
-        "val": data_mod.make_windows(val_s, p_steps, q_steps, period=period, start_offset=n1),
-        "test": data_mod.make_windows(test_s, p_steps, q_steps, period=period, start_offset=n2),
-    }
-    return windows, graph, stats, series.names, q_steps
+    windows, offset = {}, 0
+    for name, segment in zip(("train", "val", "test"), segments):
+        if name in splits:  # windows are cut only where they are used
+            scaled, _ = data_mod.standardize(segment, stats=stats)
+            windows[name] = data_mod.make_windows(scaled, p_steps, q_steps, period=period, start_offset=offset)
+        offset += segment.n_steps
+    return windows, graph, stats, series.names
 
 
 def _model_from_config(cfg: dict, n_series: int):
@@ -229,7 +215,7 @@ def cmd_train(args) -> int:
         raw.setdefault("output", {})["dir"] = args.out
     cfg = config_mod.validate_config(raw)
 
-    windows, graph, stats, names, _ = _prepare_dataset(cfg)
+    windows, graph, stats, names = _prepare_dataset(cfg, ("train", "val"))
     model = _model_from_config(cfg, len(names))
     tcfg = _train_config(cfg)
     dataset = train_mod.TrainData(train_windows=windows["train"], val_windows=windows["val"], graph=graph)
@@ -263,7 +249,7 @@ def cmd_forecast(args) -> int:
 
     cfg = config_mod.validate_config(config_mod.read_json(args.config))
     model = ssm_mod.load_checkpoint(args.checkpoint)
-    windows, graph, stats, names, q_steps = _prepare_dataset(cfg)
+    windows, graph, stats, names = _prepare_dataset(cfg, (args.split,))
     if model.n_series != len(names):
         raise DataError(f"checkpoint expects {model.n_series} series but the data has {len(names)}")
     chosen = windows[args.split]

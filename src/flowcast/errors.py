@@ -21,12 +21,22 @@ class NumericError(FlowcastError, RuntimeError):
     """A numerical operation failed or produced non-finite values."""
 
 
-class FlowSolveError(NumericError):
+class FlowError(NumericError):
+    """A flow failure, located by ``window_id``, ``encoder_step``, the 1-based
+    pseudo-time ``step`` and the ``lam`` it starts at; each is None where it
+    does not apply (no window ids, no encoder, the stepless frozen replay)."""
+
+    def __init__(self, message, window_id=None, encoder_step=None, step=None, lam=None):
+        super().__init__(message)
+        self.window_id, self.encoder_step, self.step, self.lam = window_id, encoder_step, step, lam
+
+
+class FlowSolveError(FlowError):
     """The SPD solve inside a flow step failed."""
 
 
-class FlowDivergedError(NumericError):
-    """Particles became non-finite during the flow."""
+class FlowDivergedError(FlowError):
+    """Particles, or the flow map that moves them, became non-finite."""
 
 
 class DegenerateWeightsError(NumericError):

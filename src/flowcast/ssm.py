@@ -252,20 +252,18 @@ def _gru_cell(u, h, params, layer: int):
     return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, c))
 
 
-def _graph_conv(a_hat, z, w0, w1):
-    return ad.add(ad.matmul(ad.node_mix(a_hat, z), w0), ad.matmul(z, w1))
-
-
 def _graph_gru_cell(u, h, a_hat, params, layer: int):
     w = lambda gate, name: params[f"l{layer}.{gate}.{name}"]
-    b = lambda gate: params[f"l{layer}.b_{gate}"]
-    pre_r = ad.add(ad.add(_graph_conv(a_hat, u, w("r", "Wu0"), w("r", "Wu1")), _graph_conv(a_hat, h, w("r", "Wh0"), w("r", "Wh1"))), b("r"))
-    pre_z = ad.add(ad.add(_graph_conv(a_hat, u, w("z", "Wu0"), w("z", "Wu1")), _graph_conv(a_hat, h, w("z", "Wh0"), w("z", "Wh1"))), b("z"))
-    r = ad.sigmoid(pre_r)
-    z = ad.sigmoid(pre_z)
+    mixed_u, mixed_h = ad.node_mix(a_hat, u), ad.node_mix(a_hat, h)  # mixed over the graph once, for every gate
+
+    def pre(gate, state, mixed_state):  # graph convolutions of u and the state, plus the gate's bias
+        conv_u = ad.add(ad.matmul(mixed_u, w(gate, "Wu0")), ad.matmul(u, w(gate, "Wu1")))
+        conv_h = ad.add(ad.matmul(mixed_state, w(gate, "Wh0")), ad.matmul(state, w(gate, "Wh1")))
+        return ad.add(ad.add(conv_u, conv_h), params[f"l{layer}.b_{gate}"])
+
+    r, z = ad.sigmoid(pre("r", h, mixed_h)), ad.sigmoid(pre("z", h, mixed_h))
     hr = ad.mul(r, h)
-    pre_c = ad.add(ad.add(_graph_conv(a_hat, u, w("c", "Wu0"), w("c", "Wu1")), _graph_conv(a_hat, hr, w("c", "Wh0"), w("c", "Wh1"))), b("c"))
-    c = ad.tanh(pre_c)
+    c = ad.tanh(pre("c", hr, ad.node_mix(a_hat, hr)))
     return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, c))
 
 

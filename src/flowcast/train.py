@@ -3,12 +3,12 @@
 The gradient path records one tape over a whole minibatch (windows
 stacked on a leading axis) and differentiates the sampled forecast
 pipeline end to end — through transitions, emissions, the sampled decoder
-feedback and the flow's affine updates.  The flow *coefficients* (the
-frozen ensemble moments, H, S^-1, beta, noise variances) are treated as
-constants: gradients do not flow into them, and the recorded coefficient
-trace can be replayed so finite-difference checks differentiate exactly
-the same function.  Forecasting runs the same :func:`batch_forward` on
-plain parameter arrays.
+feedback and the flow's affine map.  The flow *coefficients* (the frozen
+ensemble moments, H, and the map K, k composed from S^-1, beta and the
+noise variances) are treated as constants: gradients do not flow into
+them, and the recorded trace can be replayed so finite-difference checks
+differentiate exactly the same function.  Forecasting runs the same
+:func:`batch_forward` on plain parameter arrays.
 """
 
 from __future__ import annotations
@@ -94,14 +94,10 @@ def param_names(model: ssm_mod.ModelTheta) -> List[str]:
 
 
 def get_param(model: ssm_mod.ModelTheta, name: str) -> np.ndarray:
-    if name == "rho":
-        return np.asarray(model.rho, dtype=np.float64)
-    if name == "sigma":
-        return np.asarray(model.sigma, dtype=np.float64)
-    if name == "W_phi":
-        return model.W_phi
-    if name == "C_gamma":
-        return model.C_gamma
+    if name in ("rho", "sigma"):
+        return np.asarray(getattr(model, name), dtype=np.float64)
+    if name in ("W_phi", "C_gamma"):
+        return getattr(model, name)
     return model.dyn_params[name]
 
 
@@ -265,15 +261,13 @@ def batch_forward(
         if frozen_trace is None:
             y_t = batch.y_hist[:, t - 1, :]
             x3, flow_trace = flow_mod.edh_flow(x3, w_phi_val, y_t, noise_var, flow_config, return_trace=True, encoder_step=t, window_ids=batch.window_ids)
-        else:  # replay with everything the flow froze, H included
+        else:  # replay the map the flow composed, with everything it froze, H included
             flow_trace = frozen_trace[t - 1]
-            for _, eps_m, s_inv, beta in flow_trace.steps:
-                x3 = ad.flow_step(x3, flow_trace.pht, s_inv, flow_trace.h_mat, beta, eps_m)
-            x3v = ad.val(x3)
-            if not np.isfinite(x3v).all():
-                row, particle = np.argwhere(~np.isfinite(x3v))[0][:2]
+            x3 = ad.flow_map(x3, flow_trace.pht, flow_trace.h_mat, flow_trace.k_mat, flow_trace.k_vec)
+            if not np.isfinite(ad.val(x3)).all():
+                row, particle = np.argwhere(~np.isfinite(ad.val(x3)))[0][:2]
                 where = f"window {batch.window_ids[row]} became non-finite during the frozen flow replay of encoder step {t}"
-                raise flow_mod.FlowDivergedError(f"particle {particle} of {where}")
+                raise flow_mod.FlowDivergedError(f"particle {particle} of {where}", batch.window_ids[row], t)
         if collect_trace or frozen_trace is not None:
             trace.append(flow_trace)
 
@@ -358,7 +352,7 @@ def gradients(
 
     Flow coefficients are computed from parameter *values* and held
     constant; everything else (transitions, emissions, sampled feedback,
-    the affine flow updates, the loss) is differentiated exactly.
+    the affine flow map, the loss) is differentiated exactly.
     Returns (loss value, dict of gradients, flow traces).
     """
     if not isinstance(batch, BatchArrays):

@@ -153,38 +153,38 @@ def test_gather_gradient_accumulates_duplicates(rng):
     np.testing.assert_allclose(v.grad, want)
 
 
-def _flow_step_coefficients(rng, b_sz=2, d=5, n=3, symmetric=False):
-    """Random (PHt, S^-1, H, beta) with N < D."""
+def _flow_map_coefficients(rng, b_sz=2, d=5, n=3):
+    """Random (PHt, H, K, k) with N < D; K is not symmetric, as a flow with varying r composes it."""
     pht = rng.standard_normal((b_sz, d, n))
-    s_inv = rng.standard_normal((b_sz, n, n))
-    if symmetric:  # an inverse innovation covariance, as the flow passes it
-        s_inv = np.linalg.inv(s_inv @ np.swapaxes(s_inv, 1, 2) + np.eye(n))
     h = rng.standard_normal((n, d))
-    beta = rng.standard_normal((b_sz, n))
-    return pht, s_inv, h, beta
+    k_mat = rng.standard_normal((b_sz, n, n))
+    k_vec = rng.standard_normal((b_sz, 1, n))
+    return pht, h, k_mat, k_vec
 
 
-def test_flow_step_matches_affine_formula(rng):
+def test_flow_map_matches_affine_formula(rng):
     x = rng.standard_normal((2, 4, 5))
-    pht, s_inv, h, beta = _flow_step_coefficients(rng, symmetric=True)
-    got = ad.flow_step(x, pht, s_inv, h, beta, 0.25)
+    pht, h, k_mat, k_vec = _flow_map_coefficients(rng)
+    got = ad.flow_map(x, pht, h, k_mat, k_vec)
     for i in range(2):
-        a = -0.5 * pht[i] @ s_inv[i] @ h  # the dense drift x A^T + b
-        b = pht[i] @ beta[i]
-        np.testing.assert_allclose(got[i], x[i] + 0.25 * (x[i] @ a.T + b), rtol=1e-14)
+        a = pht[i] @ k_mat[i].T @ h  # the dense map x (I + A^T) + b
+        b = k_vec[i, 0] @ pht[i].T
+        np.testing.assert_allclose(got[i], x[i] + x[i] @ a.T + b, rtol=1e-13)
 
 
-def test_flow_step_zero_eps_is_identity(rng):
+def test_flow_map_zero_map_is_identity(rng):
     x = rng.standard_normal((2, 4, 5))
-    got = ad.flow_step(x, *_flow_step_coefficients(rng), 0.0)
+    pht, h, k_mat, k_vec = _flow_map_coefficients(rng)
+    got = ad.flow_map(x, pht, h, np.zeros_like(k_mat), np.zeros_like(k_vec))
     np.testing.assert_array_equal(got, x)
 
 
-def test_flow_step_gradient_treats_coefficients_as_constant(rng):
-    # a general S^-1 also catches a transposed factor in the VJP
+def test_flow_map_gradient_treats_map_as_constant(rng):
+    # a non-symmetric K catches a missing transpose in the VJP
     x0 = rng.standard_normal((2, 3, 5))
-    coefficients = _flow_step_coefficients(rng)
-    _check(lambda v: ad.sum_(ad.square(ad.flow_step(v, *coefficients, 0.13))), x0)
+    coefficients = _flow_map_coefficients(rng)
+    assert np.max(np.abs(coefficients[2] - np.swapaxes(coefficients[2], 1, 2))) > 0.1
+    _check(lambda v: ad.sum_(ad.square(ad.flow_map(v, *coefficients))), x0)
 
 
 def test_gradient_accumulates_across_reuse(rng):

@@ -1,6 +1,7 @@
 """Particle-flow update: step schedule, ensemble moments, drift
-coefficients (hand-derived affine cases, read from the trace), and
-convergence of the Euler integration to the exact Gaussian posterior."""
+coefficients (hand-derived affine cases, read from a stepwise reference
+flow), the composed map against that reference, and convergence of the
+Euler integration to the exact Gaussian posterior."""
 
 import numpy as np
 import pytest
@@ -106,30 +107,118 @@ def test_moments_match_numpy_population_covariance(rng):
 
 
 # ---------------------------------------------------------------------------
+# the stepwise reference: every Euler step moves every particle
+# ---------------------------------------------------------------------------
+
+
+def _stepwise_flow(particles, h, y, r, cfg):
+    """The flow stepped particle by particle, for B ensembles at once.
+
+    Each Euler step moves every particle row x by ``eps (beta - 1/2 (x H^T)
+    S^-1) PHt^T`` and re-reads a callable ``r`` at the particles' own mean.
+    Returns the moved particles, the frozen (B, D) mean and (B, D, N) PHt,
+    and the per-step (lam, eps, S^-1, beta).
+    """
+    b_sz, n_p, d = particles.shape
+    n = h.shape[0]
+    mean0 = particles.mean(axis=1)
+    if n_p == 1:
+        pht = np.broadcast_to(cfg.single_particle_prior_scale * h.T, (b_sz, d, n))
+    else:
+        centered = particles - mean0[:, None, :]
+        pht = np.swapaxes(centered, 1, 2) @ (centered @ h.T) / n_p + cfg.jitter * h.T
+    innov = y - mean0 @ h.T
+    x = particles.copy()
+    r_now = None if callable(r) else np.broadcast_to(r, (b_sz, n))
+    steps = []
+    lam = 0.0
+    for m, eps in enumerate(step_schedule(cfg.n_lambda, cfg.ratio)):
+        if callable(r) and (m == 0 or cfg.relinearize_every_step):
+            r_now = r(x.mean(axis=1))
+        s_inv = np.linalg.inv(lam * h @ pht + r_now[:, :, None] * np.eye(n))
+        beta = 0.5 * np.einsum("bij,bj->bi", s_inv, y + r_now * np.einsum("bij,bj->bi", s_inv, innov))
+        x = x + eps * (beta[:, None, :] - 0.5 * (x @ h.T) @ s_inv) @ np.swapaxes(pht, 1, 2)
+        steps.append((lam, eps, s_inv, beta))
+        lam += eps
+    return x, mean0, pht, steps
+
+
+def _relative_difference(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "b_sz, n_p, d, n, relinearized, jitter",
+    [
+        (1, 20, 6, 3, False, 1e-2),  # N < D
+        (1, 20, 4, 4, False, 1e-2),  # N = D
+        (1, 20, 3, 6, False, 1e-2),  # N > D
+        (2, 1, 5, 2, False, 1e-2),  # single-particle prior
+        (1, 1, 5, 5, True, 1e-2),  # single particle, relinearized, N = D
+        (4, 10, 5, 3, False, 1e-2),  # a batch of ensembles
+        (4, 10, 5, 3, True, 1e-2),  # noise variances re-read at the running means
+        (4, 10, 5, 3, True, 0.0),  # no jitter
+        (4, 10, 3, 5, True, 0.0),  # no jitter, N > D: a rank-deficient P H^T
+    ],
+)
+def test_composed_flow_matches_stepwise_reference(rng, b_sz, n_p, d, n, relinearized, jitter):
+    particles = rng.standard_normal((b_sz, n_p, d))
+    h = rng.standard_normal((n, d)) * 0.5
+    y = rng.standard_normal((b_sz, n))
+    if relinearized:
+        c = rng.standard_normal((n, d)) * 0.3
+
+        def r(means):
+            return 0.5 + np.logaddexp(0.0, means @ c.T) ** 2
+
+    else:
+        r = rng.uniform(0.5, 1.5, size=(b_sz, n))
+    cfg = FlowConfig(n_lambda=29, jitter=jitter)
+    got, trace = edh_flow(particles, h, y, r, cfg, return_trace=True)
+    want, mean0, pht, _ = _stepwise_flow(particles, h, y, r, cfg)
+    assert _relative_difference(got, want) <= 1e-12
+    np.testing.assert_array_equal(trace.mean, mean0)
+    assert _relative_difference(trace.pht, pht) <= 1e-12
+    assert trace.k_mat.shape == (b_sz, n, n) and trace.k_vec.shape == (b_sz, 1, n)
+
+
+def test_composed_map_is_not_symmetric_once_r_varies(rng):
+    # the map's gain K is symmetric for a constant r only; flow_map's
+    # gradient must use its transpose
+    c = rng.standard_normal((3, 5)) * 0.5
+    particles = rng.standard_normal((1, 20, 5))
+    _, trace = edh_flow(particles, rng.standard_normal((3, 5)), rng.standard_normal((1, 3)), lambda m: np.logaddexp(0.0, m @ c.T) ** 2, FlowConfig(), return_trace=True)
+    assert np.max(np.abs(trace.k_mat - np.swapaxes(trace.k_mat, 1, 2))) > 1e-6
+
+
+# ---------------------------------------------------------------------------
 # drift coefficients: scalar cases solvable by hand
 # ---------------------------------------------------------------------------
 
 
-def _dense_drift(trace, k):
-    """(lam, A, b) of Euler step ``k``, rebuilt from the trace: A = -1/2 PHt S^-1 H, b = PHt beta."""
-    lam, _, s_inv, beta = trace.steps[k]
-    a = -0.5 * trace.pht @ s_inv @ trace.h_mat
-    b = (trace.pht @ beta[:, :, None])[:, :, 0]
+def _dense_drift(pht, h, step):
+    """(lam, A, b) of one reference Euler step: A = -1/2 PHt S^-1 H, b = PHt beta."""
+    lam, _, s_inv, beta = step
+    a = -0.5 * pht @ s_inv @ h
+    b = (pht @ beta[:, :, None])[:, :, 0]
     return lam, a, b
 
 
-def _scalar_trace(mean, r, y):
-    # one particle, so the frozen prior covariance is single_particle_scale = 1;
-    # ratio 1e-300 makes the first step the whole unit interval, so the two
-    # steps sit at lambda = 0 and lambda = 1 exactly
-    cfg = FlowConfig(n_lambda=2, ratio=1e-300, single_particle_prior_scale=1.0)
-    _, trace = edh_flow(np.array([[[mean]]]), np.array([[1.0]]), np.array([[y]]), np.array([r]), cfg, return_trace=True)
-    return trace
+# one particle, so the frozen prior covariance is single_particle_scale = 1;
+# ratio 1e-300 makes the first step the whole unit interval, so the two
+# steps sit at lambda = 0 and lambda = 1 exactly
+_SCALAR_CONFIG = FlowConfig(n_lambda=2, ratio=1e-300, single_particle_prior_scale=1.0)
+
+
+def _scalar_drift(mean, r, y, k):
+    h = np.array([[1.0]])
+    _, _, pht, steps = _stepwise_flow(np.array([[[mean]]]), h, np.array([[y]]), np.array([r]), _SCALAR_CONFIG)
+    return _dense_drift(pht, h, steps[k])
 
 
 def _scalar_case(lam):
     # prior N(1, 1), observation y = 1 with unit noise, H = 1
-    lam_rec, a, b = _dense_drift(_scalar_trace(1.0, 1.0, 1.0), int(lam))
+    lam_rec, a, b = _scalar_drift(1.0, 1.0, 1.0, int(lam))
     assert lam_rec == lam
     return a[0], b[0]
 
@@ -151,7 +240,7 @@ def test_coefficients_at_lambda_one():
 
 
 def test_coefficients_informative_observation_pulls_towards_it():
-    _, a, b = _dense_drift(_scalar_trace(0.0, 0.01, 5.0), 0)
+    _, a, b = _scalar_drift(0.0, 0.01, 5.0, 0)
     # tiny measurement noise: drift near y/(2 r) * ... dominated by data pull
     assert b[0, 0] > 0  # towards the positive observation
     assert a[0, 0, 0] < 0  # contraction
@@ -159,7 +248,7 @@ def test_coefficients_informative_observation_pulls_towards_it():
 
 def test_coefficients_singular_noise_raises():
     with pytest.raises(FlowSolveError, match=r"pseudo-time step 1/2 \(lambda=0\)"):
-        _scalar_trace(0.0, -1.0, 0.0)
+        edh_flow(np.zeros((1, 1, 1)), np.array([[1.0]]), np.zeros((1, 1)), np.array([-1.0]), _SCALAR_CONFIG)
 
 
 def test_non_spd_innovation_raises_on_taped_and_plain_calls(rng):
@@ -178,8 +267,26 @@ def test_non_spd_innovation_names_the_failing_window(rng):
     # only the middle ensemble gets a non-positive noise variance
     r = np.ones((3, 2))
     r[1, 0] = -0.5
-    with pytest.raises(FlowSolveError, match=r"^innovation covariance of window 17 is not positive definite at pseudo-time step 1/4"):
+    with pytest.raises(FlowSolveError, match=r"^innovation covariance of window 17 is not positive definite at pseudo-time step 1/4") as info:
         edh_flow(rng.standard_normal((3, 5, 2)), np.eye(2), np.zeros((3, 2)), r, FlowConfig(n_lambda=4), window_ids=[5, 17, 9])
+    assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (17, None, 1, 0.0)
+
+
+def test_solve_error_attributes_name_a_later_step(rng):
+    # noise variances that turn negative at their third read make S
+    # indefinite at pseudo-time step 3, first in the first window
+    reads = []
+
+    def r(means):
+        reads.append(1)
+        return np.full((2, 1), 1.0 if len(reads) < 3 else -1.0)
+
+    with pytest.raises(FlowSolveError) as info:
+        edh_flow(rng.standard_normal((2, 4, 1)), np.eye(1), np.zeros((2, 1)), r, FlowConfig(n_lambda=5), encoder_step=6, window_ids=[40, 41])
+    lams = np.cumsum(step_schedule(5, 1.2))
+    assert (info.value.window_id, info.value.encoder_step, info.value.step) == (40, 6, 3)
+    assert info.value.lam == lams[1]
+    assert str(info.value).endswith(f"pseudo-time step 3/5 (lambda={lams[1]:.6g}) of encoder step 6")
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +447,27 @@ def test_flow_zero_jacobian_leaves_particles_nearly_alone(rng):
 
 
 def test_flow_trace_records_full_schedule(rng):
-    particles = rng.standard_normal((30, 2))
+    # the trace holds the map composed from all eight steps of the schedule;
+    # the per-step coefficients come from the stepwise reference
+    particles = rng.standard_normal((1, 30, 2))
     h = np.array([[1.0, -0.5]])
     cfg = FlowConfig(n_lambda=8)
-    _, trace = edh_flow(particles[None], h, np.array([[0.5]]), np.array([1.0]), cfg, return_trace=True)
+    moved, trace = edh_flow(particles, h, np.array([[0.5]]), np.array([1.0]), cfg, return_trace=True)
     assert trace.mean.shape == (1, 2) and trace.pht.shape == (1, 2, 1)
+    assert trace.k_mat.shape == (1, 1, 1) and trace.k_vec.shape == (1, 1, 1)
     np.testing.assert_array_equal(trace.h_mat, h)
-    assert len(trace.steps) == 8
+    want, _, _, steps = _stepwise_flow(particles, h, np.array([[0.5]]), np.array([1.0]), cfg)
+    assert len(steps) == 8
     eps = step_schedule(8, cfg.ratio)
     lam = 0.0
-    for k, (rec_lam, rec_eps, s_inv, beta) in enumerate(trace.steps):
+    for k, (rec_lam, rec_eps, s_inv, beta) in enumerate(steps):
         np.testing.assert_allclose(rec_lam, lam, rtol=1e-12)  # coefficients use pre-step lambda
         np.testing.assert_allclose(rec_eps, eps[k], rtol=1e-12)
         assert s_inv.shape == (1, 1, 1) and beta.shape == (1, 1)
         lam += eps[k]
+    replayed = ad.flow_map(particles, trace.pht, trace.h_mat, trace.k_mat, trace.k_vec)
+    np.testing.assert_array_equal(replayed, moved)
+    assert _relative_difference(moved, want) <= 1e-12
 
 
 def test_flow_batch_slices_match_each_ensemble_flowed_alone(rng):
@@ -379,6 +493,24 @@ def test_flow_divergence_error_names_the_step(rng):
     particles = rng.standard_normal((10, 1)) * 1e150
     with pytest.raises((FlowDivergedError, FlowSolveError), match=r"pseudo-time step \d/4"):
         _flow_one(particles, np.array([1.0]), np.array([[1e150]]), np.array([1e-300]), FlowConfig(n_lambda=4, jitter=0.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_error_attributes_locate_the_map_and_the_particles(rng):
+    cfg = FlowConfig(n_lambda=4, jitter=0.0)
+    # the same explosive linearization in the second window only: its map
+    # K, k overflows at the first step, before any particle moves
+    particles = rng.standard_normal((2, 10, 1))
+    particles[1] *= 1e150
+    h = np.array([[1e150]])
+    with pytest.raises(FlowDivergedError, match=r"^the flow map of window 8 became non-finite at pseudo-time step 1/4 \(lambda=0\) of encoder step 2$") as info:
+        edh_flow(particles, h, np.ones((2, 1)), np.array([[1.0], [1e-300]]), cfg, encoder_step=2, window_ids=[7, 8])
+    assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (8, 2, 1, 0.0)
+    # one coarse Euler step from a wide ensemble: the map K = -1/(2 r), k = 0 is
+    # finite, but it moves the particles +-1e100 by +-5e309
+    with pytest.raises(FlowDivergedError, match=r"^particle 0 of ensemble 0 became non-finite after pseudo-time step 1/1 \(lambda=0\)$") as info:
+        edh_flow(np.array([[[1e100], [-1e100]]]), np.eye(1), np.zeros((1, 1)), np.array([1e-10]), FlowConfig(n_lambda=1, jitter=0.0))
+    assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (None, None, 1, 0.0)
 
 
 def test_flow_config_validation():

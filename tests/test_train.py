@@ -236,8 +236,9 @@ def test_flow_solve_error_names_the_window(rng):
     batch = train.stack_batch(windows, model, 1, cfg.seed)
     batch.init = np.array([[[1.0, 0.0]], [[-1.0, 0.0]], [[1.0, 0.0]]])
     want = r"^innovation covariance of window 4 is not positive definite at pseudo-time step 1/5 \(lambda=0\) of encoder step 1$"
-    with pytest.raises(FlowSolveError, match=want):
+    with pytest.raises(FlowSolveError, match=want) as info:
         train.gradients(model, batch, cfg)  # the path fit takes
+    assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (4, 1, 1, 0.0)
     with pytest.raises(FlowSolveError, match=want):
         train.batch_loss(model, batch, cfg)  # the path evaluate_loss takes
 
@@ -249,10 +250,11 @@ def test_frozen_replay_divergence_names_the_window(rng):
     cfg = _config()
     batch = train.stack_batch(windows, model, 1, cfg.seed)
     _, _, traces = train.gradients(model, batch, cfg)
-    _, _, _, beta = traces[1].steps[0]
-    beta[1] = np.inf
-    with pytest.raises(FlowDivergedError, match=r"particle 0 of window 4 became non-finite during the frozen flow replay of encoder step 2"):
+    traces[1].k_vec[1] = np.inf  # the stored map's offset k of the middle window
+    with pytest.raises(FlowDivergedError, match=r"particle 0 of window 4 became non-finite during the frozen flow replay of encoder step 2") as info:
         train.batch_loss(model, batch, cfg, frozen_trace=traces)
+    # the replay applies a stored map without stepping: no pseudo-time step to name
+    assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (4, 2, None, None)
 
 
 def test_gradients_memory_grows_with_observations_not_state_squared(rng):
@@ -272,9 +274,10 @@ def test_gradients_memory_grows_with_observations_not_state_squared(rng):
         tracemalloc.stop()
     assert peak < 100e6
     d = model.state_dim
-    arrays = [a for tr in traces for a in (tr.mean, tr.pht, tr.h_mat, *(x for step in tr.steps for x in step[2:]))]
-    assert len(traces) == 4 and all(len(tr.steps) == 29 for tr in traces)
-    assert all(a.shape[-2:] != (d, d) for a in arrays)
+    assert len(traces) == 4
+    for tr in traces:  # one composed map per flow, O(N^2) per window, whatever the 29 steps
+        assert tr.mean.shape == (8, d) and tr.pht.shape == (8, d, n) and tr.h_mat.shape == (n, d)
+        assert tr.k_mat.shape == (8, n, n) and tr.k_vec.shape == (8, 1, n)
 
 
 # ---------------------------------------------------------------------------
