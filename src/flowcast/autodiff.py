@@ -35,7 +35,6 @@ __all__ = [
     "relu",
     "log",
     "square",
-    "sqrt",
     "abs_",
     "sum_",
     "mean_",
@@ -231,12 +230,8 @@ def node_mix(a, z):
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a):
@@ -280,13 +275,6 @@ def square(a):
     av = val(a)
     parents = [(a, lambda g: g * 2.0 * av)] if isinstance(a, Var) else []
     return _make(av * av, parents)
-
-
-def sqrt(a):
-    av = val(a)
-    out = np.sqrt(av)
-    parents = [(a, lambda g: g * 0.5 / out)] if isinstance(a, Var) else []
-    return _make(out, parents)
 
 
 def abs_(a):

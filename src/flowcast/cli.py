@@ -264,18 +264,16 @@ def cmd_forecast(args) -> int:
         noiseless=args.noiseless,
         point=args.point,
     )
-    dists = forecast_mod.predict_windows(model, graph, chosen, pcfg)
-    for dist in dists:
-        dist.samples = data_mod.destandardize(dist.samples, stats)
-        dist.point = data_mod.destandardize(dist.point, stats)
+    samples, points = forecast_mod.predict_windows(model, graph, chosen, pcfg)
+    samples, points = data_mod.destandardize(samples, stats), data_mod.destandardize(points, stats)
     ids = [window.window_id for window in chosen]
-    targets = [data_mod.destandardize(np.asarray(w.y_future), stats) for w in chosen if w.y_future is not None]
     os.makedirs(args.out, exist_ok=True)
-    forecast_mod.write_forecast_samples(os.path.join(args.out, "samples.csv"), ids, dists)
-    forecast_mod.write_forecast_summary(os.path.join(args.out, "summary.csv"), ids, dists)
-    if len(targets) == len(dists):
+    forecast_mod.write_forecast_samples(os.path.join(args.out, "samples.csv"), ids, samples)
+    forecast_mod.write_forecast_summary(os.path.join(args.out, "summary.csv"), ids, samples, points)
+    if chosen[0].y_future is not None:
+        targets = data_mod.destandardize(np.stack([w.y_future for w in chosen]), stats)
         forecast_mod.write_truth(os.path.join(args.out, "truth.csv"), ids, targets)
-    print(f"wrote forecasts for {len(dists)} windows ({args.particles} particles) to {args.out}")
+    print(f"wrote forecasts for {len(chosen)} windows ({args.particles} particles) to {args.out}")
     return EXIT_OK
 
 

@@ -98,18 +98,6 @@ def save_linear_ssm(path, ssm: LinearGaussianSSM) -> None:
         np.savez(fh, F=ssm.F, Q=ssm.Q, H=ssm.H, R=ssm.R, init_mean=ssm.init_mean, init_cov=ssm.init_cov)
 
 
-def load_linear_ssm(path) -> LinearGaussianSSM:
-    with np.load(path) as data:
-        return LinearGaussianSSM(
-            F=data["F"],
-            Q=data["Q"],
-            H=data["H"],
-            R=data["R"],
-            init_mean=data["init_mean"],
-            init_cov=data["init_cov"],
-        )
-
-
 # ---------------------------------------------------------------------------
 # Kalman filter
 # ---------------------------------------------------------------------------
@@ -173,10 +161,6 @@ class WeightedEnsemble:
             raise DataError("particles must be (n_particles, D)")
         if self.log_weights.shape != (self.particles.shape[0],):
             raise DataError("log_weights must have one entry per particle")
-
-    @property
-    def n_particles(self) -> int:
-        return self.particles.shape[0]
 
     def normalized_weights(self) -> np.ndarray:
         m = np.max(self.log_weights)

@@ -10,10 +10,10 @@ The forecast file format lives here too: the three long-format writers and
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,10 +51,10 @@ class PredictConfig:
 
 @dataclass
 class ForecastDistribution:
-    """Per-particle forecast paths plus an optional point summary."""
+    """One window's per-particle forecast paths (n_p, Q, N) and their point summary (Q, N)."""
 
     samples: np.ndarray
-    point: Optional[np.ndarray] = None
+    point: np.ndarray
     meta: dict = field(default_factory=dict)
 
 
@@ -63,20 +63,22 @@ def predict_windows(
     graph: Optional[ssm_mod.Graph],
     windows: Sequence[Window],
     config: PredictConfig = PredictConfig(),
-) -> List[ForecastDistribution]:
-    """Filter each window's history, roll out its horizon, summarize a point; at most ``CHUNK_ROWS`` particle rows a batch."""
+):
+    """Forecast every window: the samples (M, n_p, Q, N) and their point summaries (M, Q, N).
+
+    Windows run in stacked batches of at most ``CHUNK_ROWS`` particle rows.
+    """
+    if not windows:
+        raise DataError("no windows to forecast")
     params = {name: train_mod.get_param(model, name) for name in train_mod.param_names(model)}
     size = max(1, CHUNK_ROWS // config.n_particles)
-    dists = []
+    q = 0 if windows[0].y_future is None else len(windows[0].y_future)
+    samples = np.empty((len(windows), config.n_particles, q, model.n_series))
     for lo in range(0, len(windows), size):
-        chunk = windows[lo : lo + size]
-        batch = train_mod.stack_batch(chunk, model, config.n_particles, config.seed)
-        samples = train_mod.batch_forward(params, model, batch, config.flow, graph=graph, noiseless=config.noiseless)[0]
-        for window, paths in zip(chunk, samples):
-            point = np.median(paths, axis=0) if config.point == "median" else paths.mean(axis=0)
-            meta = {"window_id": window.window_id, "seed": config.seed, "point": config.point, "noiseless": config.noiseless}
-            dists.append(ForecastDistribution(samples=paths, point=point, meta=meta))
-    return dists
+        batch = train_mod.stack_batch(windows[lo : lo + size], model, config.n_particles, config.seed)
+        samples[lo : lo + size] = train_mod.batch_forward(params, model, batch, config.flow, graph=graph, noiseless=config.noiseless)[0]
+    points = np.median(samples, axis=1) if config.point == "median" else samples.mean(axis=1)
+    return samples, points
 
 
 def predict(
@@ -86,7 +88,9 @@ def predict(
     config: PredictConfig = PredictConfig(),
 ) -> ForecastDistribution:
     """Forecast one window: :func:`predict_windows` on a batch of one."""
-    return predict_windows(model, graph, [window], config)[0]
+    samples, points = predict_windows(model, graph, [window], config)
+    meta = {"window_id": window.window_id, "seed": config.seed, "point": config.point, "noiseless": config.noiseless}
+    return ForecastDistribution(samples=samples[0], point=points[0], meta=meta)
 
 
 def empirical_quantile(dist, alpha) -> np.ndarray:
@@ -108,37 +112,31 @@ def empirical_quantile(dist, alpha) -> np.ndarray:
 # sample.
 
 
-def _write_rows(path, header, window_ids, blocks) -> None:
-    """One row per cell of each window's ``(Q, N, ..., C)`` block: the keys of the cell, then its C values."""
+def _write_rows(path, header, window_ids, stack) -> None:
+    """One row per cell of the ``(M, Q, N, ..., C)`` stack: the window id and keys of the cell, then its C values."""
+    keys = itertools.product(window_ids, range(1, stack.shape[1] + 1), *map(range, stack.shape[2:-1]))  # in C order, as the rows
+    values = itertools.chain.from_iterable(block.reshape(-1, stack.shape[-1]).tolist() for block in stack)  # a window at a time
+    row = ",".join(["%d"] * (stack.ndim - 1) + ["%r"] * stack.shape[-1]) + "\r\n"  # csv.writer's text: int keys, repr values
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for wid, block in zip(window_ids, blocks):
-            keys = np.indices(block.shape[:-1]).reshape(block.ndim - 1, -1).T
-            keys[:, 0] += 1
-            values = block.reshape(-1, block.shape[-1]).tolist()
-            writer.writerows([wid, *k, *v] for k, v in zip(keys.tolist(), values))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % (*k, *v) for k, v in zip(keys, values))
 
 
-def write_forecast_samples(path, window_ids, dists: List[ForecastDistribution]) -> None:
-    """Long-format sample paths: window,horizon,series,sample,value."""
-    blocks = [dist.samples.transpose(1, 2, 0)[..., None] for dist in dists]
-    _write_rows(path, ["window", "horizon", "series", "sample", "value"], window_ids, blocks)
+def write_forecast_samples(path, window_ids, samples: np.ndarray) -> None:
+    """Long-format sample paths of the (M, n_p, Q, N) samples: window,horizon,series,sample,value."""
+    _write_rows(path, ["window", "horizon", "series", "sample", "value"], window_ids, samples.transpose(0, 2, 3, 1)[..., None])
 
 
-def write_forecast_summary(path, window_ids, dists: List[ForecastDistribution], quantiles=(0.1, 0.5, 0.9)) -> None:
-    """Point + quantile summary: window,horizon,series,point,q…"""
+def write_forecast_summary(path, window_ids, samples: np.ndarray, points: np.ndarray, quantiles=(0.1, 0.5, 0.9)) -> None:
+    """Point + quantile summary of the (M, n_p, Q, N) samples and (M, Q, N) points: window,horizon,series,point,q…"""
     q_names = [f"q{int(round(100 * a)):02d}" for a in quantiles]
-    blocks = []
-    for dist in dists:
-        point = dist.point if dist.point is not None else np.median(dist.samples, axis=0)
-        blocks.append(np.stack([point, *empirical_quantile(dist, list(quantiles))], axis=-1))
-    _write_rows(path, ["window", "horizon", "series", "point"] + q_names, window_ids, blocks)
+    stack = np.stack([points, *np.quantile(samples, list(quantiles), axis=1)], axis=-1)
+    _write_rows(path, ["window", "horizon", "series", "point"] + q_names, window_ids, stack)
 
 
-def write_truth(path, window_ids, targets: List[np.ndarray]) -> None:
-    """Realized future values aligned with the forecasts."""
-    _write_rows(path, ["window", "horizon", "series", "value"], window_ids, [np.asarray(y)[..., None] for y in targets])
+def write_truth(path, window_ids, targets: np.ndarray) -> None:
+    """Realized (M, Q, N) future values aligned with the forecasts."""
+    _write_rows(path, ["window", "horizon", "series", "value"], window_ids, np.asarray(targets)[..., None])
 
 
 def _read_long(path, keys, value):

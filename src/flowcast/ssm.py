@@ -130,33 +130,6 @@ class ModelTheta:
         return self.n_series * self.d_x
 
 
-@dataclass
-class WindowNoise:
-    """Every Gaussian draw a window forward pass consumes, pre-generated.
-
-    ``init`` seeds the time-1 ensemble; ``dyn[k]`` drives the transition
-    into time ``k + 2``; ``meas[k]`` drives the measurement sample at
-    decoder step ``k + 1``.  Generated in one fixed order from a child
-    seed, so a pass is exactly replayable.
-    """
-
-    init: np.ndarray
-    dyn: np.ndarray
-    meas: np.ndarray
-
-
-def make_window_noise(seed, window_id: int, n_particles: int, model: "ModelTheta", p_steps: int, q_steps: int) -> WindowNoise:
-    key = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    ss = np.random.SeedSequence((*key, int(window_id)))
-    rng = np.random.default_rng(ss)
-    d, n = model.state_dim, model.n_series
-    total = p_steps + q_steps
-    init = rng.standard_normal((n_particles, d))
-    dyn = rng.standard_normal((max(total - 1, 0), n_particles, d))
-    meas = rng.standard_normal((q_steps, n_particles, n))
-    return WindowNoise(init=init, dyn=dyn, meas=meas)
-
-
 # ---------------------------------------------------------------------------
 # parameter bookkeeping
 # ---------------------------------------------------------------------------
@@ -289,18 +262,10 @@ def build_mixing(params, hyper: dict, graph: Optional[Graph]):
 
 
 def _covariate_rows(z_t, m: int, n: int, d_z: int, per_node: bool) -> np.ndarray:
-    """Covariates shaped for the cell input: (M*N, d_z) or (M, N, d_z).
-
-    ``z_t`` may be a shared (d_z,) vector or per-row (M, d_z) values.
-    """
+    """Per-row (M, d_z) covariates shaped for the cell input: (M*N, d_z) or (M, N, d_z)."""
     z = np.asarray(z_t, dtype=np.float64)
-    if z.ndim == 1:
-        if z.shape != (d_z,):
-            raise DataError(f"z_t must have {d_z} entries")
-        target = (m, n, d_z) if per_node else (m * n, d_z)
-        return np.broadcast_to(z, target)
     if z.shape != (m, d_z):
-        raise DataError(f"z_t must have shape ({d_z},) or ({m}, {d_z})")
+        raise DataError(f"z_t must have shape ({m}, {d_z})")
     if per_node:
         return np.broadcast_to(z[:, None, :], (m, n, d_z))
     return np.repeat(z, n, axis=0)
@@ -310,8 +275,8 @@ def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None):
     """Deterministic part of the state transition.
 
     ``x_prev``: (M, D) rows of states; ``y_prev``: (M, N) previous
-    observations per row; ``z_t``: shared (d_z,) covariates, per-row
-    (M, d_z) values, or None.  Returns the (M, D) pre-noise next state.
+    observations per row; ``z_t``: per-row (M, d_z) covariates, or None.
+    Returns the (M, D) pre-noise next state.
     Works on Vars or arrays.
     """
     kind = hyper["kind"]

@@ -158,9 +158,13 @@ class BatchArrays:
 
 
 def stack_batch(windows: Sequence[Window], model: ssm_mod.ModelTheta, n_particles: int, seed_key) -> BatchArrays:
-    """Stack windows and pre-draw every noise tensor (one child seed per window).
+    """Stack windows and pre-draw every noise tensor.
 
-    Q is read from the windows; windows without target rows give Q = 0.
+    Each window draws from its own generator, seeded with ``(*seed_key,
+    window_id)``, in one fixed order: the time-1 draw, every transition
+    draw, then the measurement draws.  A window's noise therefore does
+    not depend on the batch it is stacked in.  Q is read from the
+    windows; windows without target rows give Q = 0.
     """
     y_hist = np.stack([np.asarray(w.y_past, dtype=np.float64) for w in windows])
     b, p, n = y_hist.shape
@@ -173,9 +177,12 @@ def stack_batch(windows: Sequence[Window], model: ssm_mod.ModelTheta, n_particle
     init = np.empty((b, n_particles, d))
     dyn = np.empty((max(p + q - 1, 0), b, n_particles, d))
     meas = np.empty((q, b, n_particles, n))
+    key = tuple(int(s) for s in np.atleast_1d(seed_key))
     for i, w in enumerate(windows):  # one window's draws at a time, straight into the stacks
-        noise = ssm_mod.make_window_noise(seed_key, w.window_id, n_particles, model, p, q)
-        init[i], dyn[:, i], meas[:, i] = noise.init, noise.dyn, noise.meas
+        rng = np.random.default_rng(np.random.SeedSequence((*key, int(w.window_id))))
+        init[i] = rng.standard_normal(init.shape[1:])
+        dyn[:, i] = rng.standard_normal(dyn.shape[:1] + dyn.shape[2:])
+        meas[:, i] = rng.standard_normal(meas.shape[:1] + meas.shape[2:])
     return BatchArrays(
         y_hist=y_hist,
         y_future=y_future,
@@ -341,10 +348,9 @@ def _loss(kind: str, batch: BatchArrays, samples, means, stds):
 
 def gradients(
     model: ssm_mod.ModelTheta,
-    batch: Sequence[Window] | BatchArrays,
+    batch: BatchArrays,
     config: TrainConfig,
     graph: Optional[ssm_mod.Graph] = None,
-    seed_key=None,
     ss_mask: Optional[np.ndarray] = None,
     frozen_trace: Optional[list] = None,
 ):
@@ -355,8 +361,6 @@ def gradients(
     the affine flow map, the loss) is differentiated exactly.
     Returns (loss value, dict of gradients, flow traces).
     """
-    if not isinstance(batch, BatchArrays):
-        batch = stack_batch(batch, model, config.n_particles_train, seed_key if seed_key is not None else config.seed)
     params = {name: ad.Var(get_param(model, name)) for name in param_names(model)}
     samples, means, stds, trace = batch_forward(
         params,
@@ -506,6 +510,8 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
                 break
             grads = clip_global_norm({n: grads[n] for n in trainable}, config.clip_norm)
             values = adam.step(values, grads, lr)
+            for name in ("rho", "sigma"):  # a step can leave [0, inf), which the model rejects (sigma starts at 0)
+                values[name] = np.maximum(values[name], 0.0)
             model = model_with_params(model, values)
             epoch_losses.append(loss)
             iteration += 1

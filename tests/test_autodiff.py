@@ -95,16 +95,26 @@ def test_relu_gradient_off_the_kink(rng):
     _check(lambda v: ad.sum_(ad.relu(v)), x0)
 
 
-def test_log_sqrt_gradients(rng):
+def test_log_gradients(rng):
     x0 = rng.uniform(0.5, 3.0, (3, 4))
     _check(lambda v: ad.sum_(ad.log(v)), x0)
-    _check(lambda v: ad.sum_(ad.sqrt(v)), x0)
 
 
 def test_sigmoid_is_stable_at_large_inputs():
     big = ad.sigmoid(ad.Var(np.array([800.0, -800.0])))
     np.testing.assert_allclose(ad.val(big), [1.0, 0.0], atol=1e-12)
     assert np.all(np.isfinite(ad.val(big)))
+
+
+def test_sigmoid_matches_two_branch_formula_at_extremes():
+    # 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) below: neither branch overflows
+    x = np.array([800.0, -800.0, 1e-300, -1e-300, 0.0, -0.0, 36.7, -36.7, 709.0, -745.0, np.inf, -np.inf, np.nan])
+    with np.errstate(over="raise", invalid="raise"):
+        got = ad.val(ad.sigmoid(x))
+    pos = x >= 0
+    want = np.where(pos, 1.0 / (1.0 + np.exp(-np.where(pos, x, 0.0))), np.exp(np.where(pos, 0.0, x)) / (1.0 + np.exp(np.where(pos, 0.0, x))))
+    np.testing.assert_array_equal(got, want)
+    assert got[0] == 1.0 and got[1] == 0.0 and got[4] == got[5] == 0.5
 
 
 def test_softplus_matches_logaddexp(rng):

@@ -70,9 +70,9 @@ def test_ssm_round_trip(tmp_path, rng):
     )
     path = tmp_path / "ssm.npz"
     filters.save_linear_ssm(path, ssm)
-    back = filters.load_linear_ssm(path)
-    for attr in ("F", "Q", "H", "R", "init_mean", "init_cov"):
-        np.testing.assert_array_equal(getattr(back, attr), getattr(ssm, attr))
+    with np.load(path) as back:
+        for attr in ("F", "Q", "H", "R", "init_mean", "init_cov"):
+            np.testing.assert_array_equal(back[attr], getattr(ssm, attr))
 
 
 # ---------------------------------------------------------------------------

@@ -62,18 +62,18 @@ def _reference_forecast(model, graph, window, cfg):
     n_p, n = cfg.n_particles, model.n_series
     y_hist = np.asarray(window.y_past, dtype=np.float64)
     p, q = y_hist.shape[0], window.y_future.shape[0]
-    noise = ssm.make_window_noise(cfg.seed, window.window_id, n_p, model, p, q)
+    noise = train.stack_batch([window], model, n_p, cfg.seed)  # this window's draws, alone
     mixing = ssm.build_mixing(model.dyn_params, model.hyper, graph) if model.kind == "graph_gru" else None
 
     def step(x, y_prev, t):  # the transition into (1-based) time t
-        z_t = None if window.z is None else window.z[t - 1]
+        z_rows = None if window.z is None else np.broadcast_to(window.z[t - 1], (n_p, window.z.shape[1]))
         y_rows = np.broadcast_to(y_prev, (n_p, n))
-        return ssm.transition_core(model.dyn_params, model.hyper, x, y_rows, z_t, mixing=mixing) + model.sigma * noise.dyn[t - 2]
+        return ssm.transition_core(model.dyn_params, model.hyper, x, y_rows, z_rows, mixing=mixing) + model.sigma * noise.dyn[t - 2, 0]
 
     def noise_var(means):
         return np.logaddexp(0.0, means @ model.C_gamma.T) ** 2
 
-    x = model.rho * noise.init
+    x = model.rho * noise.init[0]
     for t in range(1, p + 1):
         if t > 1:
             x = step(x, y_hist[t - 2], t)
@@ -82,7 +82,7 @@ def _reference_forecast(model, graph, window, cfg):
     y_prev = y_hist[-1]
     for k in range(q):
         x = step(x, y_prev, p + 1 + k)
-        y_prev = x @ model.W_phi.T + np.logaddexp(0.0, x @ model.C_gamma.T) * noise.meas[k]
+        y_prev = x @ model.W_phi.T + np.logaddexp(0.0, x @ model.C_gamma.T) * noise.meas[k, 0]
         samples[:, k] = y_prev
     return samples
 
@@ -104,26 +104,33 @@ def test_batched_forecast_matches_per_window_reference(rng, kind, n, d_z):
 
 
 def test_predict_windows_chunks_do_not_change_forecasts(tiny_gru_model, rng, monkeypatch):
-    # each window draws its noise from (seed, window id), so cutting the
-    # windows into other chunks moves its samples only by rounding
+    # each window draws its noise from (seed, window id); with one series a
+    # window's arithmetic does not depend on the other rows of its chunk, so
+    # the stacks hold predict's forecasts bit for bit whatever the chunking
     vals = rng.standard_normal((30, 1)) * 0.5
     s = data_mod.SeriesSet(values=vals, missing=np.zeros((30, 1), bool), names=["a"])
     windows = data_mod.make_windows(s, 6, 3)[:5]
-    cfg = _config(n_particles=3)
-    whole = forecast.predict_windows(tiny_gru_model, None, windows, cfg)
     stacked = []
     stack = train.stack_batch
     monkeypatch.setattr(train, "stack_batch", lambda chunk, *args: stacked.append(len(chunk)) or stack(chunk, *args))
-    # two windows of three particles a chunk; one window when a window alone is over the budget
-    for rows, sizes in ((6, [2, 2, 1]), (2, [1] * 5)):
-        stacked.clear()
-        monkeypatch.setattr(forecast, "CHUNK_ROWS", rows)
-        chunked = forecast.predict_windows(tiny_gru_model, None, windows, cfg)
-        assert stacked == sizes
-        assert [d.meta["window_id"] for d in chunked] == [w.window_id for w in windows]
-        for a, b in zip(whole, chunked):
-            assert _rel(b.samples, a.samples) <= 1e-12
-            assert _rel(b.point, a.point) <= 1e-12
+    for point in ("median", "mean"):
+        cfg = _config(n_particles=3, point=point)
+        alone = [predict(tiny_gru_model, None, w, cfg) for w in windows]
+        assert [d.meta["window_id"] for d in alone] == [w.window_id for w in windows]
+        # two windows of three particles a chunk; one window when a window alone is over the budget; all at once
+        for rows, sizes in ((6, [2, 2, 1]), (2, [1] * 5), (9, [3, 2]), (300, [5])):
+            stacked.clear()
+            monkeypatch.setattr(forecast, "CHUNK_ROWS", rows)
+            samples, points = forecast.predict_windows(tiny_gru_model, None, windows, cfg)
+            assert stacked == sizes
+            assert samples.shape == (5, 3, 3, 1) and points.shape == (5, 3, 1)
+            assert samples.tobytes() == np.stack([d.samples for d in alone]).tobytes()
+            assert points.tobytes() == np.stack([d.point for d in alone]).tobytes()
+
+
+def test_predict_windows_needs_a_window(tiny_gru_model):
+    with pytest.raises(DataError, match="no windows"):
+        forecast.predict_windows(tiny_gru_model, None, [], _config())
 
 
 def test_predict_zero_horizon_gives_empty_samples(tiny_gru_model, rng):
@@ -149,7 +156,7 @@ def test_predict_flow_error_names_the_window(rng):
     cfg = _config(n_particles=1)
     # a huge emission scale pointing away from the one particle: the softplus
     # noise std underflows to 0, so S = diag(r) is singular at lambda = 0
-    init = ssm.make_window_noise(cfg.seed, window.window_id, 1, model, 4, 2).init[0]
+    init = train.stack_batch([window], model, 1, cfg.seed).init[0, 0]
     model.C_gamma = -1e4 * np.sign(init)[None, :]
     with pytest.raises(FlowSolveError, match=r"of window 7 is not positive definite .* of encoder step 1$"):
         predict(model, None, window, cfg)
@@ -284,38 +291,43 @@ def test_forecast_csvs_round_trip_values(tmp_path, rng):
     model = ssm.init_model(kind="gru", n_series=3, d_x=2, layers=1, d_z=0, rho=0.8, sigma=0.05, init_scale=0.5, seed=3)
     vals = rng.standard_normal((25, 3)) * 0.5
     s = data_mod.SeriesSet(values=vals, missing=np.zeros((25, 3), bool), names=["a", "b", "c"])
-    windows = data_mod.make_windows(s, 12, 12)
+    windows = data_mod.make_windows(s, 12, 11, start_offset=298)
     ids = [w.window_id for w in windows]
-    assert len(windows) == 2 and ids == sorted(ids)
-    dists = forecast.predict_windows(model, None, windows, _config(n_particles=3, point="mean"))
+    assert ids == [298, 299, 300]  # window ids past the small-int cache, keys of three digits
+    samples, points = forecast.predict_windows(model, None, windows, _config(n_particles=3, point="mean"))
+    targets = np.stack([w.y_future for w in windows])
+    assert points.tobytes() == np.stack([paths.mean(axis=0) for paths in samples]).tobytes()
     paths = [tmp_path / name for name in ("samples.csv", "summary.csv", "truth.csv")]
-    forecast.write_forecast_samples(paths[0], ids, dists)
-    forecast.write_forecast_summary(paths[1], ids, dists)
-    forecast.write_truth(paths[2], ids, [w.y_future for w in windows])
+    forecast.write_forecast_samples(paths[0], ids, samples)
+    forecast.write_forecast_summary(paths[1], ids, samples, points)
+    forecast.write_truth(paths[2], ids, targets)
 
     # byte for byte what a row-at-a-time writer produces: CRLF rows by window,
-    # horizon, series and sample, repr values
-    per_window = zip(ids, dists, [empirical_quantile(d, [0.1, 0.5, 0.9]) for d in dists], [w.y_future for w in windows])
-    cells = [(wid, d, qs, y, h, i) for wid, d, qs, y in per_window for h in range(12) for i in range(3)]
+    # horizon, series and sample, repr values; quantiles per cell, across the particles
+    cells = [(a, wid, h, i) for a, wid in enumerate(ids) for h in range(11) for i in range(3)]
     reference = {
-        "samples": [[wid, h + 1, i, j, repr(float(d.samples[j, h, i]))] for wid, d, _, _, h, i in cells for j in range(3)],
-        "summary": [[wid, h + 1, i, *(repr(float(v)) for v in (d.point[h, i], *qs[:, h, i]))] for wid, d, qs, _, h, i in cells],
-        "truth": [[wid, h + 1, i, repr(float(y[h, i]))] for wid, _, _, y, h, i in cells],
+        "samples": [[wid, h + 1, i, j, repr(float(samples[a, j, h, i]))] for a, wid, h, i in cells for j in range(3)],
+        "summary": [
+            [wid, h + 1, i, repr(float(points[a, h, i])), *(repr(float(v)) for v in np.quantile(samples[a, :, h, i], [0.1, 0.5, 0.9]))]
+            for a, wid, h, i in cells
+        ],
+        "truth": [[wid, h + 1, i, repr(float(targets[a, h, i]))] for a, wid, h, i in cells],
     }
     for path, header in zip(paths, ("window,horizon,series,sample,value", "window,horizon,series,point,q10,q50,q90", "window,horizon,series,value")):
         buf = io.StringIO()
-        csv.writer(buf).writerows([header.split(",")] + reference[path.stem])
+        writer = csv.writer(buf)
+        writer.writerow(header.split(","))
+        for row in reference[path.stem]:
+            writer.writerow(row)
         assert path.read_bytes() == buf.getvalue().encode()
-
-    # quantiles are per cell, across the particles
-    assert float(_read_rows(paths[1])[0]["q50"]) == np.quantile(dists[0].samples[:, 0, 0], 0.5)
+    assert float(_read_rows(paths[1])[0]["q50"]) == np.median(samples[0, :, 0, 0])
 
     # repr values read back exactly: the reader returns the written arrays bitwise
-    samples, points, targets = forecast.read_forecast_files(*paths)
-    assert samples.shape == (2, 3, 12, 3) and points.shape == targets.shape == (2, 12, 3)
-    assert samples.tobytes() == np.stack([d.samples for d in dists]).tobytes()
-    assert points.tobytes() == np.stack([d.point for d in dists]).tobytes()
-    assert targets.tobytes() == np.stack([w.y_future for w in windows]).astype(np.float64).tobytes()
+    back_samples, back_points, back_targets = forecast.read_forecast_files(*paths)
+    assert back_samples.shape == (3, 3, 11, 3) and back_points.shape == back_targets.shape == (3, 11, 3)
+    assert back_samples.tobytes() == samples.tobytes()
+    assert back_points.tobytes() == points.tobytes()
+    assert back_targets.tobytes() == targets.astype(np.float64).tobytes()
 
 
 def _shift_horizon(row):
@@ -338,11 +350,11 @@ def _shift_horizon(row):
     ids=["missing-column", "non-numeric", "non-integer-key", "duplicate", "missing-cell", "no-rows", "other-cells", "horizons"],
 )
 def test_read_forecast_files_rejects_malformed_files(tmp_path, rng, name, edit, match):
-    dists = [forecast.ForecastDistribution(samples=rng.standard_normal((2, 2, 2)), point=rng.standard_normal((2, 2))) for _ in range(2)]
+    samples = rng.standard_normal((2, 2, 2, 2))
     paths = {key: tmp_path / f"{key}.csv" for key in ("samples", "summary", "truth")}
-    forecast.write_forecast_samples(paths["samples"], [7, 8], dists)
-    forecast.write_forecast_summary(paths["summary"], [7, 8], dists)
-    forecast.write_truth(paths["truth"], [7, 8], [rng.standard_normal((2, 2)) for _ in range(2)])
+    forecast.write_forecast_samples(paths["samples"], [7, 8], samples)
+    forecast.write_forecast_summary(paths["summary"], [7, 8], samples, rng.standard_normal((2, 2, 2)))
+    forecast.write_truth(paths["truth"], [7, 8], rng.standard_normal((2, 2, 2)))
     for key, path in paths.items():
         if name in (key, "all"):
             path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")

@@ -255,11 +255,13 @@ def test_covariates_shift_the_transition(rng):
     model = ssm.init_model(kind="gru", n_series=2, d_x=2, layers=1, d_z=2, seed=1, sigma=0.0)
     x_prev = rng.standard_normal((1, 4))
     y_prev = rng.standard_normal((1, 2))
-    out_a = ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, np.array([0.0, 0.0]))
-    out_b = ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, np.array([1.0, -1.0]))
+    out_a = ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, np.array([[0.0, 0.0]]))
+    out_b = ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, np.array([[1.0, -1.0]]))
     assert not np.allclose(out_a, out_b)
     with pytest.raises(DataError):
         ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, None)
+    with pytest.raises(DataError, match=r"shape \(1, 2\)"):  # covariates come one row per state row
+        ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, np.array([1.0, -1.0]))
 
 
 def test_transition_applies_noise_scale(tiny_gru_model, rng):
@@ -309,25 +311,47 @@ def test_init_ensemble_scales_with_rho(rng):
     np.testing.assert_array_equal(_short_batch(model, rng, 2000, 1).init, batch.init)
 
 
+def _window(window_id, p_steps, q_steps, n=1):
+    """A window with the given id: its noise depends on nothing else."""
+    zeros = np.zeros((window_id + p_steps + q_steps, n))
+    s = data_mod.SeriesSet(values=zeros, missing=np.zeros(zeros.shape, bool), names=[f"s{i}" for i in range(n)])
+    return data_mod.make_windows(s, p_steps, q_steps)[window_id]
+
+
 def test_window_noise_shapes_and_replay(tiny_gru_model):
-    n1 = ssm.make_window_noise(5, 17, 3, tiny_gru_model, p_steps=4, q_steps=2)
-    assert n1.init.shape == (3, 2)
-    assert n1.dyn.shape == (5, 3, 2)
-    assert n1.meas.shape == (2, 3, 1)
-    n2 = ssm.make_window_noise(5, 17, 3, tiny_gru_model, p_steps=4, q_steps=2)
+    n1 = train.stack_batch([_window(17, 4, 2)], tiny_gru_model, 3, 5)
+    assert n1.init.shape == (1, 3, 2)
+    assert n1.dyn.shape == (5, 1, 3, 2)
+    assert n1.meas.shape == (2, 1, 3, 1)
+    n2 = train.stack_batch([_window(17, 4, 2)], tiny_gru_model, 3, 5)
     np.testing.assert_array_equal(n1.init, n2.init)
     np.testing.assert_array_equal(n1.dyn, n2.dyn)
     np.testing.assert_array_equal(n1.meas, n2.meas)
-    n3 = ssm.make_window_noise(5, 18, 3, tiny_gru_model, p_steps=4, q_steps=2)
+    n3 = train.stack_batch([_window(18, 4, 2)], tiny_gru_model, 3, 5)
     assert not np.array_equal(n1.init, n3.init)
 
 
 def test_window_noise_accepts_composite_seed(tiny_gru_model):
-    a = ssm.make_window_noise((5, 3, 1), 0, 2, tiny_gru_model, 2, 2)
-    b = ssm.make_window_noise((5, 3, 1), 0, 2, tiny_gru_model, 2, 2)
-    c = ssm.make_window_noise((5, 3, 2), 0, 2, tiny_gru_model, 2, 2)
+    a = train.stack_batch([_window(0, 2, 2)], tiny_gru_model, 2, (5, 3, 1))
+    b = train.stack_batch([_window(0, 2, 2)], tiny_gru_model, 2, (5, 3, 1))
+    c = train.stack_batch([_window(0, 2, 2)], tiny_gru_model, 2, (5, 3, 2))
     np.testing.assert_array_equal(a.init, b.init)
     assert not np.array_equal(a.init, c.init)
+
+
+@pytest.mark.parametrize("seed_key", [5, (5, 3, 1)])
+def test_window_noise_is_each_windows_own_stream(seed_key):
+    # window i of a stack draws from SeedSequence((*seed_key, window id)):
+    # its time-1 draw, every transition draw, then every measurement draw
+    model = ssm.init_model(kind="gru", n_series=2, d_x=3, layers=1, d_z=0, seed=0)
+    windows = [_window(i, 4, 3, n=2) for i in (9, 2, 30)]
+    batch = train.stack_batch(windows, model, 5, seed_key)
+    key = (seed_key,) if isinstance(seed_key, int) else seed_key
+    for i, w in enumerate(windows):
+        rng = np.random.default_rng(np.random.SeedSequence((*key, w.window_id)))
+        assert batch.init[i].tobytes() == rng.standard_normal((5, 6)).tobytes()
+        assert batch.dyn[:, i].tobytes() == rng.standard_normal((6, 5, 6)).tobytes()
+        assert batch.meas[:, i].tobytes() == rng.standard_normal((3, 5, 2)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +384,8 @@ def test_sample_measurement_uses_given_draws(tiny_gru_model, rng):
     model = tiny_gru_model
     batch = _short_batch(model, rng, 3, 3)
     samples, means, stds = _forward(model, batch)
-    draws = ssm.make_window_noise(0, batch.window_ids[0], 3, model, 1, 3).meas
     for k in range(3):
-        np.testing.assert_array_equal(samples[0, :, k], means[k][0] + stds[k][0] * draws[k])
+        np.testing.assert_array_equal(samples[0, :, k], means[k][0] + stds[k][0] * batch.meas[k, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def test_losses_need_target_rows(rng):
         with pytest.raises(DataError, match="target rows"):
             train.batch_loss(model, batch, _config(loss=loss))
         with pytest.raises(DataError, match="target rows"):
-            train.gradients(model, windows, _config(loss=loss))
+            train.gradients(model, batch, _config(loss=loss))
 
 
 def test_batch_forward_mae_equals_quantile_loss_at_half(rng):
@@ -214,7 +214,7 @@ def test_gradients_zero_for_unused_parameters(rng):
     model = _tiny_model()
     windows = _windows(rng)[:2]
     cfg = _config()
-    _, grads, _ = train.gradients(model, windows, cfg, seed_key=0)
+    _, grads, _ = train.gradients(model, train.stack_batch(windows, model, 1, 0), cfg)
     assert set(grads) == set(train.param_names(model))
     for g in grads.values():
         assert np.all(np.isfinite(g))
@@ -333,6 +333,16 @@ def test_fit_zero_lr_leaves_parameters_bitwise_unchanged(rng):
     result = train.fit(train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=None), model, cfg)
     for name in train.param_names(model):
         np.testing.assert_array_equal(train.get_param(result.model, name), train.get_param(model, name))
+
+
+def test_fit_keeps_learned_rho_sigma_non_negative(rng):
+    # sigma starts at its default 0, so the first Adam step would take it below 0
+    model = _tiny_model(sigma=0.0)
+    windows = _windows(rng)
+    cfg = _config(learn_rho_sigma=True, lr=0.05, max_epochs=2)
+    result = train.fit(train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=None), model, cfg)
+    assert len(result.log) == 2 and not result.diverged
+    assert result.model.rho >= 0.0 and result.model.sigma >= 0.0
 
 
 def test_fit_reduces_training_loss(rng):
