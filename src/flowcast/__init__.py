@@ -8,7 +8,7 @@ from .errors import (
     FlowcastError,
     NumericError,
 )
-from .flow import FlowConfig, GaussianBelief, edh_flow, step_schedule
+from .flow import FlowConfig, edh_flow, step_schedule
 from .forecast import ForecastDistribution, PredictConfig, empirical_quantile, predict
 from .metrics import crps_empirical, evaluate_forecasts, point_metrics, quantile_loss
 from .ssm import Graph, ModelTheta, init_model, load_checkpoint, save_checkpoint
@@ -24,7 +24,6 @@ __all__ = [
     "FlowcastError",
     "NumericError",
     "FlowConfig",
-    "GaussianBelief",
     "edh_flow",
     "step_schedule",
     "ForecastDistribution",

@@ -47,12 +47,26 @@ def _apply_thread_cap(argv) -> None:
         os.environ[var] = str(n)
 
 
-def _int_list(text) -> list:
-    """argparse type of a comma-separated list of integers."""
+def _positive_int(text) -> int:
+    """argparse type of a count: an integer >= 1."""
     try:
-        return [int(x) for x in text.split(",")]
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _int_list(text) -> list:
+    """argparse type of a comma-separated list of integers >= 1."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = [0]
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {text!r}")
+    return values
 
 
 def build_parser() -> _Parser:
@@ -63,19 +77,19 @@ def build_parser() -> _Parser:
     p_train.add_argument("--config", required=True, help="path to the JSON run config")
     p_train.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override a config key (dotted path)")
     p_train.add_argument("--seed", type=int, default=None, help="override train.seed")
-    p_train.add_argument("--threads", type=int, default=None, help="cap numeric library threads")
+    p_train.add_argument("--threads", type=_positive_int, default=None, help="cap numeric library threads")
     p_train.add_argument("--out", default=None, help="override output.dir")
 
     p_fc = sub.add_parser("forecast", help="sample forecasts for the test split")
     p_fc.add_argument("--checkpoint", required=True)
     p_fc.add_argument("--config", required=True, help="resolved config from the training run")
     p_fc.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p_fc.add_argument("--particles", type=int, default=10)
+    p_fc.add_argument("--particles", type=_positive_int, default=10)
     p_fc.add_argument("--seed", type=int, default=0)
     p_fc.add_argument("--noiseless", action="store_true", help="emit measurement means instead of draws")
     p_fc.add_argument("--point", choices=["median", "mean"], default="median")
-    p_fc.add_argument("--max-windows", type=int, default=None, help="limit the number of windows (debugging)")
-    p_fc.add_argument("--threads", type=int, default=None)
+    p_fc.add_argument("--max-windows", type=_positive_int, default=None, help="limit the number of windows (debugging)")
+    p_fc.add_argument("--threads", type=_positive_int, default=None)
     p_fc.add_argument("--out", required=True, help="output directory")
 
     p_ev = sub.add_parser("evaluate", help="score forecasts against realized values")
@@ -83,26 +97,26 @@ def build_parser() -> _Parser:
     p_ev.add_argument("--summary", required=True)
     p_ev.add_argument("--truth", required=True)
     p_ev.add_argument("--horizons", type=_int_list, default=None, help="comma-separated horizons (default: quarters of Q)")
-    p_ev.add_argument("--threads", type=int, default=None)
+    p_ev.add_argument("--threads", type=_positive_int, default=None)
     p_ev.add_argument("--out", required=True, help="metrics CSV path")
 
     p_fb = sub.add_parser("filter-bench", help="flow vs BPF vs Kalman on linear-Gaussian systems")
     p_fb.add_argument("--dims", type=_int_list, default="4,16", help="comma-separated state dimensions")
     p_fb.add_argument("--particles", type=_int_list, default="100", help="comma-separated particle counts")
-    p_fb.add_argument("--t", type=int, default=20, help="steps per trajectory")
-    p_fb.add_argument("--seeds", type=int, default=5, help="replicates per cell")
+    p_fb.add_argument("--t", type=_positive_int, default=20, help="steps per trajectory")
+    p_fb.add_argument("--seeds", type=_positive_int, default=5, help="replicates per cell")
     p_fb.add_argument("--seed", type=int, default=0)
-    p_fb.add_argument("--n-lambda", type=int, default=29)
-    p_fb.add_argument("--threads", type=int, default=None)
+    p_fb.add_argument("--n-lambda", type=_positive_int, default=29)
+    p_fb.add_argument("--threads", type=_positive_int, default=None)
     p_fb.add_argument("--out", required=True, help="benchmark CSV path")
 
     p_sy = sub.add_parser("synth", help="generate a synthetic dataset with a known oracle")
     p_sy.add_argument("--kind", choices=["linear_gaussian", "var_graph"], required=True)
-    p_sy.add_argument("--n", type=int, default=5, help="number of series")
-    p_sy.add_argument("--state-dim", type=int, default=None, help="state dimension (linear_gaussian)")
-    p_sy.add_argument("--t", type=int, default=2000)
+    p_sy.add_argument("--n", type=_positive_int, default=5, help="number of series")
+    p_sy.add_argument("--state-dim", type=_positive_int, default=None, help="state dimension (linear_gaussian)")
+    p_sy.add_argument("--t", type=_positive_int, default=2000)
     p_sy.add_argument("--seed", type=int, default=0)
-    p_sy.add_argument("--threads", type=int, default=None)
+    p_sy.add_argument("--threads", type=_positive_int, default=None)
     p_sy.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -166,14 +180,7 @@ def _model_from_config(cfg: dict, n_series: int):
 def _flow_config(cfg: dict):
     from . import flow as flow_mod
 
-    f = cfg["flow"]
-    return flow_mod.FlowConfig(
-        n_lambda=f["n_lambda"],
-        ratio=f["ratio"],
-        jitter=f["jitter"],
-        single_particle_prior_scale=f["single_particle_prior_scale"],
-        relinearize_every_step=f["relinearize_every_step"],
-    )
+    return flow_mod.FlowConfig(**cfg["flow"])  # the schema's flow keys are FlowConfig's fields
 
 
 def _train_config(cfg: dict):
@@ -305,31 +312,22 @@ def cmd_filter_bench(args) -> int:
     fcfg = flow_mod.FlowConfig(n_lambda=args.n_lambda)
     rows = []
     for d in args.dims:
-        for seed in range(args.seeds):
-            result = data_mod.synth_generate("linear_gaussian", (d, d), args.t, seed=args.seed + seed)
-            ssm = result.oracle
-            obs = result.series.values
+        for seed in range(args.seed, args.seed + args.seeds):
+            result = data_mod.synth_generate("linear_gaussian", (d, d), args.t, seed=seed)
+            ssm, obs = result.oracle, result.series.values
             kf_means, _ = filters_mod.kalman_filter(ssm, obs)
-            rows.append({"dim": d, "n_particles": "", "method": "kalman", "seed": args.seed + seed, "rmse_vs_kalman": 0.0, "ess_mean": ""})
+            rows.append([d, "", "kalman", seed, 0.0, ""])
             for n_p in args.particles:
-                rng = np.random.default_rng(np.random.SeedSequence((args.seed + seed, d, n_p, 11)))
+                rng = np.random.default_rng(np.random.SeedSequence((seed, d, n_p, 11)))
                 flow_means = filters_mod.flow_filter_linear(ssm, obs, n_p, rng, fcfg)
-                rmse_flow = float(np.sqrt(np.mean((flow_means - kf_means) ** 2)))
-                rows.append({"dim": d, "n_particles": n_p, "method": "flow", "seed": args.seed + seed, "rmse_vs_kalman": rmse_flow, "ess_mean": ""})
-                rng = np.random.default_rng(np.random.SeedSequence((args.seed + seed, d, n_p, 13)))
+                rows.append([d, n_p, "flow", seed, float(np.sqrt(np.mean((flow_means - kf_means) ** 2))), ""])
+                rng = np.random.default_rng(np.random.SeedSequence((seed, d, n_p, 13)))
                 bpf_means, ess = filters_mod.bpf_filter_linear(ssm, obs, n_p, rng)
-                rmse_bpf = float(np.sqrt(np.mean((bpf_means - kf_means) ** 2)))
-                rows.append(
-                    {"dim": d, "n_particles": n_p, "method": "bpf", "seed": args.seed + seed, "rmse_vs_kalman": rmse_bpf, "ess_mean": repr(float(ess.mean()))}
-                )
+                rows.append([d, n_p, "bpf", seed, float(np.sqrt(np.mean((bpf_means - kf_means) ** 2))), float(ess.mean())])
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["dim", "n_particles", "method", "seed", "rmse_vs_kalman", "ess_mean"])
-        writer.writeheader()
-        for row in rows:
-            row = dict(row)
-            if isinstance(row["rmse_vs_kalman"], float):
-                row["rmse_vs_kalman"] = repr(row["rmse_vs_kalman"])
-            writer.writerow(row)
+        writer = csv.writer(fh)  # floats are written as repr, which round-trips
+        writer.writerow(["dim", "n_particles", "method", "seed", "rmse_vs_kalman", "ess_mean"])
+        writer.writerows(rows)
     print(f"wrote {len(rows)} benchmark rows to {args.out}")
     return EXIT_OK
 

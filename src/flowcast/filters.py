@@ -2,15 +2,16 @@
 
 The Kalman filter is the exact oracle on linear-Gaussian systems; the
 bootstrap particle filter (BPF) is the classical sequential
-importance-resampling baseline.  The BPF and the particle-flow filter
-here run against a :class:`LinearGaussianSSM`, which is what the filter
-benchmark and the oracle comparisons use.
+importance-resampling baseline.  Both are plain functions over arrays: the
+Kalman steps map (mean, cov) to (mean, cov), and the BPF is one loop over
+particles and log-weights.  The BPF and the particle-flow filter run
+against a :class:`LinearGaussianSSM`, which is what the filter benchmark
+and the oracle comparisons use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -99,30 +100,27 @@ def save_linear_ssm(path, ssm: LinearGaussianSSM) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Kalman filter
+# Kalman filter on (mean, cov)
 # ---------------------------------------------------------------------------
 
 
-def kalman_predict(belief: flow_mod.GaussianBelief, ssm: LinearGaussianSSM) -> flow_mod.GaussianBelief:
-    """Time update: mean' = F mean, cov' = F cov F^T + Q."""
-    mean = ssm.F @ belief.mean
-    cov = ssm.F @ belief.cov @ ssm.F.T + ssm.Q
-    return flow_mod.GaussianBelief(mean=mean, cov=0.5 * (cov + cov.T))
+def kalman_predict(mean: np.ndarray, cov: np.ndarray, ssm: LinearGaussianSSM):
+    """Time update: mean' = F mean, cov' = F cov F^T + Q; returns (mean', cov')."""
+    cov = ssm.F @ cov @ ssm.F.T + ssm.Q
+    return ssm.F @ mean, 0.5 * (cov + cov.T)
 
 
-def kalman_update(belief: flow_mod.GaussianBelief, y: np.ndarray, ssm: LinearGaussianSSM) -> flow_mod.GaussianBelief:
-    """Measurement update with an SPD solve for the gain; covariance symmetrized."""
+def kalman_update(mean: np.ndarray, cov: np.ndarray, y: np.ndarray, ssm: LinearGaussianSSM):
+    """Measurement update with an SPD solve for the gain; returns (mean, cov), cov symmetrized."""
     y = np.asarray(y, dtype=np.float64)
     h = ssm.H
-    s = h @ belief.cov @ h.T + ssm.R
+    s = h @ cov @ h.T + ssm.R
     try:
-        gain = np.linalg.solve(s, h @ belief.cov).T  # K = P H^T S^{-1}
+        gain = np.linalg.solve(s, h @ cov).T  # K = P H^T S^{-1}
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Kalman innovation covariance is singular: {exc}") from exc
-    mean = belief.mean + gain @ (y - h @ belief.mean)
-    d = belief.mean.shape[0]
-    cov = (np.eye(d) - gain @ h) @ belief.cov
-    return flow_mod.GaussianBelief(mean=mean, cov=0.5 * (cov + cov.T))
+    cov = (np.eye(mean.shape[0]) - gain @ h) @ cov
+    return mean + gain @ (y - h @ mean), 0.5 * (cov + cov.T)
 
 
 def kalman_filter(ssm: LinearGaussianSSM, observations: np.ndarray):
@@ -131,47 +129,18 @@ def kalman_filter(ssm: LinearGaussianSSM, observations: np.ndarray):
     t_steps = obs.shape[0]
     means = np.empty((t_steps, ssm.state_dim))
     covs = np.empty((t_steps, ssm.state_dim, ssm.state_dim))
-    belief = flow_mod.GaussianBelief(mean=ssm.init_mean.copy(), cov=ssm.init_cov.copy())
+    mean, cov = ssm.init_mean, ssm.init_cov
     for t in range(t_steps):
         if t > 0:
-            belief = kalman_predict(belief, ssm)
-        belief = kalman_update(belief, obs[t], ssm)
-        means[t] = belief.mean
-        covs[t] = belief.cov
+            mean, cov = kalman_predict(mean, cov, ssm)
+        mean, cov = kalman_update(mean, cov, obs[t], ssm)
+        means[t], covs[t] = mean, cov
     return means, covs
 
 
 # ---------------------------------------------------------------------------
-# weighted ensembles and resampling
+# resampling and the bootstrap particle filter
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class WeightedEnsemble:
-    """Particles with log-weights (normalized lazily, in the log domain)."""
-
-    particles: np.ndarray
-    log_weights: np.ndarray
-    time_index: int = 1
-
-    def __post_init__(self):
-        self.particles = np.asarray(self.particles, dtype=np.float64)
-        self.log_weights = np.asarray(self.log_weights, dtype=np.float64)
-        if self.particles.ndim != 2:
-            raise DataError("particles must be (n_particles, D)")
-        if self.log_weights.shape != (self.particles.shape[0],):
-            raise DataError("log_weights must have one entry per particle")
-
-    def normalized_weights(self) -> np.ndarray:
-        m = np.max(self.log_weights)
-        if not np.isfinite(m):
-            raise DegenerateWeightsError(f"all log-weights are -inf at time index {self.time_index}")
-        w = np.exp(self.log_weights - m)
-        return w / w.sum()
-
-    def ess(self) -> float:
-        w = self.normalized_weights()
-        return float(1.0 / np.sum(w * w))
 
 
 def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
@@ -190,46 +159,10 @@ def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
     return systematic_resample_indices(cumulative, float(u))
 
 
-# ---------------------------------------------------------------------------
-# bootstrap particle filter
-# ---------------------------------------------------------------------------
-
-
-def bpf_step_linear(
-    ensemble: WeightedEnsemble,
-    y_t: np.ndarray,
-    ssm: LinearGaussianSSM,
-    rng: np.random.Generator,
-    ess_threshold: float = 0.5,
-    diagnostics: Optional[dict] = None,
-) -> WeightedEnsemble:
-    """One BPF predict/weight/(re)sample step under a linear-Gaussian reference system (diagonal R)."""
-    y_t = np.asarray(y_t, dtype=np.float64)
-    lq = _safe_cholesky(ssm.Q)
-    r_std = np.sqrt(np.diag(ssm.R))
-    particles = ensemble.particles @ ssm.F.T + rng.standard_normal(ensemble.particles.shape) @ lq.T
-    means = particles @ ssm.H.T
-    log_w = ensemble.log_weights + diag_gauss_loglik(means, np.ascontiguousarray(np.broadcast_to(r_std, means.shape)), y_t)
-    new_time = ensemble.time_index + 1
-    if np.all(np.isneginf(log_w)):
-        raise DegenerateWeightsError(f"all particle weights vanished at time index {new_time}")
-    w = WeightedEnsemble(particles=particles, log_weights=log_w, time_index=new_time).normalized_weights()
-    ess = float(1.0 / np.sum(w * w))
-    resampled = ess < ess_threshold * len(w)
-    if resampled:
-        idx = systematic_resample(w, float(rng.uniform()))
-        out = WeightedEnsemble(particles=particles[idx], log_weights=np.full(len(w), -np.log(len(w))), time_index=new_time)
-    else:
-        out = WeightedEnsemble(particles=particles, log_weights=np.log(w), time_index=new_time)
-    if diagnostics is not None:
-        diagnostics["ess"] = ess
-        diagnostics["resampled"] = resampled
-    return out
-
-
-# ---------------------------------------------------------------------------
-# whole-sequence filters on linear-Gaussian systems (benchmark drivers)
-# ---------------------------------------------------------------------------
+def _normalized(log_w: np.ndarray) -> np.ndarray:
+    """Weights from log-weights, normalized in the log domain."""
+    w = np.exp(log_w - np.max(log_w))
+    return w / w.sum()
 
 
 def bpf_filter_linear(
@@ -239,34 +172,38 @@ def bpf_filter_linear(
     rng: np.random.Generator,
     ess_threshold: float = 0.5,
 ):
-    """Run the BPF over a sequence; returns (means (T, D), ess (T,))."""
+    """Run the bootstrap particle filter over a sequence (diagonal R).
+
+    Every step draws its transition noise; at t = 0 the draw is made and not
+    applied, so the prior draw is only weighted.  The ensemble is resampled
+    systematically when the ESS falls below ``ess_threshold * n_particles``.
+    Returns (weighted means (T, D), pre-resampling ESS (T,)); raises
+    ``DegenerateWeightsError``, naming the 0-based time index, when every
+    weight vanishes.
+    """
     obs = np.asarray(observations, dtype=np.float64)
     t_steps = obs.shape[0]
-    l0 = _safe_cholesky(ssm.init_cov)
-    particles = ssm.init_mean + rng.standard_normal((n_particles, ssm.state_dim)) @ l0.T
-    ens = WeightedEnsemble(
-        particles=particles,
-        log_weights=np.full(n_particles, -np.log(n_particles)),
-        time_index=0,
-    )
-    r_std = np.sqrt(np.diag(ssm.R))
+    lq = _safe_cholesky(ssm.Q)
+    r_std = np.tile(np.sqrt(np.diag(ssm.R)), (n_particles, 1))
+    particles = ssm.init_mean + rng.standard_normal((n_particles, ssm.state_dim)) @ _safe_cholesky(ssm.init_cov).T
+    uniform = np.full(n_particles, -np.log(n_particles))
+    log_w = uniform
     means = np.empty((t_steps, ssm.state_dim))
     ess = np.empty(t_steps)
-    identity = LinearGaussianSSM(
-        F=np.eye(ssm.state_dim),
-        Q=np.zeros((ssm.state_dim, ssm.state_dim)),
-        H=ssm.H,
-        R=ssm.R,
-        init_mean=ssm.init_mean,
-        init_cov=ssm.init_cov,
-    )
     for t in range(t_steps):
-        step_ssm = identity if t == 0 else ssm  # time 0: weight the prior draw, no motion
-        diag: dict = {}
-        ens = bpf_step_linear(ens, obs[t], step_ssm, rng, ess_threshold, diagnostics=diag)
-        w = ens.normalized_weights()
-        means[t] = w @ ens.particles
-        ess[t] = diag["ess"]
+        noise = rng.standard_normal(particles.shape)
+        if t > 0:
+            particles = particles @ ssm.F.T + noise @ lq.T
+        log_w = log_w + diag_gauss_loglik(particles @ ssm.H.T, r_std, obs[t])
+        if not np.isfinite(np.max(log_w)):
+            raise DegenerateWeightsError(f"all particle weights vanished at time index {t}")
+        w = _normalized(log_w)
+        ess[t] = 1.0 / np.sum(w * w)
+        if ess[t] < ess_threshold * n_particles:
+            particles, log_w = particles[systematic_resample(w, float(rng.uniform()))], uniform
+        else:
+            log_w = np.log(w)
+        means[t] = _normalized(log_w) @ particles  # the weights carried forward: uniform after a resample
     return means, ess
 
 

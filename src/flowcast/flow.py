@@ -58,23 +58,6 @@ class FlowConfig:
             raise DataError("single_particle_prior_scale must be positive")
 
 
-@dataclass
-class GaussianBelief:
-    """A Gaussian summary of an ensemble: mean and covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.cov = np.asarray(self.cov, dtype=np.float64)
-        if self.mean.ndim != 1:
-            raise DataError("belief mean must be a vector")
-        d = self.mean.shape[0]
-        if self.cov.shape != (d, d):
-            raise DataError("belief covariance must be (D, D)")
-
-
 # ---------------------------------------------------------------------------
 # the schedule and the flow
 # ---------------------------------------------------------------------------

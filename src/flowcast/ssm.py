@@ -118,14 +118,6 @@ class ModelTheta:
         return int(self.hyper["d_x"])
 
     @property
-    def layers(self) -> int:
-        return int(self.hyper["layers"])
-
-    @property
-    def d_z(self) -> int:
-        return int(self.hyper.get("d_z", 0))
-
-    @property
     def state_dim(self) -> int:
         return self.n_series * self.d_x
 

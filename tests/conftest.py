@@ -1,8 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 from flowcast import flow as flow_mod
 from flowcast import ssm as ssm_mod
+
+# pytest puts src/ on its own sys.path (pyproject's `pythonpath`); the tests
+# that run `python -m flowcast` in a subprocess need it on the child's path too
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def pytest_runtest_logreport(report):

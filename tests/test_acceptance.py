@@ -21,7 +21,7 @@ from flowcast import forecast as forecast_mod
 from flowcast import metrics as metrics_mod
 from flowcast import ssm as ssm_mod
 from flowcast import train as train_mod
-from flowcast.flow import FlowConfig, GaussianBelief
+from flowcast.flow import FlowConfig
 
 
 def _report(name, ok, detail):
@@ -53,14 +53,14 @@ def test_flow_update_matches_kalman_posterior_across_dimensions():
             ssm = filters_mod.LinearGaussianSSM(
                 F=np.eye(d), Q=np.zeros((d, d)), H=h, R=np.diag(r_diag), init_mean=m0, init_cov=p0
             )
-            post = filters_mod.kalman_update(GaussianBelief(mean=m0, cov=p0), y, ssm)
+            post_mean, post_cov = filters_mod.kalman_update(m0, p0, y, ssm)
 
             particles = rng.multivariate_normal(m0, p0, size=2000)
             out = flow_mod.edh_flow(particles[None], h, y[None], r_diag, FlowConfig(n_lambda=29))[0]
             m_flow = out.mean(axis=0)
             v_flow = out.var(axis=0)
-            worst_mean = max(worst_mean, np.linalg.norm(m_flow - post.mean) / np.linalg.norm(post.mean))
-            worst_var = max(worst_var, np.max(np.abs(v_flow / np.diag(post.cov) - 1.0)))
+            worst_mean = max(worst_mean, np.linalg.norm(m_flow - post_mean) / np.linalg.norm(post_mean))
+            worst_var = max(worst_var, np.max(np.abs(v_flow / np.diag(post_cov) - 1.0)))
     elapsed = time.perf_counter() - t0
     ok = worst_mean <= 0.05 and worst_var <= 0.20 and elapsed < 60.0
     _report(
@@ -278,13 +278,8 @@ def test_end_to_end_learning_approaches_optimal_forecaster():
     # generator, then propagate the filtered mean through the true dynamics
     errs = []
     for w_raw in w_test_raw:
-        belief = GaussianBelief(mean=oracle.init_mean.copy(), cov=oracle.init_cov.copy())
-        past = np.asarray(w_raw.y_past)
-        for t in range(past.shape[0]):
-            if t > 0:
-                belief = filters_mod.kalman_predict(belief, oracle)
-            belief = filters_mod.kalman_update(belief, past[t], oracle)
-        mean = belief.mean
+        filtered, _ = filters_mod.kalman_filter(oracle, np.asarray(w_raw.y_past))
+        mean = filtered[-1]
         for k in range(q_steps):
             mean = oracle.F @ mean
             errs.append(np.abs(oracle.H @ mean - np.asarray(w_raw.y_future)[k]))

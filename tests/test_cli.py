@@ -449,6 +449,34 @@ def test_non_integer_list_items_are_usage_errors(trained_run, tmp_path, capsys):
     assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "bench.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forecast", "--checkpoint", "c.npz", "--config", "c.json", "--max-windows", "-1"],
+        ["forecast", "--checkpoint", "c.npz", "--config", "c.json", "--max-windows", "0"],
+        ["forecast", "--checkpoint", "c.npz", "--config", "c.json", "--particles", "0"],
+        ["filter-bench", "--dims", "0"],
+        ["filter-bench", "--dims", "4,-2"],
+        ["filter-bench", "--particles", "0"],
+        ["filter-bench", "--t", "0"],
+        ["filter-bench", "--seeds", "0"],
+        ["filter-bench", "--n-lambda", "0"],
+        ["synth", "--kind", "var_graph", "--n", "0"],
+        ["synth", "--kind", "linear_gaussian", "--state-dim", "0"],
+        ["synth", "--kind", "var_graph", "--t", "0"],
+        ["evaluate", "--samples", "s.csv", "--summary", "m.csv", "--truth", "t.csv", "--horizons", "0"],
+        ["synth", "--kind", "var_graph", "--threads", "0"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys, monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "NUMBA_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # restored after the test, whatever the thread cap sets
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert ">= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # filter-bench
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Run-configuration schema: defaults, validation messages with key paths,
 dotted-path overrides, and snapshot round trips."""
 
+import dataclasses
 import json
 
 import pytest
 
 from flowcast import config as config_mod
 from flowcast.errors import DataError
+from flowcast.flow import FlowConfig
 
 
 def _minimal(**extra):
@@ -37,6 +39,12 @@ def test_defaults_fill_in():
     assert cfg["windows"]["horizon"] == 12
     assert cfg["split"] == {"train": 0.7, "val": 0.1, "test": 0.2}
     assert cfg["output"]["dir"] == "run"
+
+
+def test_flow_section_is_the_flow_config():
+    # the CLI builds FlowConfig(**cfg["flow"]), so the two must name the same keys
+    assert set(config_mod.SCHEMA["flow"]) == {f.name for f in dataclasses.fields(FlowConfig)}
+    assert FlowConfig(**config_mod.validate_config(_minimal())["flow"]) == FlowConfig()
 
 
 def test_validation_is_idempotent():

@@ -9,7 +9,6 @@ from flowcast import flow as flow_mod
 from flowcast.errors import DataError, DegenerateWeightsError
 from flowcast.filters import (
     LinearGaussianSSM,
-    WeightedEnsemble,
     bpf_filter_linear,
     flow_filter_linear,
     kalman_filter,
@@ -17,7 +16,6 @@ from flowcast.filters import (
     kalman_update,
     systematic_resample,
 )
-from flowcast.flow import GaussianBelief
 
 
 def _scalar_ssm(f=0.9, q=0.25, h=1.0, r=1.0):
@@ -82,21 +80,19 @@ def test_ssm_round_trip(tmp_path, rng):
 
 def test_kalman_update_scalar_conjugate_case():
     # prior N(0, 1), y = 1, r = 1 -> posterior N(1/2, 1/2)
-    belief = GaussianBelief(mean=np.zeros(1), cov=np.eye(1))
-    post = kalman_update(belief, np.array([1.0]), _scalar_ssm())
-    np.testing.assert_allclose(post.mean, [0.5], rtol=1e-12)
-    np.testing.assert_allclose(post.cov, [[0.5]], rtol=1e-12)
+    mean, cov = kalman_update(np.zeros(1), np.eye(1), np.array([1.0]), _scalar_ssm())
+    np.testing.assert_allclose(mean, [0.5], rtol=1e-12)
+    np.testing.assert_allclose(cov, [[0.5]], rtol=1e-12)
 
 
 def test_kalman_predict_scalar():
-    belief = GaussianBelief(mean=np.array([2.0]), cov=np.array([[0.5]]))
-    pred = kalman_predict(belief, _scalar_ssm(f=0.9, q=0.25))
-    np.testing.assert_allclose(pred.mean, [1.8], rtol=1e-12)
-    np.testing.assert_allclose(pred.cov, [[0.9 * 0.5 * 0.9 + 0.25]], rtol=1e-12)
+    mean, cov = kalman_predict(np.array([2.0]), np.array([[0.5]]), _scalar_ssm(f=0.9, q=0.25))
+    np.testing.assert_allclose(mean, [1.8], rtol=1e-12)
+    np.testing.assert_allclose(cov, [[0.9 * 0.5 * 0.9 + 0.25]], rtol=1e-12)
 
 
 def test_kalman_huge_noise_update_is_noop():
-    belief = GaussianBelief(mean=np.array([1.0, -1.0]), cov=np.diag([2.0, 3.0]))
+    mean0, cov0 = np.array([1.0, -1.0]), np.diag([2.0, 3.0])
     ssm = LinearGaussianSSM(
         F=np.eye(2),
         Q=np.eye(2),
@@ -105,16 +101,15 @@ def test_kalman_huge_noise_update_is_noop():
         init_mean=np.zeros(2),
         init_cov=np.eye(2),
     )
-    post = kalman_update(belief, np.array([100.0, -100.0]), ssm)
-    np.testing.assert_allclose(post.mean, belief.mean, atol=1e-9)
-    np.testing.assert_allclose(post.cov, belief.cov, atol=1e-9)
+    mean, cov = kalman_update(mean0, cov0, np.array([100.0, -100.0]), ssm)
+    np.testing.assert_allclose(mean, mean0, atol=1e-9)
+    np.testing.assert_allclose(cov, cov0, atol=1e-9)
 
 
 def test_kalman_perfect_observation_pins_the_state():
-    belief = GaussianBelief(mean=np.zeros(1), cov=np.eye(1))
-    post = kalman_update(belief, np.array([3.0]), _scalar_ssm(r=1e-14))
-    np.testing.assert_allclose(post.mean, [3.0], rtol=1e-6)
-    assert post.cov[0, 0] < 1e-9
+    mean, cov = kalman_update(np.zeros(1), np.eye(1), np.array([3.0]), _scalar_ssm(r=1e-14))
+    np.testing.assert_allclose(mean, [3.0], rtol=1e-6)
+    assert cov[0, 0] < 1e-9
 
 
 def test_kalman_filter_matches_scalar_recursion():
@@ -153,28 +148,8 @@ def test_kalman_filter_covariances_stay_symmetric(rng):
 
 
 # ---------------------------------------------------------------------------
-# weighted ensembles and resampling
+# resampling
 # ---------------------------------------------------------------------------
-
-
-def test_weighted_ensemble_normalization_is_stable():
-    ens = WeightedEnsemble(particles=np.zeros((3, 1)), log_weights=np.array([-1000.0, -1000.0, -1001.0]))
-    w = ens.normalized_weights()
-    np.testing.assert_allclose(w.sum(), 1.0, rtol=1e-12)
-    assert w[0] == w[1] > w[2]
-
-
-def test_weighted_ensemble_all_minus_inf_raises():
-    ens = WeightedEnsemble(particles=np.zeros((2, 1)), log_weights=np.array([-np.inf, -np.inf]))
-    with pytest.raises(DegenerateWeightsError):
-        ens.normalized_weights()
-
-
-def test_ess_bounds():
-    uniform = WeightedEnsemble(particles=np.zeros((4, 1)), log_weights=np.zeros(4))
-    np.testing.assert_allclose(uniform.ess(), 4.0, rtol=1e-12)
-    point = WeightedEnsemble(particles=np.zeros((4, 1)), log_weights=np.array([0.0, -1e9, -1e9, -1e9]))
-    np.testing.assert_allclose(point.ess(), 1.0, rtol=1e-9)
 
 
 def test_systematic_resample_validates_inputs():
@@ -217,6 +192,37 @@ def test_bpf_resamples_when_ess_collapses(rng):
     # threshold is exactly a resampling event
     assert (ess < 0.5 * 500).any()
     assert ess.shape == (5,)
+
+
+def test_bpf_weights_are_normalized_in_the_log_domain():
+    # every log-likelihood is near -1000, which exp() alone underflows to zero
+    ssm = _scalar_ssm(f=1.0, q=0.01, r=1.0)
+    obs = np.array([[45.0], [45.0]])
+    rng = np.random.default_rng(4)
+    loglik = -0.5 * (45.0 - ssm.init_mean[0]) ** 2
+    assert loglik < -1000 and np.exp(loglik) == 0.0
+    means, ess = bpf_filter_linear(ssm, obs, n_particles=50, rng=rng)
+    assert np.isfinite(means).all() and np.isfinite(ess).all()
+    assert (ess >= 1.0 - 1e-12).all()
+
+
+def test_bpf_infinite_observation_names_the_time_index():
+    ssm = _scalar_ssm()
+    obs = np.array([[0.1], [0.2], [np.inf], [0.3]])
+    with pytest.raises(DegenerateWeightsError, match="time index 2"):
+        bpf_filter_linear(ssm, obs, n_particles=20, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("h", [0.0, 1.0])
+def test_bpf_ess_lies_between_one_and_n(rng, h):
+    ssm = _scalar_ssm(f=1.0, q=1.0, h=h, r=1e-2)
+    _, obs = ssm.simulate(12, rng)
+    _, ess = bpf_filter_linear(ssm, obs, n_particles=200, rng=np.random.default_rng(8))
+    assert ((ess >= 1.0 - 1e-12) & (ess <= 200 * (1 + 1e-12))).all()
+    if h == 0.0:  # the observations carry no information: the weights stay uniform
+        np.testing.assert_allclose(ess, 200.0, rtol=1e-12)
+    else:
+        assert ess.min() < 100.0
 
 
 # ---------------------------------------------------------------------------
