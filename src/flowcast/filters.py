@@ -99,6 +99,16 @@ def save_linear_ssm(path, ssm: LinearGaussianSSM) -> None:
         np.savez(fh, F=ssm.F, Q=ssm.Q, H=ssm.H, R=ssm.R, init_mean=ssm.init_mean, init_cov=ssm.init_cov)
 
 
+def _observations(observations) -> np.ndarray:
+    """The (T, N) observations as floats; a missing (NaN) one is a DataError, since no filter masks it."""
+    obs = np.asarray(observations, dtype=np.float64)
+    missing = np.argwhere(np.isnan(obs.reshape(len(obs), -1)))
+    if missing.size:
+        t, series = missing[0]
+        raise DataError(f"observation of series {series} at time index {t} is missing (NaN); the filters do not mask missing values")
+    return obs
+
+
 # ---------------------------------------------------------------------------
 # Kalman filter on (mean, cov)
 # ---------------------------------------------------------------------------
@@ -125,7 +135,7 @@ def kalman_update(mean: np.ndarray, cov: np.ndarray, y: np.ndarray, ssm: LinearG
 
 def kalman_filter(ssm: LinearGaussianSSM, observations: np.ndarray):
     """Filtered means/covs for a whole observation sequence (T, N)."""
-    obs = np.asarray(observations, dtype=np.float64)
+    obs = _observations(observations)
     t_steps = obs.shape[0]
     means = np.empty((t_steps, ssm.state_dim))
     covs = np.empty((t_steps, ssm.state_dim, ssm.state_dim))
@@ -181,7 +191,7 @@ def bpf_filter_linear(
     ``DegenerateWeightsError``, naming the 0-based time index, when every
     weight vanishes.
     """
-    obs = np.asarray(observations, dtype=np.float64)
+    obs = _observations(observations)
     t_steps = obs.shape[0]
     lq = _safe_cholesky(ssm.Q)
     r_std = np.tile(np.sqrt(np.diag(ssm.R)), (n_particles, 1))
@@ -215,7 +225,7 @@ def flow_filter_linear(
     config: flow_mod.FlowConfig = flow_mod.FlowConfig(),
 ):
     """Run the particle-flow filter over a sequence; returns means (T, D)."""
-    obs = np.asarray(observations, dtype=np.float64)
+    obs = _observations(observations)
     t_steps = obs.shape[0]
     l0 = _safe_cholesky(ssm.init_cov)
     lq = _safe_cholesky(ssm.Q)

@@ -24,6 +24,18 @@ the N x N ``K`` and the 1 x N ``k`` and touches no particle, and
 formed, neither ``A`` nor ``P``.  :func:`edh_flow` moves a stack of
 ensembles at once; training, forecasting and the linear reference filter
 call it.
+
+The map is composed on one of two paths.  When ``r`` stays fixed across
+pseudo-time, every ``S(l)`` is diagonal in one basis: with ``G = H PHt``
+(symmetric positive semi-definite) and the whitened ``g = diag(r)^-1/2 G
+diag(r)^-1/2 = U diag(mu) U^T``, the columns of ``V = diag(r)^-1/2 U``
+satisfy ``V^T diag(r) V = I`` and ``V^T G V = diag(mu)``, so ``S(l)^-1 = V
+diag(1 / (1 + l mu)) V^T``.  One eigendecomposition per flow then turns
+every step into N-vector arithmetic on the diagonals of ``V^-1 K V^-T``
+and ``k V^-T``.  When ``r`` is re-read every step, the basis moves, and
+each step inverts its ``S``.  Either way ``G`` is PSD by construction, so
+a finite ``S`` is positive definite exactly when every ``r`` is positive:
+no factorization checks it.
 """
 
 from __future__ import annotations
@@ -105,11 +117,18 @@ def edh_flow(
     means to them, read before the first step and, when
     ``config.relinearize_every_step`` is set, before every step.
 
+    Noise variances that stay fixed across pseudo-time (an array, or a
+    callable read once at the starting means) take the diagonal path: one
+    eigendecomposition of the whitened ``G`` per ensemble, then every Euler
+    step on N-vectors.  Relinearized ones take the stepwise path, which
+    inverts each step's ``S``.  Both compose the same map.
+
     Returns the moved particles, plus a :class:`FlowTrace` when
     ``return_trace`` is true.  ``encoder_step`` and ``window_ids`` (one per
     ensemble) only label the errors: ``FlowSolveError`` when an innovation
-    covariance ``S`` is not positive definite, ``FlowDivergedError`` when the
-    flow map or a particle becomes non-finite.
+    covariance ``S`` is not positive definite (some noise variance is not
+    positive, or a relinearized ``S`` is not finite), ``FlowDivergedError``
+    when the flow map or a particle becomes non-finite.
     """
     xv = ad.val(particles)
     if xv.ndim != 3:
@@ -130,8 +149,8 @@ def edh_flow(
     hph = h_mat @ pht  # (B, N, N)
     half_y = 0.5 * y[:, :, None]
     half_innov = half_y - 0.5 * (h_mat @ mean0[:, :, None])  # (y - H eta_bar) / 2, (B, N, 1)
-    mean_row = np.concatenate([mean0 @ h_mat.T, np.ones((b_sz, 1))], axis=1)[:, None, :]  # [eta_bar H^T, 1]
     eps = step_schedule(config.n_lambda, config.ratio)
+    lams = np.concatenate(([0.0], np.cumsum(eps)[:-1]))  # coefficients use the pre-step pseudo-time
     where = "" if encoder_step is None else f" of encoder step {encoder_step}"
 
     def fail(cls, what, verb, row, m):
@@ -140,24 +159,79 @@ def edh_flow(
         when = f"pseudo-time step {m + 1}/{config.n_lambda} (lambda={lams[m]:.6g}){where}"
         return cls(f"{what} of {who} {verb} {when}", window_id, encoder_step, m + 1, float(lams[m]))
 
-    # after m steps each particle row is x0 + [x0 H^T, 1] coef PHt^T: coef stacks K (N rows) on k
+    if callable(r) and config.relinearize_every_step:
+        k_mat, k_vec = _relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, eps, lams, fail)
+    else:
+        r_fixed = np.broadcast_to(np.asarray(r(mean0) if callable(r) else r, dtype=np.float64), (b_sz, n))
+        k_mat, k_vec = _fixed_noise_map(r_fixed, hph, half_y, half_innov, eps, lams, fail)
+    x = ad.flow_map(particles, pht, h_mat, k_mat, k_vec)
+    if not np.isfinite(ad.val(x)).all():
+        row, particle = np.argwhere(~np.isfinite(ad.val(x)))[0][:2]
+        raise fail(FlowDivergedError, f"particle {particle}", "became non-finite after", row, config.n_lambda - 1)
+    if return_trace:
+        return x, FlowTrace(mean0, pht, h_mat, k_mat, k_vec)
+    return x
+
+
+def _not_spd(fail, ok_rows, m):
+    """The FlowSolveError for the first ensemble whose ``S`` fails ``ok_rows`` at step ``m``."""
+    row = np.flatnonzero(~ok_rows)[0]
+    return fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, m)
+
+
+def _fixed_noise_map(r, hph, half_y, half_innov, eps, lams, fail):
+    """(K, k) of flows whose noise variances ``r`` (B, N) stay fixed, on diagonals.
+
+    Whitened by ``diag(r)^-1/2``, every ``S(lam) = lam G + diag(r)`` shares
+    the eigenbasis ``U`` of ``g = G / (sqrt(r) sqrt(r)^T)``, with eigenvalues
+    ``mu``.  In the coordinates ``V = diag(r)^-1/2 U``, where ``V^T diag(r)
+    V = I`` and ``V^T G V = diag(mu)``, the map is ``K = V diag(kappa) V^T``
+    and ``k = c V^T``, and a step is exact on N-vectors with ``l = 1 / (1 +
+    lam mu)``: ``kappa <- kappa - eps/2 l (kappa mu + 1)`` and ``c <- c -
+    eps/2 c mu l + eps l (V^T y / 2 + l V^T (y - H eta_bar) / 2)``.
+    """
+    positive = (r > 0).all(axis=1)  # G is PSD, so S is SPD exactly when every r is positive
+    if not positive.all():
+        raise _not_spd(fail, positive, 0)
+    sqrt_r = np.sqrt(r)
+    g = (hph + np.swapaxes(hph, 1, 2)) / (2.0 * sqrt_r[:, :, None] * sqrt_r[:, None, :])
+    finite = np.isfinite(g).all(axis=(1, 2))
+    g[~finite] = 0.0  # eigh returns garbage, not NaN, for a non-finite matrix
+    mu, u = np.linalg.eigh(g)
+    mu = np.where(finite[:, None], np.maximum(mu, 0.0), np.nan)  # G is PSD: a negative eigenvalue is rounding
+    v = u / sqrt_r[:, :, None]
+    vt = np.swapaxes(v, 1, 2)
+    vt_y, vt_innov = (vt @ half_y)[:, :, 0], (vt @ half_innov)[:, :, 0]
+    kappa = np.zeros((len(eps) + 1, *mu.shape))  # after each step, so one check finds the first bad one
+    c = np.zeros_like(kappa)
+    for m in range(len(eps)):
+        ell = 1.0 / (1.0 + lams[m] * mu)
+        half_step = (0.5 * eps[m]) * ell
+        kappa[m + 1] = kappa[m] - half_step * (kappa[m] * mu + 1.0)
+        c[m + 1] = c[m] - half_step * c[m] * mu + eps[m] * ell * (vt_y + ell * vt_innov)
+    finite = np.isfinite(kappa).all(axis=2) & np.isfinite(c).all(axis=2)  # (steps + 1, B)
+    if not finite.all():
+        after, row = np.argwhere(~finite)[0]  # the first step that went non-finite, then its first ensemble
+        raise fail(FlowDivergedError, "the flow map", "became non-finite at", row, after - 1)
+    return (v * kappa[-1, :, None, :]) @ vt, c[-1, :, None, :] @ vt
+
+
+def _relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, eps, lams, fail):
+    """(K, k) of flows that re-read the callable ``r`` at the running means every step.
+
+    After m steps each particle row is ``x0 + [x0 H^T, 1] coef PHt^T``, where
+    ``coef`` stacks K (N rows) on k.  A step inverts its ``S``.
+    """
+    b_sz, n = hph.shape[:2]
+    mean_row = np.concatenate([mean0 @ h_mat.T, np.ones((b_sz, 1))], axis=1)[:, None, :]  # [eta_bar H^T, 1]
     coef = np.zeros((b_sz, n + 1, n))
-    r_now = None if callable(r) else np.broadcast_to(np.asarray(r, dtype=np.float64), (b_sz, n))
-    lams = np.concatenate(([0.0], np.cumsum(eps)[:-1]))  # coefficients use the pre-step pseudo-time
-    for m in range(config.n_lambda):
-        if callable(r) and (m == 0 or config.relinearize_every_step):
-            r_now = r(mean0 + (mean_row @ coef @ np.swapaxes(pht, 1, 2))[:, 0, :])  # at the running mean
+    for m in range(len(eps)):
+        r_now = r(mean0 + (mean_row @ coef @ np.swapaxes(pht, 1, 2))[:, 0, :])  # at the running mean
         s = lams[m] * hph
         s.reshape(b_sz, n * n)[:, :: n + 1] += r_now  # the diagonal of each S
-        try:
-            np.linalg.cholesky(s)  # the SPD check
-        except np.linalg.LinAlgError as exc:
-            for row in range(b_sz):  # the batched factorization does not say which matrix failed
-                try:
-                    np.linalg.cholesky(s[row])
-                except np.linalg.LinAlgError:
-                    break
-            raise fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, m) from exc
+        spd = (r_now > 0).all(axis=1) & np.isfinite(s).all(axis=(1, 2))  # G is PSD: no factorization needed
+        if not spd.all():
+            raise _not_spd(fail, spd, m)
         s_inv = np.linalg.inv(s)
         beta = s_inv @ (half_y + r_now[:, :, None] * (s_inv @ half_innov))  # (B, N, 1)
         # K <- K - eps/2 (I + K G^T) S^-1 and k <- k + eps beta - eps/2 k G^T S^-1, with G = H PHt
@@ -168,10 +242,4 @@ def edh_flow(
         if not np.isfinite(coef).all():
             row = np.flatnonzero(~np.isfinite(coef).all(axis=(1, 2)))[0]
             raise fail(FlowDivergedError, "the flow map", "became non-finite at", row, m)
-    x = ad.flow_map(particles, pht, h_mat, coef[:, :n], coef[:, n:])
-    if not np.isfinite(ad.val(x)).all():
-        row, particle = np.argwhere(~np.isfinite(ad.val(x)))[0][:2]
-        raise fail(FlowDivergedError, f"particle {particle}", "became non-finite after", row, config.n_lambda - 1)
-    if return_trace:
-        return x, FlowTrace(mean0, pht, h_mat, coef[:, :n], coef[:, n:])
-    return x
+    return coef[:, :n], coef[:, n:]

@@ -213,6 +213,23 @@ def test_bpf_infinite_observation_names_the_time_index():
         bpf_filter_linear(ssm, obs, n_particles=20, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        kalman_filter,
+        lambda ssm, obs: bpf_filter_linear(ssm, obs, n_particles=20, rng=np.random.default_rng(0)),
+        lambda ssm, obs: flow_filter_linear(ssm, obs, n_particles=20, rng=np.random.default_rng(0)),
+    ],
+    ids=["kalman", "bpf", "flow"],
+)
+def test_filters_reject_a_missing_observation(run):
+    # no filter masks a missing value, so each names it before filtering
+    ssm = LinearGaussianSSM(F=0.9 * np.eye(2), Q=0.1 * np.eye(2), H=np.eye(2), R=np.eye(2), init_mean=np.zeros(2), init_cov=np.eye(2))
+    obs = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, np.nan], [np.nan, 0.6]])
+    with pytest.raises(DataError, match=r"^observation of series 1 at time index 2 is missing \(NaN\)"):
+        run(ssm, obs)
+
+
 @pytest.mark.parametrize("h", [0.0, 1.0])
 def test_bpf_ess_lies_between_one_and_n(rng, h):
     ssm = _scalar_ssm(f=1.0, q=1.0, h=h, r=1e-2)

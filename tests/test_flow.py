@@ -6,7 +6,7 @@ Euler integration to the exact Gaussian posterior."""
 import numpy as np
 import pytest
 
-from flowcast import autodiff as ad
+from flowcast import autodiff as ad, filters
 from flowcast.errors import FlowDivergedError, FlowSolveError
 from flowcast.flow import FlowConfig, edh_flow, step_schedule
 
@@ -147,8 +147,11 @@ def _relative_difference(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+# noise: True re-reads r at the running means (the stepwise path); False
+# fixes r in [0.5, 1.5] and "spread" fixes it log-uniformly over [1e-3, 1e3]
+# (the diagonal path)
 @pytest.mark.parametrize(
-    "b_sz, n_p, d, n, relinearized, jitter",
+    "b_sz, n_p, d, n, noise, jitter",
     [
         (1, 20, 6, 3, False, 1e-2),  # N < D
         (1, 20, 4, 4, False, 1e-2),  # N = D
@@ -159,18 +162,23 @@ def _relative_difference(got, want):
         (4, 10, 5, 3, True, 1e-2),  # noise variances re-read at the running means
         (4, 10, 5, 3, True, 0.0),  # no jitter
         (4, 10, 3, 5, True, 0.0),  # no jitter, N > D: a rank-deficient P H^T
+        (4, 10, 3, 5, False, 0.0),  # the same rank-deficient G with fixed r
+        (4, 10, 5, 3, "spread", 1e-2),  # noise variances six decades apart
+        (3, 20, 16, 16, False, 1e-2),  # N = D = 16, a batch of three
     ],
 )
-def test_composed_flow_matches_stepwise_reference(rng, b_sz, n_p, d, n, relinearized, jitter):
+def test_composed_flow_matches_stepwise_reference(rng, b_sz, n_p, d, n, noise, jitter):
     particles = rng.standard_normal((b_sz, n_p, d))
     h = rng.standard_normal((n, d)) * 0.5
     y = rng.standard_normal((b_sz, n))
-    if relinearized:
+    if noise is True:
         c = rng.standard_normal((n, d)) * 0.3
 
         def r(means):
             return 0.5 + np.logaddexp(0.0, means @ c.T) ** 2
 
+    elif noise == "spread":
+        r = 10.0 ** rng.uniform(-3.0, 3.0, size=(b_sz, n))
     else:
         r = rng.uniform(0.5, 1.5, size=(b_sz, n))
     cfg = FlowConfig(n_lambda=29, jitter=jitter)
@@ -180,6 +188,51 @@ def test_composed_flow_matches_stepwise_reference(rng, b_sz, n_p, d, n, relinear
     np.testing.assert_array_equal(trace.mean, mean0)
     assert _relative_difference(trace.pht, pht) <= 1e-12
     assert trace.k_mat.shape == (b_sz, n, n) and trace.k_vec.shape == (b_sz, 1, n)
+
+
+def test_fixed_callable_noise_is_read_once_at_the_starting_mean(rng):
+    # without relinearization a callable r is read once, at the starting
+    # means, and the flow is the one an array of those variances gives
+    particles = rng.standard_normal((3, 10, 4))
+    h = rng.standard_normal((2, 4))
+    y = rng.standard_normal((3, 2))
+    c = rng.standard_normal((2, 4)) * 0.5
+    reads = []
+
+    def r(means):
+        reads.append(means.copy())
+        return 0.5 + np.logaddexp(0.0, means @ c.T) ** 2
+
+    cfg = FlowConfig(n_lambda=29, relinearize_every_step=False)
+    got, trace = edh_flow(particles, h, y, r, cfg, return_trace=True)
+    assert len(reads) == 1
+    np.testing.assert_array_equal(reads[0], particles.mean(axis=1))
+    want, want_trace = edh_flow(particles, h, y, r(particles.mean(axis=1)), cfg, return_trace=True)
+    np.testing.assert_array_equal(got, want)
+    for got_field, want_field in zip(trace, want_trace):
+        np.testing.assert_array_equal(got_field, want_field)
+
+
+def test_fixed_noise_flows_factorize_nothing(monkeypatch, rng):
+    # a fixed-noise flow diagonalizes once and never inverts or factors an
+    # S; a relinearized one inverts its S but checks it without a Cholesky
+    d = 16
+    ssm = filters.LinearGaussianSSM(
+        F=0.9 * np.eye(d), Q=0.3 * np.eye(d), H=rng.standard_normal((d, d)) / 4.0, R=np.diag(rng.uniform(0.2, 1.0, d)),
+        init_mean=np.zeros(d), init_cov=np.eye(d),
+    )
+    _, obs = ssm.simulate(5, rng)
+    monkeypatch.setattr(filters, "_safe_cholesky", np.linalg.cholesky)  # the filter's set-up factors of Q and P0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-step factorization")
+
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    c = rng.standard_normal((d, d)) * 0.3
+    relinearized = edh_flow(rng.standard_normal((2, 20, d)), ssm.H, obs[:2], lambda m: 0.5 + np.logaddexp(0.0, m @ c.T) ** 2)
+    assert np.isfinite(relinearized).all()
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    assert np.isfinite(filters.flow_filter_linear(ssm, obs, 50, rng)).all()
 
 
 def test_composed_map_is_not_symmetric_once_r_varies(rng):
@@ -493,6 +546,16 @@ def test_flow_divergence_error_names_the_step(rng):
     particles = rng.standard_normal((10, 1)) * 1e150
     with pytest.raises((FlowDivergedError, FlowSolveError), match=r"pseudo-time step \d/4"):
         _flow_one(particles, np.array([1.0]), np.array([[1e150]]), np.array([1e-300]), FlowConfig(n_lambda=4, jitter=0.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_relinearized_non_finite_innovation_is_a_solve_error(rng):
+    # the explosive linearization with relinearized noise: H P H^T overflows,
+    # so S = 0 * inf + r is not finite at lambda = 0, which the stepwise path
+    # reports as not positive definite before inverting it
+    particles = rng.standard_normal((1, 10, 1)) * 1e150
+    with pytest.raises(FlowSolveError, match=r"^innovation covariance of ensemble 0 is not positive definite at pseudo-time step 1/4 \(lambda=0\)$"):
+        edh_flow(particles, np.array([[1e150]]), np.ones((1, 1)), lambda means: np.ones((1, 1)), FlowConfig(n_lambda=4, jitter=0.0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
