@@ -58,13 +58,6 @@ class Var:
         self._parents = parents  # tuple of (Var, vjp callable)
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Var(shape={self.value.shape}, leaf={not self._parents})"
-
 
 def val(x) -> np.ndarray:
     """The underlying array of ``x`` whether or not it is a Var."""

@@ -222,7 +222,7 @@ def cmd_train(args) -> int:
         raw.setdefault("output", {})["dir"] = args.out
     cfg = config_mod.validate_config(raw)
 
-    windows, graph, stats, names = _prepare_dataset(cfg, ("train", "val"))
+    windows, graph, _, names = _prepare_dataset(cfg, ("train", "val"))
     model = _model_from_config(cfg, len(names))
     tcfg = _train_config(cfg)
     dataset = train_mod.TrainData(train_windows=windows["train"], val_windows=windows["val"], graph=graph)
@@ -233,10 +233,6 @@ def cmd_train(args) -> int:
     config_mod.dump_config(cfg, os.path.join(out_dir, "resolved_config.json"))
     ssm_mod.save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), result.model)
     train_mod.write_training_log(os.path.join(out_dir, "training_log.csv"), result)
-    config_mod.dump_config(
-        {"mean": stats.mean.tolist(), "std": stats.std.tolist(), "per_series": stats.per_series},
-        os.path.join(out_dir, "norm_stats.json"),
-    )
     print(f"trained {len(result.log)} epochs; best val loss {result.best_val:.6g} at epoch {result.best_epoch}")
     print(f"artifacts in {out_dir}: checkpoint.npz, training_log.csv, resolved_config.json")
     if result.diverged:

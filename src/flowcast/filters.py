@@ -134,17 +134,24 @@ def kalman_update(mean: np.ndarray, cov: np.ndarray, y: np.ndarray, ssm: LinearG
 
 
 def kalman_filter(ssm: LinearGaussianSSM, observations: np.ndarray):
-    """Filtered means/covs for a whole observation sequence (T, N)."""
+    """Filtered means/covs for a whole observation sequence (T, N).
+
+    A filtered mean that becomes non-finite (say, after an infinite
+    observation) is a ``NumericError`` naming its time index.
+    """
     obs = _observations(observations)
     t_steps = obs.shape[0]
     means = np.empty((t_steps, ssm.state_dim))
     covs = np.empty((t_steps, ssm.state_dim, ssm.state_dim))
     mean, cov = ssm.init_mean, ssm.init_cov
-    for t in range(t_steps):
-        if t > 0:
-            mean, cov = kalman_predict(mean, cov, ssm)
-        mean, cov = kalman_update(mean, cov, obs[t], ssm)
-        means[t], covs[t] = mean, cov
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is raised below, not warned about
+        for t in range(t_steps):
+            if t > 0:
+                mean, cov = kalman_predict(mean, cov, ssm)
+            mean, cov = kalman_update(mean, cov, obs[t], ssm)
+            if not np.isfinite(mean).all():
+                raise NumericError(f"Kalman filtered mean became non-finite at time index {t}")
+            means[t], covs[t] = mean, cov
     return means, covs
 
 

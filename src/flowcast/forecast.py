@@ -70,13 +70,12 @@ def predict_windows(
     """
     if not windows:
         raise DataError("no windows to forecast")
-    params = {name: train_mod.get_param(model, name) for name in train_mod.param_names(model)}
     size = max(1, CHUNK_ROWS // config.n_particles)
     q = 0 if windows[0].y_future is None else len(windows[0].y_future)
     samples = np.empty((len(windows), config.n_particles, q, model.n_series))
     for lo in range(0, len(windows), size):
         batch = train_mod.stack_batch(windows[lo : lo + size], model, config.n_particles, config.seed)
-        samples[lo : lo + size] = train_mod.batch_forward(params, model, batch, config.flow, graph=graph, noiseless=config.noiseless)[0]
+        samples[lo : lo + size] = train_mod.batch_forward(model.params, model, batch, config.flow, graph=graph, noiseless=config.noiseless)[0]
     points = np.median(samples, axis=1) if config.point == "median" else samples.mean(axis=1)
     return samples, points
 

@@ -72,54 +72,41 @@ class Graph:
 
 @dataclass
 class ModelTheta:
-    """Every learnable quantity of the model plus its hyper-parameters."""
+    """The hyper-parameters plus every learnable array, by name.
 
-    rho: float
-    sigma: float
-    dyn_params: dict
-    W_phi: np.ndarray
-    C_gamma: np.ndarray
+    ``params`` runs in one order: ``rho`` and ``sigma`` (0-d), the dynamics
+    arrays of :func:`param_shapes` sorted by name, then ``W_phi`` and
+    ``C_gamma`` (N, D).
+    """
+
     hyper: dict
+    params: dict
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise DataError("rho must be non-negative")
-        if self.sigma < 0:
-            raise DataError("sigma must be non-negative")
-        n, d = self.n_series, self.state_dim
-        self.W_phi = np.asarray(self.W_phi, dtype=np.float64)
-        self.C_gamma = np.asarray(self.C_gamma, dtype=np.float64)
-        if self.W_phi.shape != (n, d):
-            raise DataError(f"W_phi must have shape ({n}, {d}), got {self.W_phi.shape}")
-        if self.C_gamma.shape != (n, d):
-            raise DataError(f"C_gamma must have shape ({n}, {d}), got {self.C_gamma.shape}")
-        expected = param_shapes(self.hyper)
+        dyn = param_shapes(self.hyper)
+        emission = (self.n_series, self.state_dim)
+        expected = {"rho": (), "sigma": (), **{name: dyn[name] for name in sorted(dyn)}, "W_phi": emission, "C_gamma": emission}
+        if self.params.keys() != expected.keys():
+            missing, extra = sorted(expected.keys() - self.params.keys()), sorted(self.params.keys() - expected.keys())
+            raise DataError(f"missing parameters {missing}, unexpected parameters {extra}")
+        params = {}
         for name, shape in expected.items():
-            if name not in self.dyn_params:
-                raise DataError(f"missing dynamics parameter '{name}'")
-            arr = np.asarray(self.dyn_params[name], dtype=np.float64)
+            arr = np.asarray(self.params[name], dtype=np.float64)
             if arr.shape != shape:
-                raise DataError(f"dynamics parameter '{name}' must have shape {shape}, got {arr.shape}")
-            self.dyn_params[name] = arr
-        extra = set(self.dyn_params) - set(expected)
-        if extra:
-            raise DataError(f"unexpected dynamics parameters: {sorted(extra)}")
-
-    @property
-    def kind(self) -> str:
-        return self.hyper["kind"]
+                raise DataError(f"parameter '{name}' must have shape {shape}, got {arr.shape}")
+            params[name] = arr
+        for name in ("rho", "sigma"):
+            if params[name] < 0:
+                raise DataError(f"{name} must be non-negative")
+        self.params = params
 
     @property
     def n_series(self) -> int:
         return int(self.hyper["n_series"])
 
     @property
-    def d_x(self) -> int:
-        return int(self.hyper["d_x"])
-
-    @property
     def state_dim(self) -> int:
-        return self.n_series * self.d_x
+        return self.n_series * int(self.hyper["d_x"])
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +172,19 @@ def init_model(
     }
     shapes = param_shapes(hyper)
     rng = np.random.default_rng(seed)
-    dyn_params = {}
+    params = {"rho": rho, "sigma": sigma}
     for name, shape in shapes.items():
         if name.endswith(("b_r", "b_z", "b_c")):
-            dyn_params[name] = np.zeros(shape)
+            params[name] = np.zeros(shape)
         elif name == "embed":
-            dyn_params[name] = rng.standard_normal(shape)
+            params[name] = rng.standard_normal(shape)
         else:
             bound = init_scale / np.sqrt(shape[0])
-            dyn_params[name] = rng.uniform(-bound, bound, size=shape)
+            params[name] = rng.uniform(-bound, bound, size=shape)
     d = n_series * d_x
-    w_phi = rng.uniform(-1.0, 1.0, size=(n_series, d)) / np.sqrt(d)
-    c_gamma = np.zeros((n_series, d))
-    return ModelTheta(rho=rho, sigma=sigma, dyn_params=dyn_params, W_phi=w_phi, C_gamma=c_gamma, hyper=hyper)
+    params["W_phi"] = rng.uniform(-1.0, 1.0, size=(n_series, d)) / np.sqrt(d)
+    params["C_gamma"] = np.zeros((n_series, d))
+    return ModelTheta(hyper, params)
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +290,17 @@ def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None):
 # ---------------------------------------------------------------------------
 
 
+def _entry_names(hyper: dict) -> dict:
+    """Format 1's entry name -> parameter name, in file order: ``rho``, ``sigma``,
+    ``W_phi``, ``C_gamma``, then ``dyn.<name>`` in :func:`param_shapes` order."""
+    names = {name: name for name in ("rho", "sigma", "W_phi", "C_gamma")}
+    names.update({f"dyn.{name}": name for name in param_shapes(hyper)})
+    return names
+
+
 def save_checkpoint(path, model: ModelTheta) -> None:
-    """Write every parameter tensor plus hypers; round-trips bitwise."""
-    arrays = {
-        "rho": np.asarray(model.rho, dtype=np.float64),
-        "sigma": np.asarray(model.sigma, dtype=np.float64),
-        "W_phi": model.W_phi,
-        "C_gamma": model.C_gamma,
-    }
-    for name, arr in model.dyn_params.items():
-        arrays[f"dyn.{name}"] = arr
+    """Write ``model.params`` plus the hypers (the ``meta`` entry, last); round-trips bitwise."""
+    arrays = {entry: model.params[name] for entry, name in _entry_names(model.hyper).items()}
     meta = {"format": CHECKPOINT_FORMAT, "hyper": model.hyper}
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -332,16 +320,9 @@ def load_checkpoint(path) -> ModelTheta:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise DataError(f"unsupported checkpoint format {meta.get('format')!r}")
-        hyper = meta["hyper"]
-        dyn_params = {}
-        for key in data.files:
-            if key.startswith("dyn."):
-                dyn_params[key[4:]] = data[key]
-        return ModelTheta(
-            rho=float(data["rho"]),
-            sigma=float(data["sigma"]),
-            dyn_params=dyn_params,
-            W_phi=data["W_phi"],
-            C_gamma=data["C_gamma"],
-            hyper=hyper,
-        )
+        names = _entry_names(meta["hyper"])
+        stored = set(data.files) - {"meta"}
+        if stored != names.keys():
+            missing, extra = sorted(names.keys() - stored), sorted(stored - names.keys())
+            raise DataError(f"checkpoint {path} is missing entries {missing} and has unexpected entries {extra}")
+        return ModelTheta(meta["hyper"], {name: data[entry] for entry, name in names.items()})

@@ -90,48 +90,26 @@ class TrainResult:
 
 
 def param_names(model: ssm_mod.ModelTheta) -> List[str]:
-    return ["rho", "sigma", *sorted(model.dyn_params), "W_phi", "C_gamma"]
+    return list(model.params)
 
 
 def get_param(model: ssm_mod.ModelTheta, name: str) -> np.ndarray:
-    if name in ("rho", "sigma"):
-        return np.asarray(getattr(model, name), dtype=np.float64)
-    if name in ("W_phi", "C_gamma"):
-        return getattr(model, name)
-    return model.dyn_params[name]
-
-
-def model_with_params(model: ssm_mod.ModelTheta, values: Dict[str, np.ndarray]) -> ssm_mod.ModelTheta:
-    dyn = {k: np.array(values[k]) for k in model.dyn_params}
-    return ssm_mod.ModelTheta(
-        rho=float(values["rho"]),
-        sigma=float(values["sigma"]),
-        dyn_params=dyn,
-        W_phi=np.array(values["W_phi"]),
-        C_gamma=np.array(values["C_gamma"]),
-        hyper=dict(model.hyper),
-    )
+    return model.params[name]
 
 
 def flatten_params(model: ssm_mod.ModelTheta, values: Optional[Dict[str, np.ndarray]] = None) -> np.ndarray:
-    vecs = []
-    for name in param_names(model):
-        arr = values[name] if values is not None else get_param(model, name)
-        vecs.append(np.asarray(arr, dtype=np.float64).ravel())
-    return np.concatenate(vecs)
+    """``values`` (the model's own by default) raveled into one vector, in ``model.params`` order."""
+    values = model.params if values is None else values
+    return np.concatenate([np.ravel(values[name]) for name in model.params], dtype=np.float64)
 
 
 def unflatten_params(model: ssm_mod.ModelTheta, vector: np.ndarray) -> Dict[str, np.ndarray]:
-    out = {}
-    pos = 0
-    for name in param_names(model):
-        ref = get_param(model, name)
-        size = ref.size
-        out[name] = vector[pos : pos + size].reshape(ref.shape).copy()
-        pos += size
-    if pos != vector.size:
+    """The inverse of :func:`flatten_params`: a name -> array dict shaped as ``model.params``."""
+    sizes = [arr.size for arr in model.params.values()]
+    if np.size(vector) != sum(sizes):
         raise DataError("flat parameter vector has the wrong length")
-    return out
+    pieces = np.split(np.array(vector, dtype=np.float64), np.cumsum(sizes)[:-1])
+    return {name: piece.reshape(arr.shape) for (name, arr), piece in zip(model.params.items(), pieces)}
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +339,7 @@ def gradients(
     the affine flow map, the loss) is differentiated exactly.
     Returns (loss value, dict of gradients, flow traces).
     """
-    params = {name: ad.Var(get_param(model, name)) for name in param_names(model)}
+    params = {name: ad.Var(arr) for name, arr in model.params.items()}
     samples, means, stds, trace = batch_forward(
         params,
         model,
@@ -390,7 +368,7 @@ def batch_loss(
     frozen_trace: Optional[list] = None,
 ) -> float:
     """Plain (un-taped) batch loss, optionally at replaced parameter values."""
-    params = {name: (values[name] if values is not None else get_param(model, name)) for name in param_names(model)}
+    params = model.params if values is None else values
     samples, means, stds, _ = batch_forward(params, model, batch, config.flow, graph=graph, ss_mask=ss_mask, frozen_trace=frozen_trace)
     return float(ad.val(_loss(config.loss, batch, samples, means, stds)))
 
@@ -467,14 +445,15 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
     if not dataset.val_windows:
         raise DataError("the validation split has no windows")
     rng = np.random.default_rng(np.random.SeedSequence((int(config.seed), 7)))
-    values = {name: np.array(get_param(model_init, name)) for name in param_names(model_init)}
+    # a ModelTheta keeps its own dict of these arrays; steps replace arrays and never write into them
+    values = {name: np.array(arr) for name, arr in model_init.params.items()}
     trainable = [n for n in values if config.learn_rho_sigma or n not in ("rho", "sigma")]
     adam = _Adam({n: values[n].shape for n in trainable})
-    model = model_with_params(model_init, values)
+    model = ssm_mod.ModelTheta(model_init.hyper, values)
     graph = dataset.graph
 
     best_val = math.inf
-    best_values = {k: v.copy() for k, v in values.items()}
+    best_values = dict(values)
     best_epoch = 0
     log: List[dict] = []
     iteration = 0
@@ -512,7 +491,7 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
             values = adam.step(values, grads, lr)
             for name in ("rho", "sigma"):  # a step can leave [0, inf), which the model rejects (sigma starts at 0)
                 values[name] = np.maximum(values[name], 0.0)
-            model = model_with_params(model, values)
+            model = ssm_mod.ModelTheta(model.hyper, values)
             epoch_losses.append(loss)
             iteration += 1
         if diverged:
@@ -525,7 +504,7 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
         note = ""
         if math.isfinite(val_loss) and val_loss < best_val:
             best_val = val_loss
-            best_values = {k: v.copy() for k, v in values.items()}
+            best_values = dict(values)
             best_epoch = epoch
             stale = 0
         else:
@@ -549,9 +528,8 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
             stopped_early = True
             break
 
-    best_model = model_with_params(model_init, best_values)
     return TrainResult(
-        model=best_model,
+        model=ssm_mod.ModelTheta(model_init.hyper, best_values),
         log=log,
         best_epoch=best_epoch,
         best_val=best_val,

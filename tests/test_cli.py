@@ -126,16 +126,15 @@ def test_synth_linear_gaussian_has_no_graph(tmp_path):
 
 def test_train_writes_artifacts(trained_run):
     run = trained_run["run"]
-    for name in ("checkpoint.npz", "training_log.csv", "resolved_config.json", "norm_stats.json"):
+    for name in ("checkpoint.npz", "training_log.csv", "resolved_config.json"):
         assert (run / name).exists(), name
+    assert not (run / "norm_stats.json").exists()  # forecast recomputes the statistics from the config's data
     with open(run / "training_log.csv") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     assert rows[0] == ["epoch", "train_loss", "val_loss", "lr", "seconds"]
     assert len(rows) - 1 == 2  # one line per epoch
     resolved = json.loads((run / "resolved_config.json").read_text())
     assert resolved["train"]["max_epochs"] == 2
-    stats = json.loads((run / "norm_stats.json").read_text())
-    assert set(stats) == {"mean", "std", "per_series"}
 
 
 def test_train_set_override_controls_epochs(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from flowcast import filters
 from flowcast import flow as flow_mod
-from flowcast.errors import DataError, DegenerateWeightsError
+from flowcast.errors import DataError, DegenerateWeightsError, NumericError
 from flowcast.filters import (
     LinearGaussianSSM,
     bpf_filter_linear,
@@ -145,6 +145,17 @@ def test_kalman_filter_covariances_stay_symmetric(rng):
     for p in covs:
         np.testing.assert_allclose(p, p.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(p) > -1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_kalman_filter_non_finite_mean_names_the_time_index(d):
+    # an infinite observation makes the filtered mean infinite at its own
+    # time index (and NaN after it); the filter raises there, without a warning
+    ssm = LinearGaussianSSM(F=0.9 * np.eye(d), Q=0.1 * np.eye(d), H=np.eye(d), R=np.eye(d), init_mean=np.zeros(d), init_cov=np.eye(d))
+    obs = np.full((3, d), 0.1)
+    obs[1, -1] = np.inf
+    with pytest.raises(NumericError, match=r"^Kalman filtered mean became non-finite at time index 1$"):
+        kalman_filter(ssm, obs)
 
 
 # ---------------------------------------------------------------------------

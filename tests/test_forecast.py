@@ -39,8 +39,7 @@ def _config(**kw):
 def _forward(model, graph, windows, cfg, noiseless=False):
     """The stacked batch of ``windows`` and batch_forward's (samples, means, stds) on it."""
     batch = train.stack_batch(windows, model, cfg.n_particles, cfg.seed)
-    params = {name: train.get_param(model, name) for name in train.param_names(model)}
-    samples, means, stds, _ = train.batch_forward(params, model, batch, cfg.flow, graph=graph, noiseless=noiseless)
+    samples, means, stds, _ = train.batch_forward(model.params, model, batch, cfg.flow, graph=graph, noiseless=noiseless)
     return batch, samples, means, stds
 
 
@@ -63,26 +62,27 @@ def _reference_forecast(model, graph, window, cfg):
     y_hist = np.asarray(window.y_past, dtype=np.float64)
     p, q = y_hist.shape[0], window.y_future.shape[0]
     noise = train.stack_batch([window], model, n_p, cfg.seed)  # this window's draws, alone
-    mixing = ssm.build_mixing(model.dyn_params, model.hyper, graph) if model.kind == "graph_gru" else None
+    prm = model.params
+    mixing = ssm.build_mixing(prm, model.hyper, graph) if model.hyper["kind"] == "graph_gru" else None
 
     def step(x, y_prev, t):  # the transition into (1-based) time t
         z_rows = None if window.z is None else np.broadcast_to(window.z[t - 1], (n_p, window.z.shape[1]))
         y_rows = np.broadcast_to(y_prev, (n_p, n))
-        return ssm.transition_core(model.dyn_params, model.hyper, x, y_rows, z_rows, mixing=mixing) + model.sigma * noise.dyn[t - 2, 0]
+        return ssm.transition_core(prm, model.hyper, x, y_rows, z_rows, mixing=mixing) + prm["sigma"] * noise.dyn[t - 2, 0]
 
     def noise_var(means):
-        return np.logaddexp(0.0, means @ model.C_gamma.T) ** 2
+        return np.logaddexp(0.0, means @ prm["C_gamma"].T) ** 2
 
-    x = model.rho * noise.init[0]
+    x = prm["rho"] * noise.init[0]
     for t in range(1, p + 1):
         if t > 1:
             x = step(x, y_hist[t - 2], t)
-        x = edh_flow(x[None], model.W_phi, y_hist[None, t - 1], noise_var, cfg.flow)[0]
+        x = edh_flow(x[None], prm["W_phi"], y_hist[None, t - 1], noise_var, cfg.flow)[0]
     samples = np.empty((n_p, q, n))
     y_prev = y_hist[-1]
     for k in range(q):
         x = step(x, y_prev, p + 1 + k)
-        y_prev = x @ model.W_phi.T + np.logaddexp(0.0, x @ model.C_gamma.T) * noise.meas[k, 0]
+        y_prev = x @ prm["W_phi"].T + np.logaddexp(0.0, x @ prm["C_gamma"].T) * noise.meas[k, 0]
         samples[:, k] = y_prev
     return samples
 
@@ -90,7 +90,7 @@ def _reference_forecast(model, graph, window, cfg):
 @pytest.mark.parametrize("kind,n,d_z", [("gru", 1, 0), ("graph_gru", 3, 0), ("gru", 2, 2)])
 def test_batched_forecast_matches_per_window_reference(rng, kind, n, d_z):
     model = ssm.init_model(kind=kind, n_series=n, d_x=2, layers=1, d_z=d_z, rho=0.8, sigma=0.05, init_scale=0.5, seed=5)
-    model.C_gamma = 0.3 * rng.standard_normal(model.C_gamma.shape)  # a state-dependent noise scale
+    model.params["C_gamma"] = 0.3 * rng.standard_normal(model.params["C_gamma"].shape)  # a state-dependent noise scale
     graph = ssm.Graph.from_weights(np.ones((n, n))) if kind == "graph_gru" else None
     vals = 0.5 * rng.standard_normal((40, n))
     s = data_mod.SeriesSet(values=vals, missing=np.zeros((40, n), bool), names=[f"s{i}" for i in range(n)])
@@ -157,7 +157,7 @@ def test_predict_flow_error_names_the_window(rng):
     # a huge emission scale pointing away from the one particle: the softplus
     # noise std underflows to 0, so S = diag(r) is singular at lambda = 0
     init = train.stack_batch([window], model, 1, cfg.seed).init[0, 0]
-    model.C_gamma = -1e4 * np.sign(init)[None, :]
+    model.params["C_gamma"] = -1e4 * np.sign(init)[None, :]
     with pytest.raises(FlowSolveError, match=r"of window 7 is not positive definite .* of encoder step 1$"):
         predict(model, None, window, cfg)
 
@@ -200,12 +200,11 @@ def test_single_particle_noiseless_rollout_is_recursive_point_path(window):
     model = ssm.init_model(kind="gru", n_series=1, d_x=2, layers=1, d_z=0, rho=0.8, sigma=0.0, seed=3)
     cfg = _config(n_particles=1, noiseless=True, seed=0)
     batch = train.stack_batch([window], model, 1, cfg.seed)
-    params = {name: train.get_param(model, name) for name in train.param_names(model)}
-    d1 = train.batch_forward(params, model, batch, cfg.flow, noiseless=True)[0]
+    d1 = train.batch_forward(model.params, model, batch, cfg.flow, noiseless=True)[0]
     other = np.random.default_rng(99)
     batch.dyn[11:] = other.standard_normal(batch.dyn[11:].shape)  # the decoder's transitions
     batch.meas[:] = other.standard_normal(batch.meas.shape)
-    d2 = train.batch_forward(params, model, batch, cfg.flow, noiseless=True)[0]
+    d2 = train.batch_forward(model.params, model, batch, cfg.flow, noiseless=True)[0]
     np.testing.assert_array_equal(d1, d2)
     full = predict(model, None, window, cfg)
     np.testing.assert_array_equal(full.point, full.samples[0])

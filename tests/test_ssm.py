@@ -1,6 +1,9 @@
 """State-space model: recurrent transitions, graph mixing, the emission,
 noise bookkeeping, and checkpoint persistence."""
 
+import zipfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,9 @@ from flowcast.flow import FlowConfig, edh_flow
 
 
 def _zero_params(model):
-    return {k: np.zeros_like(v) for k, v in model.dyn_params.items()}
+    """The model's parameters with every dynamics array zeroed."""
+    dyn = ssm.param_shapes(model.hyper)
+    return {k: np.zeros_like(v) if k in dyn else v for k, v in model.params.items()}
 
 
 _FLOW = FlowConfig(n_lambda=8)
@@ -29,16 +34,16 @@ def _short_batch(model, rng, n_particles, q_steps):
 
 def _forward(model, batch):
     """batch_forward's (samples, emission means, emission stds) on plain parameter arrays."""
-    params = {name: train.get_param(model, name) for name in train.param_names(model)}
-    return train.batch_forward(params, model, batch, _FLOW)[:3]
+    return train.batch_forward(model.params, model, batch, _FLOW)[:3]
 
 
 def _first_decoder_state(model, batch):
     """The state the first decoder step emits from: the prior flowed onto y_1, then one transition."""
     y_1 = batch.y_hist[:, 0]
-    x = edh_flow(model.rho * batch.init, model.W_phi, y_1, lambda m: np.logaddexp(0.0, m @ model.C_gamma.T) ** 2, _FLOW)[0]
+    p = model.params
+    x = edh_flow(p["rho"] * batch.init, p["W_phi"], y_1, lambda m: np.logaddexp(0.0, m @ p["C_gamma"].T) ** 2, _FLOW)[0]
     y_rows = np.broadcast_to(y_1[0], (x.shape[0], model.n_series))
-    return ssm.transition_core(model.dyn_params, model.hyper, x, y_rows, None) + model.sigma * batch.dyn[0, 0]
+    return ssm.transition_core(p, model.hyper, x, y_rows, None) + p["sigma"] * batch.dyn[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -76,27 +81,40 @@ def test_init_model_shapes_and_determinism():
     m1 = ssm.init_model(kind="gru", n_series=2, d_x=3, layers=1, d_z=0, seed=7)
     m2 = ssm.init_model(kind="gru", n_series=2, d_x=3, layers=1, d_z=0, seed=7)
     assert m1.state_dim == 6
-    for k in m1.dyn_params:
-        np.testing.assert_array_equal(m1.dyn_params[k], m2.dyn_params[k])
-    np.testing.assert_array_equal(m1.W_phi, m2.W_phi)
+    assert list(m1.params) == list(m2.params)
+    for k in m1.params:
+        np.testing.assert_array_equal(m1.params[k], m2.params[k])
     m3 = ssm.init_model(kind="gru", n_series=2, d_x=3, layers=1, d_z=0, seed=8)
-    assert any(not np.array_equal(m1.dyn_params[k], m3.dyn_params[k]) for k in m1.dyn_params)
+    dyn = ssm.param_shapes(m1.hyper)
+    assert any(not np.array_equal(m1.params[k], m3.params[k]) for k in dyn)
 
 
 def test_model_rejects_wrong_parameter_shapes():
     model = ssm.init_model(kind="gru", n_series=2, d_x=3, layers=1, d_z=0, seed=0)
-    bad = dict(model.dyn_params)
+    bad = dict(model.params)
     bad["l0.W_r"] = np.zeros((5, 5))
     with pytest.raises(DataError):
-        ssm.ModelTheta(rho=1.0, sigma=0.0, dyn_params=bad, W_phi=model.W_phi, C_gamma=model.C_gamma, hyper=model.hyper)
+        ssm.ModelTheta(model.hyper, bad)
 
 
 def test_model_rejects_unknown_parameters():
     model = ssm.init_model(kind="gru", n_series=2, d_x=3, layers=1, d_z=0, seed=0)
-    bad = dict(model.dyn_params)
+    bad = dict(model.params)
     bad["mystery"] = np.zeros(3)
     with pytest.raises(DataError):
-        ssm.ModelTheta(rho=1.0, sigma=0.0, dyn_params=bad, W_phi=model.W_phi, C_gamma=model.C_gamma, hyper=model.hyper)
+        ssm.ModelTheta(model.hyper, bad)
+
+
+def test_model_rejects_a_missing_name_or_a_negative_scale():
+    model = ssm.init_model(kind="gru", n_series=2, d_x=3, layers=1, d_z=0, seed=0)
+    for name in ("rho", "l0.b_c", "C_gamma"):
+        params = dict(model.params)
+        del params[name]
+        with pytest.raises(DataError, match=f"missing parameters \\['{name}'\\]"):
+            ssm.ModelTheta(model.hyper, params)
+    for name in ("rho", "sigma"):
+        with pytest.raises(DataError, match=f"^{name} must be non-negative$"):
+            ssm.ModelTheta(model.hyper, {**model.params, name: -1e-12})
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +154,10 @@ def test_zero_weights_halve_the_previous_state():
     # candidate is tanh(0) = 0, so the new state is half the old one.
     for kind in ("gru", "graph_gru"):
         model = ssm.init_model(kind=kind, n_series=3, d_x=2, layers=1, d_z=0, seed=0, sigma=0.0)
-        model = ssm.ModelTheta(
-            rho=model.rho,
-            sigma=0.0,
-            dyn_params=_zero_params(model),
-            W_phi=model.W_phi,
-            C_gamma=model.C_gamma,
-            hyper=model.hyper,
-        )
+        model = ssm.ModelTheta(model.hyper, {**_zero_params(model), "sigma": 0.0})
         graph = ssm.Graph.from_weights(np.eye(3)) if kind == "graph_gru" else None
         x_prev = np.arange(6.0)[None, :]
-        out = ssm.transition_core(model.dyn_params, model.hyper, x_prev, np.zeros((1, 3)), None, mixing=_mixing(model, graph))
+        out = ssm.transition_core(model.params, model.hyper, x_prev, np.zeros((1, 3)), None, mixing=_mixing(model, graph))
         np.testing.assert_allclose(out, 0.5 * x_prev, rtol=1e-12)
 
 
@@ -159,15 +170,15 @@ def test_zero_weights_halving_holds_for_stacked_layers():
 
 
 def _mixing(model, graph):
-    if model.kind != "graph_gru":
+    if model.hyper["kind"] != "graph_gru":
         return None
-    return ssm.build_mixing(model.dyn_params, model.hyper, graph)
+    return ssm.build_mixing(model.params, model.hyper, graph)
 
 
 def test_gru_cell_matches_hand_rolled_reference(rng):
     # independent scalar reference for a single GRU cell
     model = ssm.init_model(kind="gru", n_series=1, d_x=1, layers=1, d_z=0, seed=11, sigma=0.0)
-    p = model.dyn_params
+    p = model.params
     x_prev = np.array([[0.3]])
     y_prev = np.array([[0.7]])
 
@@ -187,8 +198,8 @@ def test_gru_nodes_do_not_interact():
     # change node 0's next state
     model = ssm.init_model(kind="gru", n_series=2, d_x=2, layers=1, d_z=0, seed=5, sigma=0.0)
     x_prev = np.array([[0.1, 0.2, 0.3, 0.4]])
-    out1 = ssm.transition_core(model.dyn_params, model.hyper, x_prev, np.array([[1.0, 2.0]]), None)
-    out2 = ssm.transition_core(model.dyn_params, model.hyper, x_prev + np.array([0, 0, 9.0, 9.0]), np.array([[1.0, 5.0]]), None)
+    out1 = ssm.transition_core(model.params, model.hyper, x_prev, np.array([[1.0, 2.0]]), None)
+    out2 = ssm.transition_core(model.params, model.hyper, x_prev + np.array([0, 0, 9.0, 9.0]), np.array([[1.0, 5.0]]), None)
     np.testing.assert_allclose(out1[0, :2], out2[0, :2], rtol=1e-12)
 
 
@@ -196,10 +207,10 @@ def test_gru_is_permutation_equivariant(rng):
     model = ssm.init_model(kind="gru", n_series=3, d_x=2, layers=2, d_z=0, seed=6, sigma=0.0)
     x_prev = rng.standard_normal(6)
     y_prev = rng.standard_normal(3)
-    out = ssm.transition_core(model.dyn_params, model.hyper, x_prev[None, :], y_prev[None, :], None)
+    out = ssm.transition_core(model.params, model.hyper, x_prev[None, :], y_prev[None, :], None)
     perm = np.array([2, 0, 1])
     x_perm = x_prev.reshape(3, 2)[perm].reshape(-1)
-    out_perm = ssm.transition_core(model.dyn_params, model.hyper, x_perm[None, :], y_prev[perm][None, :], None)
+    out_perm = ssm.transition_core(model.params, model.hyper, x_perm[None, :], y_prev[perm][None, :], None)
     np.testing.assert_allclose(out_perm[0], out[0].reshape(3, 2)[perm].reshape(-1), rtol=1e-12)
 
 
@@ -210,15 +221,15 @@ def test_graph_gru_single_node_equals_summed_weight_gru(rng):
     graph = ssm.Graph.from_weights(np.ones((1, 1)))
     x_prev = rng.standard_normal((1, 3))
     y_prev = rng.standard_normal((1, 1))
-    mixing = ssm.build_mixing(model.dyn_params, model.hyper, graph)
+    mixing = ssm.build_mixing(model.params, model.hyper, graph)
     np.testing.assert_allclose(np.asarray(mixing), [[1.0]], rtol=1e-12)
-    got = ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, None, mixing=mixing)
+    got = ssm.transition_core(model.params, model.hyper, x_prev, y_prev, None, mixing=mixing)
 
     gru_params = {}
     for g in ("r", "z", "c"):
-        gru_params[f"l0.W_{g}"] = model.dyn_params[f"l0.{g}.Wu0"] + model.dyn_params[f"l0.{g}.Wu1"]
-        gru_params[f"l0.U_{g}"] = model.dyn_params[f"l0.{g}.Wh0"] + model.dyn_params[f"l0.{g}.Wh1"]
-        gru_params[f"l0.b_{g}"] = model.dyn_params[f"l0.b_{g}"]
+        gru_params[f"l0.W_{g}"] = model.params[f"l0.{g}.Wu0"] + model.params[f"l0.{g}.Wu1"]
+        gru_params[f"l0.U_{g}"] = model.params[f"l0.{g}.Wh0"] + model.params[f"l0.{g}.Wh1"]
+        gru_params[f"l0.b_{g}"] = model.params[f"l0.b_{g}"]
     gru_hyper = dict(model.hyper, kind="gru")
     want = ssm.transition_core(gru_params, gru_hyper, x_prev, y_prev, None)
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -227,8 +238,8 @@ def test_graph_gru_single_node_equals_summed_weight_gru(rng):
 def test_mixing_blends_given_and_learned_adjacency():
     model = ssm.init_model(kind="graph_gru", n_series=3, d_x=2, layers=1, d_z=0, seed=2)
     graph = ssm.Graph.from_weights(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-    mixing = np.asarray(ssm.build_mixing(model.dyn_params, model.hyper, graph))
-    emb = model.dyn_params["embed"]
+    mixing = np.asarray(ssm.build_mixing(model.params, model.hyper, graph))
+    emb = model.params["embed"]
     scores = np.maximum(emb @ emb.T, 0.0)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     learned = e / e.sum(axis=1, keepdims=True)
@@ -239,51 +250,44 @@ def test_mixing_blends_given_and_learned_adjacency():
 def test_mixing_modes():
     model_f = ssm.init_model(kind="graph_gru", n_series=2, d_x=2, layers=1, d_z=0, adjacency_mode="fixed", seed=2)
     graph = ssm.Graph.from_weights(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    np.testing.assert_allclose(np.asarray(ssm.build_mixing(model_f.dyn_params, model_f.hyper, graph)), graph.normalized)
+    np.testing.assert_allclose(np.asarray(ssm.build_mixing(model_f.params, model_f.hyper, graph)), graph.normalized)
     model_a = ssm.init_model(kind="graph_gru", n_series=2, d_x=2, layers=1, d_z=0, adjacency_mode="adaptive", seed=2)
-    mix_a = np.asarray(ssm.build_mixing(model_a.dyn_params, model_a.hyper, None))
+    mix_a = np.asarray(ssm.build_mixing(model_a.params, model_a.hyper, None))
     np.testing.assert_allclose(mix_a.sum(axis=1), np.ones(2), rtol=1e-12)
 
 
 def test_graph_gru_requires_graph_in_fixed_and_mixed_modes():
     model = ssm.init_model(kind="graph_gru", n_series=2, d_x=2, layers=1, d_z=0, adjacency_mode="mixed", seed=2)
     with pytest.raises(DataError):
-        ssm.build_mixing(model.dyn_params, model.hyper, None)
+        ssm.build_mixing(model.params, model.hyper, None)
 
 
 def test_covariates_shift_the_transition(rng):
     model = ssm.init_model(kind="gru", n_series=2, d_x=2, layers=1, d_z=2, seed=1, sigma=0.0)
     x_prev = rng.standard_normal((1, 4))
     y_prev = rng.standard_normal((1, 2))
-    out_a = ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, np.array([[0.0, 0.0]]))
-    out_b = ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, np.array([[1.0, -1.0]]))
+    out_a = ssm.transition_core(model.params, model.hyper, x_prev, y_prev, np.array([[0.0, 0.0]]))
+    out_b = ssm.transition_core(model.params, model.hyper, x_prev, y_prev, np.array([[1.0, -1.0]]))
     assert not np.allclose(out_a, out_b)
     with pytest.raises(DataError):
-        ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, None)
+        ssm.transition_core(model.params, model.hyper, x_prev, y_prev, None)
     with pytest.raises(DataError, match=r"shape \(1, 2\)"):  # covariates come one row per state row
-        ssm.transition_core(model.dyn_params, model.hyper, x_prev, y_prev, np.array([1.0, -1.0]))
+        ssm.transition_core(model.params, model.hyper, x_prev, y_prev, np.array([1.0, -1.0]))
 
 
 def test_transition_applies_noise_scale(tiny_gru_model, rng):
     # a one-step history: the flow does not read sigma, so the first decoder
     # states of the two models differ by sigma times the transition draw
     model = tiny_gru_model
-    quiet = ssm.ModelTheta(rho=model.rho, sigma=0.0, dyn_params=model.dyn_params, W_phi=model.W_phi, C_gamma=model.C_gamma, hyper=model.hyper)
+    quiet = ssm.ModelTheta(model.hyper, {**model.params, "sigma": 0.0})
     batch = _short_batch(model, rng, 4, 1)
     _, noisy_means, _ = _forward(model, batch)
     _, quiet_means, _ = _forward(quiet, batch)
-    np.testing.assert_allclose(noisy_means[0] - quiet_means[0], model.sigma * batch.dyn[0] @ model.W_phi.T, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(noisy_means[0] - quiet_means[0], model.params["sigma"] * batch.dyn[0] @ model.params["W_phi"].T, rtol=1e-10, atol=1e-14)
 
 
 def test_sigma_zero_transition_is_deterministic(tiny_gru_model, rng):
-    model = ssm.ModelTheta(
-        rho=tiny_gru_model.rho,
-        sigma=0.0,
-        dyn_params=tiny_gru_model.dyn_params,
-        W_phi=tiny_gru_model.W_phi,
-        C_gamma=tiny_gru_model.C_gamma,
-        hyper=tiny_gru_model.hyper,
-    )
+    model = ssm.ModelTheta(tiny_gru_model.hyper, {**tiny_gru_model.params, "sigma": 0.0})
     # with the noise term off, the transition draws do not reach the samples
     batch = _short_batch(model, rng, 5, 3)
     before = _forward(model, batch)[0]
@@ -301,12 +305,12 @@ def test_init_ensemble_scales_with_rho(rng):
     # trace holds their mean and their P H^T
     model = ssm.init_model(kind="gru", n_series=1, d_x=2, layers=1, d_z=0, rho=2.0, seed=0)
     batch = _short_batch(model, rng, 2000, 1)
-    params = {name: train.get_param(model, name) for name in train.param_names(model)}
-    first = train.batch_forward(params, model, batch, _FLOW, collect_trace=True)[3][0]
-    prior = model.rho * batch.init[0]
+    first = train.batch_forward(model.params, model, batch, _FLOW, collect_trace=True)[3][0]
+    prior = model.params["rho"] * batch.init[0]
     assert abs(prior.std() - 2.0) < 0.1
     np.testing.assert_allclose(first.mean[0], prior.mean(axis=0), rtol=1e-12, atol=1e-15)
-    pht = np.cov(prior, rowvar=False, bias=True) @ model.W_phi.T + _FLOW.jitter * model.W_phi.T
+    w_phi = model.params["W_phi"]
+    pht = np.cov(prior, rowvar=False, bias=True) @ w_phi.T + _FLOW.jitter * w_phi.T
     np.testing.assert_allclose(first.pht[0], pht, rtol=1e-12, atol=1e-15)
     np.testing.assert_array_equal(_short_batch(model, rng, 2000, 1).init, batch.init)
 
@@ -361,18 +365,18 @@ def test_window_noise_is_each_windows_own_stream(seed_key):
 
 def test_measurement_mean_is_linear_readout(rng):
     model = ssm.init_model(kind="gru", n_series=2, d_x=2, layers=1, d_z=0, seed=0)
-    model.C_gamma = 0.5 * rng.standard_normal(model.C_gamma.shape)
+    model.params["C_gamma"] = 0.5 * rng.standard_normal(model.params["C_gamma"].shape)
     batch = _short_batch(model, rng, 3, 1)
     _, means, _ = _forward(model, batch)
-    np.testing.assert_allclose(means[0][0], _first_decoder_state(model, batch) @ model.W_phi.T, rtol=1e-12)
+    np.testing.assert_allclose(means[0][0], _first_decoder_state(model, batch) @ model.params["W_phi"].T, rtol=1e-12)
 
 
 def test_measurement_std_is_softplus_of_readout(rng):
     model = ssm.init_model(kind="gru", n_series=2, d_x=2, layers=1, d_z=0, seed=0)
-    model.C_gamma = 0.5 * rng.standard_normal(model.C_gamma.shape)
+    model.params["C_gamma"] = 0.5 * rng.standard_normal(model.params["C_gamma"].shape)
     batch = _short_batch(model, rng, 3, 1)
     _, _, stds = _forward(model, batch)
-    np.testing.assert_allclose(stds[0][0], np.logaddexp(0.0, _first_decoder_state(model, batch) @ model.C_gamma.T), rtol=1e-12)
+    np.testing.assert_allclose(stds[0][0], np.logaddexp(0.0, _first_decoder_state(model, batch) @ model.params["C_gamma"].T), rtol=1e-12)
     # the softplus itself, at both tails; softplus(3) is about 3.0486, comfortably positive
     got = ad.softplus(np.array([3.0, 0.0, -40.0]))
     np.testing.assert_allclose(got, [np.log1p(np.exp(3.0)), np.log(2.0), np.logaddexp(0.0, -40.0)], rtol=1e-12)
@@ -398,12 +402,49 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path, rng):
     path = tmp_path / "model.npz"
     ssm.save_checkpoint(path, model)
     loaded = ssm.load_checkpoint(path)
-    assert loaded.rho == model.rho and loaded.sigma == model.sigma
     assert loaded.hyper == model.hyper
-    for k in model.dyn_params:
-        np.testing.assert_array_equal(loaded.dyn_params[k], model.dyn_params[k])
-    np.testing.assert_array_equal(loaded.W_phi, model.W_phi)
-    np.testing.assert_array_equal(loaded.C_gamma, model.C_gamma)
+    assert list(loaded.params) == list(model.params)
+    for k, arr in model.params.items():
+        assert loaded.params[k].dtype == arr.dtype and loaded.params[k].shape == arr.shape
+        np.testing.assert_array_equal(loaded.params[k], arr)
+
+
+def test_committed_checkpoint_round_trips_byte_for_byte(tmp_path):
+    committed = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "checkpoint.npz"
+    ssm.save_checkpoint(tmp_path / "again.npz", ssm.load_checkpoint(committed))
+    assert (tmp_path / "again.npz").read_bytes() == committed.read_bytes()
+
+
+def test_fitted_checkpoint_lists_its_entries_in_format_order(tmp_path, rng):
+    # format 1: rho, sigma, W_phi, C_gamma, the dynamics arrays in
+    # param_shapes order (not the sorted order of model.params), then meta
+    model = ssm.init_model(kind="graph_gru", n_series=2, d_x=2, layers=1, rho=0.8, sigma=0.05, init_scale=0.5, seed=1)
+    vals = 0.5 * rng.standard_normal((30, 2))
+    s = data_mod.SeriesSet(values=vals, missing=np.zeros(vals.shape, bool), names=["a", "b"])
+    windows = data_mod.make_windows(s, 3, 2)
+    dataset = train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=ssm.Graph.from_weights(np.ones((2, 2))))
+    result = train.fit(dataset, model, train.TrainConfig(max_epochs=1, batch_size=4, n_particles_eval=2, flow=_FLOW))
+    ssm.save_checkpoint(tmp_path / "fit.npz", result.model)
+    dyn = [name for g in "rzc" for name in (f"l0.{g}.Wu0", f"l0.{g}.Wu1", f"l0.{g}.Wh0", f"l0.{g}.Wh1", f"l0.b_{g}")] + ["embed"]
+    want = ["rho", "sigma", "W_phi", "C_gamma", *(f"dyn.{name}" for name in dyn), "meta"]
+    with zipfile.ZipFile(tmp_path / "fit.npz") as zf:
+        assert zf.namelist() == [f"{name}.npy" for name in want]
+
+
+@pytest.mark.parametrize("edit", ["dyn.rho", "unprefixed embed", "no C_gamma"])
+def test_checkpoint_rejects_entries_the_format_does_not_name(tmp_path, edit):
+    model = ssm.init_model(kind="graph_gru", n_series=2, d_x=2, layers=1, seed=0)
+    ssm.save_checkpoint(tmp_path / "model.npz", model)
+    data = dict(np.load(tmp_path / "model.npz"))
+    if edit == "dyn.rho":  # a second rho, which must not shadow the first
+        data["dyn.rho"] = np.array(7.0)
+    elif edit == "unprefixed embed":
+        data["embed"] = data.pop("dyn.embed")
+    else:
+        del data["C_gamma"]
+    np.savez(tmp_path / "model.npz", **data)
+    with pytest.raises(DataError, match="entries"):
+        ssm.load_checkpoint(tmp_path / "model.npz")
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):

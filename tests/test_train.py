@@ -45,11 +45,14 @@ def test_param_round_trip_through_flat_vector():
     model = _tiny_model(n_series=2, d_x=3)
     vec = train.flatten_params(model)
     values = train.unflatten_params(model, vec)
+    assert list(values) == train.param_names(model)
     for name in train.param_names(model):
         np.testing.assert_array_equal(values[name], train.get_param(model, name))
-    rebuilt = train.model_with_params(model, values)
-    np.testing.assert_array_equal(rebuilt.W_phi, model.W_phi)
-    assert rebuilt.rho == model.rho
+    rebuilt = ssm_mod.ModelTheta(model.hyper, values)
+    for name, arr in model.params.items():
+        np.testing.assert_array_equal(rebuilt.params[name], arr)
+    with pytest.raises(DataError, match="wrong length"):
+        train.unflatten_params(model, np.append(vec, 0.0))
 
 
 def test_param_names_cover_all_trainables():
@@ -57,7 +60,8 @@ def test_param_names_cover_all_trainables():
     names = train.param_names(model)
     assert "rho" in names and "sigma" in names
     assert "W_phi" in names and "C_gamma" in names
-    assert set(model.dyn_params) <= set(names)
+    assert set(ssm_mod.param_shapes(model.hyper)) <= set(names)
+    assert names == list(model.params)
 
 
 # ---------------------------------------------------------------------------
@@ -65,15 +69,11 @@ def test_param_names_cover_all_trainables():
 # ---------------------------------------------------------------------------
 
 
-def _params(model):
-    return {name: train.get_param(model, name) for name in train.param_names(model)}
-
-
 def _batch_emitting(model, windows, cfg, wanted, target):
     """A stacked batch whose decoder draws make the samples ``wanted`` (B, n_p, Q, N), scored against ``target`` (B, Q, N)."""
     batch = train.stack_batch(windows, model, wanted.shape[1], cfg.seed)
     for k in range(wanted.shape[2]):  # step k's mean and std depend only on the draws before it
-        _, means, stds, _ = train.batch_forward(_params(model), model, batch, cfg.flow)
+        _, means, stds, _ = train.batch_forward(model.params, model, batch, cfg.flow)
         batch.meas[k] = (wanted[:, :, k] - means[k]) / stds[k]
     batch.y_future = np.asarray(target, dtype=np.float64)
     return batch
@@ -101,7 +101,7 @@ def test_nll_loss_single_gaussian_closed_form(rng):
     cfg = _config(loss="nll")
     batch = train.stack_batch(_windows(rng, q=1)[:1], model, 1, cfg.seed)
     batch.y_future = np.array([[[0.9]]])
-    _, means, stds, _ = train.batch_forward(_params(model), model, batch, cfg.flow)
+    _, means, stds, _ = train.batch_forward(model.params, model, batch, cfg.flow)
     mean, std, y = means[0][0, 0, 0], stds[0][0, 0, 0], 0.9
     want = 0.5 * np.log(2 * np.pi * std**2) + (y - mean) ** 2 / (2 * std**2)
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), want, rtol=1e-10)
@@ -109,11 +109,11 @@ def test_nll_loss_single_gaussian_closed_form(rng):
 
 def test_nll_loss_multiple_particles_mixes_before_log(rng):
     model = _tiny_model()
-    model.C_gamma = np.array([[0.7, -0.4]])  # a state-dependent std, different per particle
+    model.params["C_gamma"] = np.array([[0.7, -0.4]])  # a state-dependent std, different per particle
     cfg = _config(loss="nll")
     batch = train.stack_batch(_windows(rng, q=2)[:1], model, 4, cfg.seed)
     y = batch.y_future[0]
-    _, means, stds, _ = train.batch_forward(_params(model), model, batch, cfg.flow)
+    _, means, stds, _ = train.batch_forward(model.params, model, batch, cfg.flow)
 
     total = 0.0
     for t in range(2):
@@ -147,7 +147,7 @@ def test_batch_forward_mae_equals_quantile_loss_at_half(rng):
     windows = _windows(rng)[:3]
     cfg = _config(n_particles_train=3)
     batch = train.stack_batch(windows, model, 3, 0)
-    samples = train.batch_forward(_params(model), model, batch, cfg.flow)[0]
+    samples = train.batch_forward(model.params, model, batch, cfg.flow)[0]
     med = np.median(samples, axis=1)
     ql = metrics.quantile_loss(batch.y_future.ravel(), med.ravel(), 0.5)
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), ql.mean(), rtol=1e-10)
@@ -221,9 +221,7 @@ def test_gradients_zero_for_unused_parameters(rng):
 
 
 def _with_params(model, **replaced):
-    values = {name: train.get_param(model, name) for name in train.param_names(model)}
-    values.update(replaced)
-    return train.model_with_params(model, values)
+    return ssm_mod.ModelTheta(model.hyper, {**model.params, **replaced})
 
 
 def test_flow_solve_error_names_the_window(rng):
@@ -342,7 +340,7 @@ def test_fit_keeps_learned_rho_sigma_non_negative(rng):
     cfg = _config(learn_rho_sigma=True, lr=0.05, max_epochs=2)
     result = train.fit(train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=None), model, cfg)
     assert len(result.log) == 2 and not result.diverged
-    assert result.model.rho >= 0.0 and result.model.sigma >= 0.0
+    assert result.model.params["rho"] >= 0.0 and result.model.params["sigma"] >= 0.0
 
 
 def test_fit_reduces_training_loss(rng):
