@@ -36,6 +36,10 @@ def _fraction(x):
     return 0.0 < x < 1.0
 
 
+def _epoch_list(x):
+    return all(isinstance(m, int) and not isinstance(m, bool) and m >= 1 for m in x)
+
+
 SCHEMA: dict = {
     "data": {
         "path": Field(str, default=None),
@@ -43,11 +47,11 @@ SCHEMA: dict = {
         "synth": {
             "kind": Field(str, default=None, check=lambda v: v in (None, "linear_gaussian", "var_graph"), check_msg="must be 'linear_gaussian' or 'var_graph'"),
             "n_series": Field(int, default=5, check=_positive, check_msg="must be positive"),
-            "state_dim": Field(int, default=None),
+            "state_dim": Field(int, default=None, check=_positive, check_msg="must be positive"),
             "t_steps": Field(int, default=2000, check=_positive, check_msg="must be positive"),
             "seed": Field(int, default=0),
         },
-        "period": Field(int, default=None),
+        "period": Field(int, default=None, check=_positive, check_msg="must be positive"),
         "covariates": Field(bool, default=False),
         "per_series_norm": Field(bool, default=False),
     },
@@ -81,7 +85,7 @@ SCHEMA: dict = {
     "train": {
         "loss": Field(str, default="mae", check=lambda v: v in ("mae", "nll"), check_msg="must be 'mae' or 'nll'"),
         "lr": Field((int, float), default=0.01, check=_positive, check_msg="must be positive"),
-        "milestones": Field(list, default=[20, 30, 40, 50]),
+        "milestones": Field(list, default=[20, 30, 40, 50], check=_epoch_list, check_msg="must be a list of epochs (integers >= 1)"),
         "lr_factor": Field((int, float), default=0.1, check=_positive, check_msg="must be positive"),
         "clip_norm": Field((int, float), default=5.0, check=_non_negative, check_msg="must be non-negative"),
         "batch_size": Field(int, default=64, check=_positive, check_msg="must be positive"),

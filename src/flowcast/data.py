@@ -1,13 +1,14 @@
 """Dataset handling: CSV IO, cleaning, splitting, scaling, windowing.
 
 Series CSVs have a header row, an optional leading ISO-8601 timestamp
-column, and one numeric column per series; blank cells are missing
-values.  Graph CSVs are ``src,dst,weight`` edge lists.
+column, and one numeric column per series; blank and ``nan`` cells are
+missing values, held as NaN.  Graph CSVs are ``src,dst,weight`` edge lists.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import List, Optional, Sequence
@@ -22,20 +23,16 @@ from .ssm import Graph
 
 @dataclass
 class SeriesSet:
-    """A multivariate series: (T, N) values plus a missingness mask."""
+    """A multivariate series: (T, N) values, NaN where a value is missing."""
 
     values: np.ndarray
-    missing: np.ndarray
     names: List[str]
     timestamps: Optional[List[str]] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.missing = np.asarray(self.missing, dtype=bool)
         if self.values.ndim != 2:
             raise DataError("series values must be (T, N)")
-        if self.missing.shape != self.values.shape:
-            raise DataError("missing mask must match the values shape")
         if len(self.names) != self.values.shape[1]:
             raise DataError("need one name per series")
         if self.timestamps is not None and len(self.timestamps) != self.values.shape[0]:
@@ -55,7 +52,6 @@ class Window:
     """One forecasting example: P history rows, Q target rows, covariates."""
 
     window_id: int
-    start: int
     y_past: np.ndarray
     y_future: Optional[np.ndarray]
     z: Optional[np.ndarray]
@@ -67,7 +63,6 @@ class NormStats:
 
     mean: np.ndarray
     std: np.ndarray
-    per_series: bool
 
 
 @dataclass
@@ -124,8 +119,7 @@ def load_series(path) -> SeriesSet:
     t_steps, n = len(data_rows), len(names)
     if n == 0:
         raise DataError(f"no series columns in {path}")
-    values = np.zeros((t_steps, n))
-    missing = np.zeros((t_steps, n), dtype=bool)
+    values = np.full((t_steps, n), np.nan)
     for i, row in enumerate(data_rows):
         cells = row
         if has_timestamps:
@@ -137,14 +131,15 @@ def load_series(path) -> SeriesSet:
         for j, cell in enumerate(cells):
             text = cell.strip()
             if text == "":
-                missing[i, j] = True
-                values[i, j] = np.nan
                 continue
             try:
-                values[i, j] = float(text)
+                value = float(text)
             except ValueError:
                 raise DataError(f"non-numeric value '{text}' at row {i + 2}, column '{names[j]}'")
-    return SeriesSet(values=values, missing=missing, names=names, timestamps=timestamps)
+            if math.isinf(value):
+                raise DataError(f"infinite value '{text}' at row {i + 2}, column '{names[j]}'")
+            values[i, j] = value
+    return SeriesSet(values=values, names=names, timestamps=timestamps)
 
 
 def save_series(path, series: SeriesSet) -> None:
@@ -153,11 +148,9 @@ def save_series(path, series: SeriesSet) -> None:
         writer = csv.writer(fh)
         header = (["timestamp"] if series.timestamps is not None else []) + list(series.names)
         writer.writerow(header)
-        for i in range(series.n_steps):
-            row = [series.timestamps[i]] if series.timestamps is not None else []
-            for j in range(series.n_series):
-                row.append("" if series.missing[i, j] else repr(float(series.values[i, j])))
-            writer.writerow(row)
+        for i, row in enumerate(series.values.tolist()):
+            stamp = [series.timestamps[i]] if series.timestamps is not None else []
+            writer.writerow(stamp + ["" if math.isnan(v) else repr(v) for v in row])
 
 
 def load_graph(path, n_nodes: int) -> Graph:
@@ -201,17 +194,11 @@ def save_graph(path, graph: Graph) -> None:
 
 def forward_fill(series: SeriesSet) -> SeriesSet:
     """Replace every missing cell with the last seen value in its column."""
-    lead = series.missing[0]
-    if np.any(lead):
-        bad = series.names[int(np.argmax(lead))]
+    missing = np.isnan(series.values)
+    if np.any(missing[0]):
+        bad = series.names[int(np.argmax(missing[0]))]
         raise DataError(f"series '{bad}' starts with a missing value; nothing to fill from")
-    filled = forward_fill_array(np.nan_to_num(series.values, nan=0.0), series.missing)
-    return SeriesSet(
-        values=filled,
-        missing=np.zeros_like(series.missing),
-        names=list(series.names),
-        timestamps=list(series.timestamps) if series.timestamps is not None else None,
-    )
+    return replace(series, values=forward_fill_array(series.values, missing))
 
 
 def chronological_split(
@@ -234,14 +221,8 @@ def chronological_split(
     for lo, hi in ((0, n1), (n1, n2), (n2, t)):
         if min_length is not None and hi - lo < min_length:
             raise DataError(f"split segment [{lo}, {hi}) is shorter than the required {min_length} steps")
-        pieces.append(
-            SeriesSet(
-                values=series.values[lo:hi],
-                missing=series.missing[lo:hi],
-                names=list(series.names),
-                timestamps=series.timestamps[lo:hi] if series.timestamps is not None else None,
-            )
-        )
+        stamps = series.timestamps[lo:hi] if series.timestamps is not None else None
+        pieces.append(replace(series, values=series.values[lo:hi], timestamps=stamps))
     return tuple(pieces)
 
 
@@ -260,7 +241,7 @@ def standardize(series: SeriesSet, stats: Optional[NormStats] = None, per_series
             std = np.asarray(series.values.std())
         if np.any(std < 1e-12):
             raise DataError("cannot standardize: a series is (near-)constant")
-        stats = NormStats(mean=mean, std=std, per_series=per_series)
+        stats = NormStats(mean=mean, std=std)
     out = replace(series, values=(series.values - stats.mean) / stats.std)
     return out, stats
 
@@ -295,7 +276,7 @@ def make_windows(
     """
     if p_steps < 1 or q_steps < 0:
         raise DataError("window sizes must satisfy P >= 1, Q >= 0")
-    if np.any(series.missing):
+    if np.any(np.isnan(series.values)):
         raise DataError("windows require a series with no missing values (forward fill first)")
     t = series.n_steps
     count = t - p_steps - q_steps + 1
@@ -308,7 +289,6 @@ def make_windows(
         windows.append(
             Window(
                 window_id=start,
-                start=start,
                 y_past=series.values[k : k + p_steps],
                 y_future=series.values[k + p_steps : k + p_steps + q_steps] if q_steps else None,
                 z=z,
@@ -379,5 +359,5 @@ def synth_generate(kind: str, dims, t_steps: int, seed: int) -> SynthResult:
 
     states, obs = ssm.simulate(int(t_steps), rng)
     names = [f"s{i}" for i in range(obs.shape[1])]
-    series = SeriesSet(values=obs, missing=np.zeros_like(obs, dtype=bool), names=names)
+    series = SeriesSet(values=obs, names=names)
     return SynthResult(series=series, graph=graph, oracle=ssm, states=states)

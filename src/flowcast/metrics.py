@@ -127,6 +127,7 @@ def evaluate_forecasts(
     ql_levels: Sequence[float] = (0.5, 0.9),
 ):
     """Rows (metric, horizon, value) for the standard report."""
+    q_forecasts = [(alpha, np.quantile(samples, alpha, axis=1)) for alpha in ql_levels]
     rows = []
     for h in horizons:
         h = int(h)
@@ -135,8 +136,7 @@ def evaluate_forecasts(
         rows.append(("mape", h, pm["mape"]))
         rows.append(("rmse", h, pm["rmse"]))
         rows.append(("crps_avg", h, crps_avg(samples, targets, h)))
-        for alpha in ql_levels:
-            q_forecast = np.quantile(samples, alpha, axis=1)
+        for alpha, q_forecast in q_forecasts:
             rows.append((f"ql{int(round(100 * alpha)):02d}_avg", h, ql_avg(q_forecast, targets, alpha, h)))
     rows.append(("crps_sum", "all", crps_sum(samples, targets)))
     return rows

@@ -437,8 +437,9 @@ def evaluate_loss(
 def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig) -> TrainResult:
     """Minibatch Adam with milestone lr decay, clipping, early stopping.
 
-    Returns the best-validation checkpoint.  A non-finite loss aborts and
-    returns the last good checkpoint (flagged in the result and the log).
+    Returns the best-validation checkpoint.  A non-finite loss or a
+    ``NumericError``, in a training step or the validation pass, aborts and
+    returns the best checkpoint so far (flagged in the result and the log).
     """
     if not dataset.train_windows:
         raise DataError("the training split has no windows")
@@ -499,7 +500,10 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
                 {"epoch": epoch, "train_loss": math.nan, "val_loss": math.nan, "lr": lr, "seconds": time.perf_counter() - t0, "note": "diverged"}
             )
             break
-        val_loss = evaluate_loss(model, dataset.val_windows, config, graph=graph)
+        try:
+            val_loss = evaluate_loss(model, dataset.val_windows, config, graph=graph)
+        except NumericError:
+            val_loss = math.nan  # handled below like a non-finite validation loss
         seconds = time.perf_counter() - t0
         note = ""
         if math.isfinite(val_loss) and val_loss < best_val:

@@ -5,6 +5,8 @@ import pytest
 
 from flowcast import flow as flow_mod
 from flowcast import ssm as ssm_mod
+from flowcast import train as train_mod
+from flowcast.errors import FlowDivergedError
 
 # pytest puts src/ on its own sys.path (pyproject's `pythonpath`); the tests
 # that run `python -m flowcast` in a subprocess need it on the child's path too
@@ -48,3 +50,18 @@ def small_graph_model():
 @pytest.fixture
 def fast_flow():
     return flow_mod.FlowConfig(n_lambda=8)
+
+
+@pytest.fixture
+def second_validation_diverges(monkeypatch):
+    """Make the second ``train.evaluate_loss`` call (epoch 2's validation pass) raise a flow failure."""
+    evaluate_loss, calls = train_mod.evaluate_loss, []
+
+    def failing_on_second_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise FlowDivergedError("particles became non-finite", window_id=0)
+        return evaluate_loss(*args, **kwargs)
+
+    # fit calls evaluate_loss through the module global
+    monkeypatch.setattr(train_mod, "evaluate_loss", failing_on_second_call)

@@ -171,7 +171,7 @@ def test_training_gradients_match_finite_differences_everywhere():
     for seed in range(5):
         rng = np.random.default_rng(2000 + seed)
         vals = 0.5 * rng.standard_normal((14, 1))
-        series = data_mod.SeriesSet(values=vals, missing=np.zeros((14, 1), bool), names=["s0"])
+        series = data_mod.SeriesSet(values=vals, names=["s0"])
         windows = data_mod.make_windows(series, 2, 2)[:2]
         model = ssm_mod.init_model(
             kind="gru", n_series=1, d_x=2, layers=1, rho=0.8, sigma=0.05, init_scale=0.5, seed=seed
@@ -520,7 +520,7 @@ def test_invariant_properties_hold():
 
     # standardization round-trips
     vals = rng.standard_normal((40, 3)) * 5 + 2
-    series = data_mod.SeriesSet(values=vals, missing=np.zeros((40, 3), bool), names=["a", "b", "c"])
+    series = data_mod.SeriesSet(values=vals, names=["a", "b", "c"])
     scaled, stats = data_mod.standardize(series, per_series=True)
     if not np.allclose(data_mod.destandardize(scaled.values, stats), vals, atol=1e-12):
         failures.append("standardize does not round-trip")

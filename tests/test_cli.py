@@ -196,6 +196,15 @@ def test_train_divergence_is_a_numeric_failure(tmp_path, capsys):
     assert (tmp_path / "run" / "checkpoint.npz").exists()
 
 
+def test_train_flow_failure_in_validation_keeps_the_best_checkpoint(tmp_path, capsys, second_validation_diverges):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_base_config(tmp_path / "run")))
+    assert cli.main(["train", "--config", str(config_path), "--set", "train.max_epochs=3"]) == 3
+    assert "diverged" in capsys.readouterr().err
+    assert (tmp_path / "run" / "checkpoint.npz").exists()
+    assert (tmp_path / "run" / "training_log.csv").read_text().endswith("# diverged best_epoch=1\n")
+
+
 # ---------------------------------------------------------------------------
 # forecast
 # ---------------------------------------------------------------------------

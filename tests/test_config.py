@@ -127,6 +127,28 @@ def test_enum_fields_reject_unknown_values():
         config_mod.validate_config(raw)
 
 
+@pytest.mark.parametrize("milestones", [["a"], [1.5], [0], [True], [2, -1]])
+def test_milestones_must_be_whole_epochs(milestones):
+    with pytest.raises(DataError, match=r"^config key 'train\.milestones' must be a list of epochs"):
+        config_mod.validate_config(_minimal(train__milestones=milestones))
+    assert config_mod.validate_config(_minimal(train__milestones=[1, 3]))["train"]["milestones"] == [1, 3]
+
+
+@pytest.mark.parametrize("period", [0, -2])
+def test_period_must_be_positive(period):
+    with pytest.raises(DataError, match=r"^config key 'data\.period' must be positive$"):
+        config_mod.validate_config(_minimal(data__period=period, data__covariates=True))
+    assert config_mod.validate_config(_minimal(data__period=1))["data"]["period"] == 1
+
+
+@pytest.mark.parametrize("state_dim", [0, -3])
+def test_state_dim_must_be_null_or_positive(state_dim):
+    with pytest.raises(DataError, match=r"^config key 'data\.synth\.state_dim' must be positive$"):
+        config_mod.validate_config(_minimal(data__synth__state_dim=state_dim))
+    assert config_mod.validate_config(_minimal(data__synth__state_dim=None))["data"]["synth"]["state_dim"] is None
+    assert config_mod.validate_config(_minimal(data__synth__state_dim=2))["data"]["synth"]["state_dim"] == 2
+
+
 def test_explicit_null_falls_back_to_default():
     raw = _minimal()
     raw["flow"] = {"jitter": None}

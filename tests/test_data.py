@@ -4,13 +4,13 @@ normalization, graphs, and the synthetic generators."""
 import numpy as np
 import pytest
 
-from flowcast import data
+from flowcast import cli, data
 from flowcast.errors import DataError
 
 
 def _series(values, names=None):
     values = np.asarray(values, dtype=np.float64)
-    return data.SeriesSet(values=values, missing=np.isnan(values), names=names or [f"s{i}" for i in range(values.shape[1])])
+    return data.SeriesSet(values=values, names=names or [f"s{i}" for i in range(values.shape[1])])
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +26,7 @@ def test_series_csv_round_trip_is_bitwise(tmp_path, rng):
     back = data.load_series(path)
     assert back.names == ["a", "b", "c"]
     np.testing.assert_array_equal(back.values, values)
-    assert not back.missing.any()
+    assert not np.isnan(back.values).any()
 
 
 def test_series_csv_with_timestamps(tmp_path):
@@ -42,8 +42,47 @@ def test_series_csv_blank_cells_are_missing(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("a,b\n1.0,\n,4.0\n")
     s = data.load_series(path)
-    assert s.missing[0, 1] and s.missing[1, 0]
-    assert not s.missing[0, 0]
+    np.testing.assert_array_equal(np.isnan(s.values), [[False, True], [True, False]])
+    np.testing.assert_array_equal(s.values[[0, 1], [0, 1]], [1.0, 4.0])
+
+
+def test_series_csv_nan_cells_are_forward_filled_like_blank_cells(tmp_path):
+    blank, spelled = tmp_path / "blank.csv", tmp_path / "nan.csv"
+    blank.write_text("a,b\n1.0,2.0\n,\n3.0,\n")
+    spelled.write_text("a,b\n1.0,2.0\nnan,NaN\n3.0,nan\n")
+    filled = data.forward_fill(data.load_series(spelled))
+    np.testing.assert_array_equal(filled.values, data.forward_fill(data.load_series(blank)).values)
+    np.testing.assert_array_equal(filled.values, [[1.0, 2.0], [1.0, 2.0], [3.0, 2.0]])
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+def test_series_csv_infinite_cell_raises_with_row_and_column(tmp_path, cell):
+    path = tmp_path / "series.csv"
+    path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n")
+    with pytest.raises(DataError, match=f"^infinite value '{cell}' at row 3, column 'b'$"):
+        data.load_series(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b\r\n1.5,\r\n,-0.25\r\n3.0,4e-05\r\n",
+        "timestamp,a,b\r\n2024-01-01T00:00:00,,2.0\r\n2024-01-01T01:00:00,-1.0,\r\n",
+    ],
+    ids=["blank-cells", "timestamps"],
+)
+def test_series_csv_with_blank_cells_round_trips_byte_for_byte(tmp_path, text):
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_bytes(text.encode())
+    data.save_series(dst, data.load_series(src))
+    assert dst.read_bytes() == src.read_bytes()
+
+
+def test_synth_series_csv_round_trips_byte_for_byte(tmp_path):
+    assert cli.main(["synth", "--kind", "var_graph", "--n", "3", "--t", "40", "--seed", "2", "--out", str(tmp_path / "synth")]) == 0
+    src, dst = tmp_path / "synth" / "series.csv", tmp_path / "back.csv"
+    data.save_series(dst, data.load_series(src))
+    assert dst.read_bytes() == src.read_bytes()
 
 
 def test_series_csv_ragged_row_raises_with_row_number(tmp_path):
@@ -65,7 +104,7 @@ def test_series_csv_missing_round_trip(tmp_path):
     path = tmp_path / "series.csv"
     data.save_series(path, s)
     back = data.load_series(path)
-    np.testing.assert_array_equal(back.missing, s.missing)
+    np.testing.assert_array_equal(np.isnan(back.values), np.isnan(s.values))
     assert back.values[0, 0] == 1.0 and back.values[1, 1] == 4.0
 
 
@@ -79,7 +118,7 @@ def test_forward_fill_fills_from_the_left():
     out = data.forward_fill(s)
     np.testing.assert_array_equal(out.values[:, 0], [1.0, 1.0, 1.0, 2.0])
     np.testing.assert_array_equal(out.values[:, 1], [5.0, 6.0, 6.0, 7.0])
-    assert not out.missing.any()
+    assert not np.isnan(out.values).any()
 
 
 def test_forward_fill_leading_missing_raises_with_series_name():
@@ -176,7 +215,7 @@ def test_window_count_and_contents(rng):
     w0 = wins[0]
     np.testing.assert_array_equal(w0.y_past, vals[:12])
     np.testing.assert_array_equal(w0.y_future, vals[12:24])
-    assert w0.window_id == 0 and w0.start == 0
+    assert w0.window_id == 0
     np.testing.assert_array_equal(wins[6].y_future, vals[18:30])
 
 
@@ -184,7 +223,6 @@ def test_window_ids_respect_global_offset(rng):
     s = _series(rng.standard_normal((26, 1)))
     wins = data.make_windows(s, 12, 12, start_offset=100)
     assert [w.window_id for w in wins] == [100, 101, 102]
-    assert [w.start for w in wins] == [100, 101, 102]
 
 
 def test_windows_need_complete_data():

@@ -19,14 +19,14 @@ from flowcast.forecast import PredictConfig, empirical_quantile, predict
 @pytest.fixture
 def window(rng):
     vals = rng.standard_normal((24, 1)) * 0.5
-    s = data_mod.SeriesSet(values=vals, missing=np.zeros((24, 1), bool), names=["a"])
+    s = data_mod.SeriesSet(values=vals, names=["a"])
     return data_mod.make_windows(s, 12, 12)[0]
 
 
 @pytest.fixture
 def multi_window(rng):
     vals = rng.standard_normal((24, 3)) * 0.5
-    s = data_mod.SeriesSet(values=vals, missing=np.zeros((24, 3), bool), names=["a", "b", "c"])
+    s = data_mod.SeriesSet(values=vals, names=["a", "b", "c"])
     return data_mod.make_windows(s, 12, 12)[0]
 
 
@@ -93,7 +93,7 @@ def test_batched_forecast_matches_per_window_reference(rng, kind, n, d_z):
     model.params["C_gamma"] = 0.3 * rng.standard_normal(model.params["C_gamma"].shape)  # a state-dependent noise scale
     graph = ssm.Graph.from_weights(np.ones((n, n))) if kind == "graph_gru" else None
     vals = 0.5 * rng.standard_normal((40, n))
-    s = data_mod.SeriesSet(values=vals, missing=np.zeros((40, n), bool), names=[f"s{i}" for i in range(n)])
+    s = data_mod.SeriesSet(values=vals, names=[f"s{i}" for i in range(n)])
     windows = data_mod.make_windows(s, 4, 3, period=12 if d_z else None)[:4]
     cfg = _config(n_particles=3, seed=2)
     _, samples, _, _ = _forward(model, graph, windows, cfg)
@@ -108,7 +108,7 @@ def test_predict_windows_chunks_do_not_change_forecasts(tiny_gru_model, rng, mon
     # window's arithmetic does not depend on the other rows of its chunk, so
     # the stacks hold predict's forecasts bit for bit whatever the chunking
     vals = rng.standard_normal((30, 1)) * 0.5
-    s = data_mod.SeriesSet(values=vals, missing=np.zeros((30, 1), bool), names=["a"])
+    s = data_mod.SeriesSet(values=vals, names=["a"])
     windows = data_mod.make_windows(s, 6, 3)[:5]
     stacked = []
     stack = train.stack_batch
@@ -135,7 +135,7 @@ def test_predict_windows_needs_a_window(tiny_gru_model):
 
 def test_predict_zero_horizon_gives_empty_samples(tiny_gru_model, rng):
     vals = rng.standard_normal((14, 1)) * 0.5
-    s = data_mod.SeriesSet(values=vals, missing=np.zeros((14, 1), bool), names=["a"])
+    s = data_mod.SeriesSet(values=vals, names=["a"])
     w = data_mod.make_windows(s, 12, 0)[0]
     assert w.y_future is None
     dist = predict(tiny_gru_model, None, w, _config(n_particles=3))
@@ -150,7 +150,7 @@ def test_predict_zero_horizon_gives_empty_samples(tiny_gru_model, rng):
 
 def test_predict_flow_error_names_the_window(rng):
     vals = rng.standard_normal((30, 1)) * 0.5
-    s = data_mod.SeriesSet(values=vals, missing=np.zeros((30, 1), bool), names=["a"])
+    s = data_mod.SeriesSet(values=vals, names=["a"])
     window = data_mod.make_windows(s, 4, 2)[7]
     model = ssm.init_model(kind="gru", n_series=1, d_x=2, layers=1, rho=0.8, sigma=0.05, init_scale=0.5, seed=3)
     cfg = _config(n_particles=1)
@@ -214,7 +214,7 @@ def test_decoder_feeds_back_its_own_samples(tiny_gru_model, rng):
     # with two steps, the step-2 emission means differ across particles:
     # each particle's second transition reads its own step-1 sample
     vals = rng.standard_normal((14, 1)) * 0.5
-    s = data_mod.SeriesSet(values=vals, missing=np.zeros((14, 1), bool), names=["a"])
+    s = data_mod.SeriesSet(values=vals, names=["a"])
     w = data_mod.make_windows(s, 12, 2)[0]
     _, _, means, _ = _forward(tiny_gru_model, None, [w], _config(n_particles=6))
     assert np.ptp(means[1][0], axis=0).max() > 0
@@ -289,7 +289,7 @@ def _read_rows(path):
 def test_forecast_csvs_round_trip_values(tmp_path, rng):
     model = ssm.init_model(kind="gru", n_series=3, d_x=2, layers=1, d_z=0, rho=0.8, sigma=0.05, init_scale=0.5, seed=3)
     vals = rng.standard_normal((25, 3)) * 0.5
-    s = data_mod.SeriesSet(values=vals, missing=np.zeros((25, 3), bool), names=["a", "b", "c"])
+    s = data_mod.SeriesSet(values=vals, names=["a", "b", "c"])
     windows = data_mod.make_windows(s, 12, 11, start_offset=298)
     ids = [w.window_id for w in windows]
     assert ids == [298, 299, 300]  # window ids past the small-int cache, keys of three digits

@@ -28,7 +28,7 @@ def _short_batch(model, rng, n_particles, q_steps):
     """One stacked window with a one-step history and ``q_steps`` horizon steps."""
     n = model.n_series
     vals = 0.5 * rng.standard_normal((1 + q_steps, n))
-    s = data_mod.SeriesSet(values=vals, missing=np.zeros(vals.shape, bool), names=[f"s{i}" for i in range(n)])
+    s = data_mod.SeriesSet(values=vals, names=[f"s{i}" for i in range(n)])
     return train.stack_batch(data_mod.make_windows(s, 1, q_steps), model, n_particles, 0)
 
 
@@ -318,7 +318,7 @@ def test_init_ensemble_scales_with_rho(rng):
 def _window(window_id, p_steps, q_steps, n=1):
     """A window with the given id: its noise depends on nothing else."""
     zeros = np.zeros((window_id + p_steps + q_steps, n))
-    s = data_mod.SeriesSet(values=zeros, missing=np.zeros(zeros.shape, bool), names=[f"s{i}" for i in range(n)])
+    s = data_mod.SeriesSet(values=zeros, names=[f"s{i}" for i in range(n)])
     return data_mod.make_windows(s, p_steps, q_steps)[window_id]
 
 
@@ -420,7 +420,7 @@ def test_fitted_checkpoint_lists_its_entries_in_format_order(tmp_path, rng):
     # param_shapes order (not the sorted order of model.params), then meta
     model = ssm.init_model(kind="graph_gru", n_series=2, d_x=2, layers=1, rho=0.8, sigma=0.05, init_scale=0.5, seed=1)
     vals = 0.5 * rng.standard_normal((30, 2))
-    s = data_mod.SeriesSet(values=vals, missing=np.zeros(vals.shape, bool), names=["a", "b"])
+    s = data_mod.SeriesSet(values=vals, names=["a", "b"])
     windows = data_mod.make_windows(s, 3, 2)
     dataset = train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=ssm.Graph.from_weights(np.ones((2, 2))))
     result = train.fit(dataset, model, train.TrainConfig(max_epochs=1, batch_size=4, n_particles_eval=2, flow=_FLOW))

@@ -22,7 +22,7 @@ def _tiny_model(n_series=1, d_x=2, sigma=0.05, seed=3, kind="gru", layers=1, d_z
 
 def _windows(rng, t=40, n=1, p=4, q=3, period=None):
     vals = 0.5 * rng.standard_normal((t, n))
-    s = data_mod.SeriesSet(values=vals, missing=np.zeros((t, n), bool), names=[f"s{i}" for i in range(n)])
+    s = data_mod.SeriesSet(values=vals, names=[f"s{i}" for i in range(n)])
     return data_mod.make_windows(s, p, q, period=period)
 
 
@@ -396,6 +396,21 @@ def test_fit_returns_best_model_not_last(rng):
     vals = [row["val_loss"] for row in result.log]
     assert result.best_val == min(vals)
     assert result.best_epoch == int(np.argmin(vals)) + 1
+
+
+def test_fit_flow_failure_in_validation_returns_the_best_epoch(rng, request):
+    model = _tiny_model()
+    windows = _windows(rng)
+    ds = train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=None)
+    one_epoch = train.fit(ds, model, _config(max_epochs=1))
+    request.getfixturevalue("second_validation_diverges")
+    result = train.fit(ds, model, _config(max_epochs=4, patience=10))
+    assert result.diverged and not result.stopped_early
+    assert result.best_epoch == 1 and result.best_val == one_epoch.best_val
+    assert [row["note"] for row in result.log] == ["", "diverged"]
+    assert math.isnan(result.log[1]["val_loss"]) and math.isfinite(result.log[1]["train_loss"])
+    for name in train.param_names(model):
+        np.testing.assert_array_equal(train.get_param(result.model, name), train.get_param(one_epoch.model, name))
 
 
 def test_evaluate_loss_uses_eval_particle_count(rng):
