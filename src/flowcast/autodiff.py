@@ -196,24 +196,22 @@ def transpose2(a):
 
 
 def node_mix(a, z):
-    """``einsum('ij,...jf->...if', a, z)``: mix the node axis of ``z`` by ``a``.
+    """``a @ z``: mix the node axis of ``z`` by ``a``, ``einsum('ij,...jf->...if', a, z)``.
 
-    ``a`` is (N, N); ``z`` is (..., N, F).  Gradients flow into both.
+    ``a`` is (N, N); ``z`` is (..., N, F).  Gradients flow into both:
+    ``a^T @ g`` into ``z``, and into ``a`` the contraction of ``g`` with
+    ``z`` over every axis but the node axis.  On a graph-GRU state stack
+    the stacked ``matmul`` runs several times faster than ``einsum`` and
+    agrees with it to rounding.
     """
     av, zv = val(a), val(z)
-    out = np.einsum("ij,...jf->...if", av, zv)
+    out = np.matmul(av, zv)
     parents = []
     if isinstance(a, Var):
-
-        def vjp_a(g, zv=zv):
-            n, f = zv.shape[-2], zv.shape[-1]
-            gf = g.reshape(-1, n, f)
-            zf = zv.reshape(-1, n, f)
-            return np.einsum("bif,bjf->ij", gf, zf)
-
-        parents.append((a, vjp_a))
+        others = [ax for ax in range(zv.ndim) if ax != zv.ndim - 2]  # the stacked and feature axes
+        parents.append((a, lambda g: np.tensordot(g, zv, axes=(others, others))))
     if isinstance(z, Var):
-        parents.append((z, lambda g: np.einsum("ij,...if->...jf", av, g)))
+        parents.append((z, lambda g: np.matmul(av.T, g)))
     return _make(out, parents)
 
 

@@ -172,6 +172,8 @@ def load_graph(path, n_nodes: int) -> Graph:
             raise DataError(f"bad graph row {i}: {exc}")
         if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
             raise DataError(f"graph row {i}: node index out of range [0, {n_nodes})")
+        if not np.isfinite(w):
+            raise DataError(f"graph row {i}: non-finite weight {w}")
         if w < 0:
             raise DataError(f"graph row {i}: negative weight {w}")
         weights[src, dst] += w

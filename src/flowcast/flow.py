@@ -220,24 +220,28 @@ def _relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, eps, lams, 
     """(K, k) of flows that re-read the callable ``r`` at the running means every step.
 
     After m steps each particle row is ``x0 + [x0 H^T, 1] coef PHt^T``, where
-    ``coef`` stacks K (N rows) on k.  A step inverts its ``S``.
+    ``coef`` stacks K (N rows) on k.  A step inverts its ``S``; one test of
+    the whole batch checks it, and only a failure builds the per-ensemble
+    mask that names the window.
     """
     b_sz, n = hph.shape[:2]
     mean_row = np.concatenate([mean0 @ h_mat.T, np.ones((b_sz, 1))], axis=1)[:, None, :]  # [eta_bar H^T, 1]
+    pht_t, g_t = np.swapaxes(pht, 1, 2), np.swapaxes(hph, 1, 2)  # PHt^T and G^T = (H PHt)^T, as views
     coef = np.zeros((b_sz, n + 1, n))
     for m in range(len(eps)):
-        r_now = r(mean0 + (mean_row @ coef @ np.swapaxes(pht, 1, 2))[:, 0, :])  # at the running mean
+        r_now = r(mean0 + (mean_row @ coef @ pht_t)[:, 0, :])  # at the running mean
         s = lams[m] * hph
         s.reshape(b_sz, n * n)[:, :: n + 1] += r_now  # the diagonal of each S
-        spd = (r_now > 0).all(axis=1) & np.isfinite(s).all(axis=(1, 2))  # G is PSD: no factorization needed
-        if not spd.all():
-            raise _not_spd(fail, spd, m)
+        if not ((r_now > 0).all() and np.isfinite(s).all()):  # G is PSD: no factorization needed
+            raise _not_spd(fail, (r_now > 0).all(axis=1) & np.isfinite(s).all(axis=(1, 2)), m)
         s_inv = np.linalg.inv(s)
         beta = s_inv @ (half_y + r_now[:, :, None] * (s_inv @ half_innov))  # (B, N, 1)
         # K <- K - eps/2 (I + K G^T) S^-1 and k <- k + eps beta - eps/2 k G^T S^-1, with G = H PHt
-        pull = coef @ np.swapaxes(hph, 1, 2)
+        pull = coef @ g_t
         pull.reshape(b_sz, -1)[:, : n * n : n + 1] += 1.0  # the diagonal of the K block
-        coef = coef - (0.5 * eps[m]) * (pull @ s_inv)
+        step = pull @ s_inv
+        step *= 0.5 * eps[m]
+        coef -= step
         coef[:, n] += eps[m] * beta[:, :, 0]
         if not np.isfinite(coef).all():
             row = np.flatnonzero(~np.isfinite(coef).all(axis=(1, 2)))[0]

@@ -112,13 +112,23 @@ def empirical_quantile(dist, alpha) -> np.ndarray:
 
 
 def _write_rows(path, header, window_ids, stack) -> None:
-    """One row per cell of the ``(M, Q, N, ..., C)`` stack: the window id and keys of the cell, then its C values."""
-    keys = itertools.product(window_ids, range(1, stack.shape[1] + 1), *map(range, stack.shape[2:-1]))  # in C order, as the rows
-    values = itertools.chain.from_iterable(block.reshape(-1, stack.shape[-1]).tolist() for block in stack)  # a window at a time
-    row = ",".join(["%d"] * (stack.ndim - 1) + ["%r"] * stack.shape[-1]) + "\r\n"  # csv.writer's text: int keys, repr values
+    """One row per cell of the ``(M, Q, N, ..., C)`` stack: the window id and keys of the cell, then its C values.
+
+    The keys after the window id repeat for every window, so their text is
+    formatted once a file; each window's rows are then joined and written
+    at once.  The text is csv.writer's: int keys, ``repr`` values, CRLF.
+    """
+    n_values = stack.shape[-1]
+    labels = [list(map(str, axis)) for axis in (range(1, stack.shape[1] + 1), *map(range, stack.shape[2:-1]))]  # 1-based horizon, ...
+    cells = [f",{keys}," for keys in map(",".join, itertools.product(*labels))]  # in C order, as the rows
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(row % (*k, *v) for k, v in zip(keys, values))
+        for window_id, block in zip(window_ids, stack):
+            if block.size:  # no cells, no rows
+                values = map(repr, block.reshape(-1).tolist())
+                texts = map(",".join, zip(*[values] * n_values))  # the row's C values, in C order as the cells
+                key = "%d" % window_id
+                fh.write(key + ("\r\n" + key).join(map(str.__add__, cells, texts)) + "\r\n")
 
 
 def write_forecast_samples(path, window_ids, samples: np.ndarray) -> None:

@@ -79,6 +79,25 @@ def test_node_mix_gradients(rng):
     _check(lambda v: ad.sum_(ad.square(ad.node_mix(a0, v))), z0, atol=1e-6)
 
 
+@pytest.mark.parametrize("shape", [(7, 3, 1), (7, 3, 8), (1, 3, 8), (2, 4, 3, 1), (1, 4, 3, 8)])
+def test_node_mix_matches_its_einsum_definition(rng, shape):
+    # forward and both VJPs against the einsum formulas they replace, on 3-D
+    # and 4-D stacks, one feature (the mixed input) or eight, a leading axis of one
+    a0, z0, g = rng.standard_normal((3, 3)), rng.standard_normal(shape), rng.standard_normal(shape)
+    a, z = ad.Var(a0), ad.Var(z0)
+    out = ad.node_mix(a, z)
+    ad.backward(ad.sum_(ad.mul(out, g)))
+    n, f = shape[-2:]
+    want_a = np.einsum("bif,bjf->ij", g.reshape(-1, n, f), z0.reshape(-1, n, f))
+    for got, want in [
+        (out.value, np.einsum("ij,...jf->...if", a0, z0)),
+        (a.grad, want_a),
+        (z.grad, np.einsum("ij,...if->...jf", a0, g)),
+    ]:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize(
     "op",
     [ad.sigmoid, ad.tanh, ad.softplus, ad.square, ad.abs_],

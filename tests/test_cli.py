@@ -162,6 +162,25 @@ def test_train_missing_series_file_is_a_data_error(tmp_path, capsys):
     assert "cannot read series file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["inf", "nan"])
+def test_train_non_finite_graph_weight_is_a_data_error(tmp_path, capsys, weight):
+    # a graph_gru run on CSV files whose first edge weight is not finite
+    data_dir = tmp_path / "data"
+    assert cli.main(["synth", "--kind", "var_graph", "--n", "3", "--t", "120", "--seed", "7", "--out", str(data_dir)]) == 0
+    graph_path = data_dir / "graph.csv"
+    rows = graph_path.read_text().splitlines()
+    rows[1] = rows[1].rsplit(",", 1)[0] + "," + weight
+    graph_path.write_text("\n".join(rows) + "\n")
+    config = _base_config(tmp_path / "run")
+    config["data"] = {"path": str(data_dir / "series.csv"), "graph": str(graph_path)}
+    config["model"]["kind"] = "graph_gru"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config_path)]) == 2
+    assert f"graph row 2: non-finite weight {weight}" in capsys.readouterr().err
+
+
 def test_train_invalid_config_value_is_a_data_error(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(_base_config(tmp_path / "run")))

@@ -285,6 +285,14 @@ def test_graph_csv_bad_rows_raise(tmp_path):
         data.load_graph(path, n_nodes=2)
 
 
+@pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
+def test_graph_csv_non_finite_weight_names_the_row(tmp_path, weight):
+    path = tmp_path / "graph.csv"
+    path.write_text(f"src,dst,weight\n0,1,1.0\n1,0,{weight}\n")
+    with pytest.raises(DataError, match=f"^graph row 3: non-finite weight {weight}$"):
+        data.load_graph(path, n_nodes=2)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generators
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flowcast import autodiff as ad, filters
+from flowcast import flow as flow_mod
 from flowcast.errors import FlowDivergedError, FlowSolveError
 from flowcast.flow import FlowConfig, edh_flow, step_schedule
 
@@ -215,7 +216,8 @@ def test_fixed_callable_noise_is_read_once_at_the_starting_mean(rng):
 
 def test_fixed_noise_flows_factorize_nothing(monkeypatch, rng):
     # a fixed-noise flow diagonalizes once and never inverts or factors an
-    # S; a relinearized one inverts its S but checks it without a Cholesky
+    # S; a relinearized one inverts its S once a step but checks it without
+    # a Cholesky
     d = 16
     ssm = filters.LinearGaussianSSM(
         F=0.9 * np.eye(d), Q=0.3 * np.eye(d), H=rng.standard_normal((d, d)) / 4.0, R=np.diag(rng.uniform(0.2, 1.0, d)),
@@ -228,9 +230,17 @@ def test_fixed_noise_flows_factorize_nothing(monkeypatch, rng):
         raise AssertionError("a per-step factorization")
 
     monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    inv, inverted = np.linalg.inv, []
+
+    def counted_inv(a):
+        inverted.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
     c = rng.standard_normal((d, d)) * 0.3
     relinearized = edh_flow(rng.standard_normal((2, 20, d)), ssm.H, obs[:2], lambda m: 0.5 + np.logaddexp(0.0, m @ c.T) ** 2)
     assert np.isfinite(relinearized).all()
+    assert inverted == [(2, d, d)] * FlowConfig().n_lambda
     monkeypatch.setattr(np.linalg, "inv", forbidden)
     assert np.isfinite(filters.flow_filter_linear(ssm, obs, 50, rng)).all()
 
@@ -340,6 +350,107 @@ def test_solve_error_attributes_name_a_later_step(rng):
     assert (info.value.window_id, info.value.encoder_step, info.value.step) == (40, 6, 3)
     assert info.value.lam == lams[1]
     assert str(info.value).endswith(f"pseudo-time step 3/5 (lambda={lams[1]:.6g}) of encoder step 6")
+
+
+# ---------------------------------------------------------------------------
+# the relinearized map against its one-step-at-a-time form
+# ---------------------------------------------------------------------------
+
+
+def _stepwise_relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, eps, lams, fail):
+    """The relinearized loop written plainly: every transpose taken where it
+    is used, a per-ensemble SPD mask built every step, ``coef`` rebuilt."""
+    b_sz, n = hph.shape[:2]
+    mean_row = np.concatenate([mean0 @ h_mat.T, np.ones((b_sz, 1))], axis=1)[:, None, :]
+    coef = np.zeros((b_sz, n + 1, n))
+    for m in range(len(eps)):
+        r_now = r(mean0 + (mean_row @ coef @ np.swapaxes(pht, 1, 2))[:, 0, :])
+        s = lams[m] * hph
+        s.reshape(b_sz, n * n)[:, :: n + 1] += r_now
+        spd = (r_now > 0).all(axis=1) & np.isfinite(s).all(axis=(1, 2))
+        if not spd.all():
+            row = np.flatnonzero(~spd)[0]
+            raise fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, m)
+        s_inv = np.linalg.inv(s)
+        beta = s_inv @ (half_y + r_now[:, :, None] * (s_inv @ half_innov))
+        pull = coef @ np.swapaxes(hph, 1, 2)
+        pull.reshape(b_sz, -1)[:, : n * n : n + 1] += 1.0
+        coef = coef - (0.5 * eps[m]) * (pull @ s_inv)
+        coef[:, n] += eps[m] * beta[:, :, 0]
+        if not np.isfinite(coef).all():
+            row = np.flatnonzero(~np.isfinite(coef).all(axis=(1, 2)))[0]
+            raise fail(FlowDivergedError, "the flow map", "became non-finite at", row, m)
+    return coef[:, :n], coef[:, n:]
+
+
+def _softplus_noise(c):
+    return lambda means: 0.5 + np.logaddexp(0.0, means @ c.T) ** 2
+
+
+def _flow_both_ways(monkeypatch, particles, h, y, make_r, **kwargs):
+    """``edh_flow`` as shipped, then with the stepwise loop, each on a fresh ``make_r()``: each result or raised error."""
+    outcomes = []
+    for loop in (flow_mod._relinearized_map, _stepwise_relinearized_map):
+        monkeypatch.setattr(flow_mod, "_relinearized_map", loop)
+        try:
+            outcomes.append(edh_flow(particles, h, y, make_r(), **kwargs))
+        except (FlowSolveError, FlowDivergedError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+@pytest.mark.parametrize("b_sz", [1, 3, 64])
+@pytest.mark.parametrize("n_p", [1, 100])
+@pytest.mark.parametrize("d, n", [(6, 3), (4, 4)], ids=["N<D", "N=D"])
+def test_relinearized_map_is_bitwise_the_stepwise_loop(monkeypatch, rng, b_sz, n_p, d, n):
+    particles = rng.standard_normal((b_sz, n_p, d))
+    h = rng.standard_normal((n, d)) * 0.5
+    y = rng.standard_normal((b_sz, n))
+    c = rng.standard_normal((n, d)) * 0.3
+    got, want = _flow_both_ways(monkeypatch, particles, h, y, lambda: _softplus_noise(c), config=FlowConfig(n_lambda=29), return_trace=True)
+    assert np.array_equal(got[0], want[0])
+    for got_field, want_field in zip(got[1], want[1]):
+        assert np.array_equal(got_field, want_field)
+
+
+def _noise_turning(value, window, at_read):
+    """Softplus-like noise that becomes ``value`` in one window from its ``at_read``-th read on."""
+    reads = []
+
+    def r(means):
+        reads.append(1)
+        out = 0.5 + np.logaddexp(0.0, means) ** 2
+        if len(reads) >= at_read:
+            out[window] = value
+        return out
+
+    return r
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "value, at_read, scale, error, step",
+    [
+        (-1.0, 4, 1.0, FlowSolveError, 4),
+        (0.0, 7, 1.0, FlowSolveError, 7),
+        (np.inf, 2, 1.0, FlowSolveError, 2),
+        (1e-300, 1, 1e100, FlowDivergedError, 1),  # a wide ensemble and a tiny r: the map K, k overflows
+    ],
+    ids=["negative-r-step-4", "zero-r-step-7", "inf-r", "map-overflow"],
+)
+def test_relinearized_map_fails_like_the_stepwise_loop(monkeypatch, rng, value, at_read, scale, error, step):
+    # only the middle window fails
+    particles = rng.standard_normal((3, 10, 2))
+    particles[1] *= scale
+    got = _flow_both_ways(
+        monkeypatch, particles, np.eye(2), np.ones((3, 2)), lambda: _noise_turning(value, 1, at_read),
+        config=FlowConfig(n_lambda=9, jitter=0.0), encoder_step=5, window_ids=[30, 31, 32],
+    )
+    assert type(got[0]) is type(got[1]) is error
+    assert str(got[0]) == str(got[1])
+    for attr in ("window_id", "encoder_step", "step", "lam"):
+        assert getattr(got[0], attr) == getattr(got[1], attr)
+    assert (got[0].window_id, got[0].encoder_step, got[0].step) == (31, 5, step)
 
 
 # ---------------------------------------------------------------------------

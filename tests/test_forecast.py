@@ -238,6 +238,16 @@ def test_predict_graph_model(small_graph_model, multi_window):
     assert np.isfinite(dist.samples).all()
 
 
+def test_predict_windows_graph_model_runs_without_einsum(small_graph_model, multi_window, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.einsum on the forecast path")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    model, graph = small_graph_model
+    samples, points = forecast.predict_windows(model, graph, [multi_window, multi_window], _config(n_particles=3))
+    assert samples.shape == (2, 3, 12, 3) and np.isfinite(samples).all()
+
+
 # ---------------------------------------------------------------------------
 # quantiles
 # ---------------------------------------------------------------------------
@@ -327,6 +337,44 @@ def test_forecast_csvs_round_trip_values(tmp_path, rng):
     assert back_samples.tobytes() == samples.tobytes()
     assert back_points.tobytes() == points.tobytes()
     assert back_targets.tobytes() == targets.astype(np.float64).tobytes()
+
+
+def _csv_writer_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("ids", [[5, 1800], np.array([5, 1800], dtype=np.int64)], ids=["int", "int64"])
+def test_forecast_writers_match_a_csv_writer_rendering(tmp_path, rng, ids):
+    # one particle, so every quantile is the sample itself; a negative zero,
+    # a subnormal and a value repr writes with an exponent
+    samples = rng.standard_normal((2, 1, 3, 2))
+    samples[0, 0, 0] = [-0.0, 1e-310]
+    samples[1, 0, 2, 1] = 1e16
+    points, targets = samples[:, 0] * 2.0, samples[:, 0] - 1.0
+    paths = [tmp_path / name for name in ("samples.csv", "summary.csv", "truth.csv")]
+    forecast.write_forecast_samples(paths[0], ids, samples)
+    forecast.write_forecast_summary(paths[1], ids, samples, points)
+    forecast.write_truth(paths[2], ids, targets)
+    cells = [(a, wid, h, i) for a, wid in enumerate(ids) for h in range(3) for i in range(2)]
+    v = lambda arr, *index: float(arr[index])
+    want = [
+        _csv_writer_text(["window", "horizon", "series", "sample", "value"], [[wid, h + 1, i, 0, v(samples, a, 0, h, i)] for a, wid, h, i in cells]),
+        _csv_writer_text(
+            ["window", "horizon", "series", "point", "q10", "q50", "q90"],
+            [[wid, h + 1, i, v(points, a, h, i), *[v(samples, a, 0, h, i)] * 3] for a, wid, h, i in cells],
+        ),
+        _csv_writer_text(["window", "horizon", "series", "value"], [[wid, h + 1, i, v(targets, a, h, i)] for a, wid, h, i in cells]),
+    ]
+    assert [path.read_bytes() for path in paths] == want
+    assert b"\r\n5,1,1,0,1e-310\r\n" in want[0] and b",-0.0\r\n" in want[0] and b",1e+16\r\n" in want[0]
+    back_samples, back_points, back_targets = forecast.read_forecast_files(*paths)
+    assert back_samples.tobytes() == samples.tobytes()
+    assert back_points.tobytes() == points.tobytes()
+    assert back_targets.tobytes() == targets.tobytes()
 
 
 def _shift_horizon(row):

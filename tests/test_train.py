@@ -208,6 +208,23 @@ def test_gradients_graph_model_and_covariates(rng):
     assert errs.max() < 1e-4
 
 
+def test_graph_gradients_run_without_einsum(monkeypatch, rng):
+    # node mixing is a stacked matmul forward and backward; with the mixed
+    # adjacency the learned embedding is taped, so both VJPs of node_mix run
+    model = _tiny_model(n_series=3, kind="graph_gru", seed=7)
+    assert model.hyper.get("adjacency_mode", "mixed") == "mixed"
+    graph = ssm_mod.Graph.from_weights(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    batch = train.stack_batch(_windows(rng, n=3, p=2, q=2)[:2], model, 2, 0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.einsum on the graph path")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    _, grads, _ = train.gradients(model, batch, _config(n_particles_train=2), graph=graph)
+    assert all(np.isfinite(g).all() for g in grads.values())
+    assert np.abs(grads["embed"]).max() > 0  # the embedding's gradient comes through the VJP into the mixing matrix
+
+
 def test_gradients_zero_for_unused_parameters(rng):
     # sigma multiplies noise that never enters with learn_rho_sigma at its
     # default; the gradient dict still carries an entry for every parameter
