@@ -43,7 +43,6 @@ __all__ = [
     "concat",
     "stack",
     "reshape",
-    "gather",
     "flow_map",
 ]
 
@@ -170,21 +169,22 @@ def neg(a):
 
 
 def matmul(a, b):
-    """Matrix product ``a @ b`` where ``b`` is 2-D and ``a`` may be stacked."""
+    """Matrix product ``a @ b`` where ``b`` is (K, F) and ``a`` is (..., K).
+
+    The leading axes of ``a`` are flattened into one (M, K) @ (K, F)
+    product, so a stack of states costs one BLAS call and its rows round as
+    they would in the 2-D product; the result is (..., F).
+    """
     av, bv = val(a), val(b)
     if bv.ndim != 2:
         raise ValueError("matmul expects a 2-D right operand")
-    out = av @ bv
+    k = av.shape[-1]
+    out = (av.reshape(-1, k) @ bv).reshape(av.shape[:-1] + bv.shape[1:])
     parents = []
     if isinstance(a, Var):
-        parents.append((a, lambda g: g @ bv.T))
+        parents.append((a, lambda g: (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(av.shape)))
     if isinstance(b, Var):
-        k = av.shape[-1]
-
-        def vjp_b(g):
-            return av.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
-
-        parents.append((b, vjp_b))
+        parents.append((b, lambda g: av.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])))
     return _make(out, parents)
 
 
@@ -386,24 +386,6 @@ def stack(parts: Sequence, axis=0):
         if isinstance(p, Var):
             parents.append((p, lambda g, i=i: np.take(g, i, axis=axis)))
     return _make(out, parents)
-
-
-def gather(a, indices: np.ndarray, axis: int):
-    """``np.take_along_axis`` with a constant index array."""
-    av = val(a)
-    out = np.take_along_axis(av, indices, axis=axis)
-    if not isinstance(a, Var):
-        return out
-    shape = av.shape
-
-    def vjp(g):
-        z = np.zeros(shape, dtype=g.dtype)
-        mesh = list(np.indices(g.shape, sparse=False))
-        mesh[axis] = np.broadcast_to(indices, g.shape)
-        np.add.at(z, tuple(mesh), g)
-        return z
-
-    return _make(out, [(a, vjp)])
 
 
 # ---------------------------------------------------------------------------

@@ -217,9 +217,9 @@ def cmd_train(args) -> int:
 
     raw = config_mod.apply_overrides(config_mod.read_json(args.config), args.set)
     if args.seed is not None:
-        raw.setdefault("train", {})["seed"] = args.seed
+        config_mod.set_key(raw, ("train", "seed"), args.seed)
     if args.out is not None:
-        raw.setdefault("output", {})["dir"] = args.out
+        config_mod.set_key(raw, ("output", "dir"), args.out)
     cfg = config_mod.validate_config(raw)
 
     windows, graph, _, names = _prepare_dataset(cfg, ("train", "val"))

@@ -154,11 +154,14 @@ def read_json(path) -> dict:
     """A config file's raw JSON object, before overrides and validation."""
     try:
         with open(path, "r") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"config file {path} is not valid JSON: {exc}")
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise DataError(f"config file {path} must hold a JSON object, not {type(raw).__name__}")
+    return raw
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
@@ -174,13 +177,18 @@ def apply_overrides(raw: dict, overrides) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
-        node = raw
-        for k in keys[:-1]:
-            node = node.setdefault(k, {})
-            if not isinstance(node, dict):
-                raise DataError(f"override '{dotted}' descends through a non-object")
-        node[keys[-1]] = value
+        set_key(raw, keys, value)
     return raw
+
+
+def set_key(raw: dict, keys, value) -> None:
+    """Write ``value`` at the key path ``keys``, creating the objects on the way."""
+    node = raw
+    for k in keys[:-1]:
+        node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise DataError(f"override '{'.'.join(keys)}' descends through a non-object")
+    node[keys[-1]] = value
 
 
 def dump_config(cfg: dict, path) -> None:

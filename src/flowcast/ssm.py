@@ -240,49 +240,33 @@ def build_mixing(params, hyper: dict, graph: Optional[Graph]):
     return ad.add(ad.mul(0.5, graph.normalized), ad.mul(0.5, learned))
 
 
-def _covariate_rows(z_t, m: int, n: int, d_z: int, per_node: bool) -> np.ndarray:
-    """Per-row (M, d_z) covariates shaped for the cell input: (M*N, d_z) or (M, N, d_z)."""
-    z = np.asarray(z_t, dtype=np.float64)
-    if z.shape != (m, d_z):
-        raise DataError(f"z_t must have shape ({m}, {d_z})")
-    if per_node:
-        return np.broadcast_to(z[:, None, :], (m, n, d_z))
-    return np.repeat(z, n, axis=0)
-
-
 def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None):
     """Deterministic part of the state transition.
 
-    ``x_prev``: (M, D) rows of states; ``y_prev``: (M, N) previous
-    observations per row; ``z_t``: per-row (M, d_z) covariates, or None.
-    Returns the (M, D) pre-noise next state.
+    ``x_prev``: (..., D) states; ``y_prev``: (..., N) previous observations;
+    ``z_t``: (..., d_z) covariates, or None.  Both cells run on the
+    (..., N, d_x) node layout and return the (..., D) pre-noise next state.
     Works on Vars or arrays.
     """
-    kind = hyper["kind"]
     n = int(hyper["n_series"])
     d_x = int(hyper["d_x"])
-    layers = int(hyper["layers"])
     d_z = int(hyper.get("d_z", 0))
-    m = ad.val(x_prev).shape[0]
-    if d_z and z_t is None:
-        raise DataError("the model expects covariates (d_z > 0) but z_t is None")
-
-    if kind == "gru":
-        h = ad.reshape(x_prev, (m * n, d_x))
-        u = ad.reshape(y_prev, (m * n, 1))
-        if d_z:
-            u = ad.concat([u, _covariate_rows(z_t, m, n, d_z, per_node=False)], axis=1)
-        for layer in range(layers):
-            u = _gru_cell(u, h, params, layer)
-        return ad.reshape(u, (m, n * d_x))
-
-    h = ad.reshape(x_prev, (m, n, d_x))
-    u = ad.reshape(y_prev, (m, n, 1))
+    lead = ad.val(x_prev).shape[:-1]
+    h = ad.reshape(x_prev, lead + (n, d_x))
+    u = ad.reshape(y_prev, lead + (n, 1))
     if d_z:
-        u = ad.concat([u, _covariate_rows(z_t, m, n, d_z, per_node=True)], axis=2)
-    for layer in range(layers):
-        u = _graph_gru_cell(u, h, mixing, params, layer)
-    return ad.reshape(u, (m, n * d_x))
+        if z_t is None:
+            raise DataError("the model expects covariates (d_z > 0) but z_t is None")
+        z = np.asarray(z_t, dtype=np.float64)
+        if z.shape != lead + (d_z,):
+            raise DataError(f"z_t must have shape {lead + (d_z,)}")
+        u = ad.concat([u, np.broadcast_to(z[..., None, :], lead + (n, d_z))], axis=-1)
+    for layer in range(int(hyper["layers"])):
+        if hyper["kind"] == "gru":
+            u = _gru_cell(u, h, params, layer)
+        else:
+            u = _graph_gru_cell(u, h, mixing, params, layer)
+    return ad.reshape(u, lead + (n * d_x,))
 
 
 # ---------------------------------------------------------------------------

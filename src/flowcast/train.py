@@ -208,7 +208,6 @@ def batch_forward(
     hyper = model.hyper
     b_sz, p_steps, q_steps, n = batch.sizes
     n_p = batch.init.shape[1]
-    d = model.state_dim
     w_phi_t = ad.transpose2(params["W_phi"])
     c_gamma_t = ad.transpose2(params["C_gamma"])
     w_phi_val = ad.val(params["W_phi"])
@@ -216,41 +215,32 @@ def batch_forward(
     mixing = None
     if hyper["kind"] == "graph_gru":
         mixing = ssm_mod.build_mixing(params, hyper, graph)
+    # every particle of a window sees the window's history and covariates: (B, n_p, time, ...) views
+    y_hist = np.broadcast_to(batch.y_hist[:, None], (b_sz, n_p) + batch.y_hist.shape[1:])
+    z = None if batch.z is None else np.broadcast_to(batch.z[:, None], (b_sz, n_p) + batch.z.shape[1:])
 
-    def rows(y_bn):  # (B, N) constant -> (B*n_p, N)
-        return np.broadcast_to(np.asarray(y_bn, dtype=np.float64)[:, None, :], (b_sz, n_p, n)).reshape(b_sz * n_p, n)
-
-    def z_rows(t_index):  # covariates for 1-based time t, per particle-row
-        if batch.z is None:
-            return None
-        zt = batch.z[:, t_index - 1, :]  # (B, d_z)
-        d_z = zt.shape[1]
-        return np.broadcast_to(zt[:, None, :], (b_sz, n_p, d_z)).reshape(b_sz * n_p, d_z)
-
-    def step_transition(x2, y_prev, t_index, dyn_noise):
-        out = ssm_mod.transition_core(params, hyper, x2, y_prev, z_rows(t_index), mixing=mixing)
-        return ad.add(out, ad.mul(params["sigma"], dyn_noise.reshape(b_sz * n_p, d)))
+    def step_transition(x, y_prev, t_index, dyn_noise):  # the transition into (1-based) time t
+        out = ssm_mod.transition_core(params, hyper, x, y_prev, None if z is None else z[:, :, t_index - 1], mixing=mixing)
+        return ad.add(out, ad.mul(params["sigma"], dyn_noise))
 
     # ---- encoder: assimilate the history -------------------------------
     def noise_var(means):  # emission variances at the running particle means
         std = np.logaddexp(0.0, means @ c_gamma_val.T)
         return std * std
 
-    x3 = ad.mul(params["rho"], batch.init)  # (B, n_p, D)
+    x = ad.mul(params["rho"], batch.init)  # (B, n_p, D)
     trace: List[flow_mod.FlowTrace] = []
     for t in range(1, p_steps + 1):
         if t > 1:
-            x2 = ad.reshape(x3, (b_sz * n_p, d))
-            x2 = step_transition(x2, rows(batch.y_hist[:, t - 2, :]), t, batch.dyn[t - 2])
-            x3 = ad.reshape(x2, (b_sz, n_p, d))
+            x = step_transition(x, y_hist[:, :, t - 2], t, batch.dyn[t - 2])
         if frozen_trace is None:
             y_t = batch.y_hist[:, t - 1, :]
-            x3, flow_trace = flow_mod.edh_flow(x3, w_phi_val, y_t, noise_var, flow_config, return_trace=True, encoder_step=t, window_ids=batch.window_ids)
+            x, flow_trace = flow_mod.edh_flow(x, w_phi_val, y_t, noise_var, flow_config, return_trace=True, encoder_step=t, window_ids=batch.window_ids)
         else:  # replay the map the flow composed, with everything it froze, H included
             flow_trace = frozen_trace[t - 1]
-            x3 = ad.flow_map(x3, flow_trace.pht, flow_trace.h_mat, flow_trace.k_mat, flow_trace.k_vec)
-            if not np.isfinite(ad.val(x3)).all():
-                row, particle = np.argwhere(~np.isfinite(ad.val(x3)))[0][:2]
+            x = ad.flow_map(x, flow_trace.pht, flow_trace.h_mat, flow_trace.k_mat, flow_trace.k_vec)
+            if not np.isfinite(ad.val(x)).all():
+                row, particle = np.argwhere(~np.isfinite(ad.val(x)))[0][:2]
                 where = f"window {batch.window_ids[row]} became non-finite during the frozen flow replay of encoder step {t}"
                 raise flow_mod.FlowDivergedError(f"particle {particle} of {where}", batch.window_ids[row], t)
         if collect_trace or frozen_trace is not None:
@@ -263,41 +253,35 @@ def batch_forward(
     for k in range(1, q_steps + 1):
         t = p_steps + k
         if k == 1:
-            y_in = rows(batch.y_hist[:, p_steps - 1, :])
+            y_in = y_hist[:, :, p_steps - 1]
         else:
-            y_in = ad.reshape(sample_steps[-1], (b_sz * n_p, n))
+            y_in = sample_steps[-1]
             if ss_mask is not None:
-                truth = rows(batch.y_future[:, k - 2, :])
-                mask = np.repeat(ss_mask[:, k - 2].astype(np.float64), n_p)[:, None]  # (B*n_p, 1)
-                y_in = ad.add(mask * truth, ad.mul(1.0 - mask, y_in))
-        x2 = ad.reshape(x3, (b_sz * n_p, d))
-        x2 = step_transition(x2, y_in, t, batch.dyn[t - 2])
-        x3 = ad.reshape(x2, (b_sz, n_p, d))
-        mean3 = ad.reshape(ad.matmul(x2, w_phi_t), (b_sz, n_p, n))
-        std3 = ad.reshape(ad.softplus(ad.matmul(x2, c_gamma_t)), (b_sz, n_p, n))
-        sample_steps.append(mean3 if noiseless else ad.add(mean3, ad.mul(std3, batch.meas[k - 1])))
-        mean_steps.append(mean3)
-        std_steps.append(std3)
+                mask = ss_mask[:, k - 2, None, None].astype(np.float64)  # (B, 1, 1)
+                y_in = ad.add(mask * batch.y_future[:, None, k - 2], ad.mul(1.0 - mask, y_in))
+        x = step_transition(x, y_in, t, batch.dyn[t - 2])
+        mean = ad.matmul(x, w_phi_t)
+        std = ad.softplus(ad.matmul(x, c_gamma_t))
+        sample_steps.append(mean if noiseless else ad.add(mean, ad.mul(std, batch.meas[k - 1])))
+        mean_steps.append(mean)
+        std_steps.append(std)
 
     samples = ad.stack(sample_steps, axis=2) if q_steps else np.zeros((b_sz, n_p, 0, n))
     return samples, mean_steps, std_steps, trace
 
 
 def _particle_median(samples):
-    """Median over the particle axis (axis 1) as a tape op."""
+    """Median over the particle axis (axis 1) as a tape op: a constant weighting of the samples.
+
+    The weight is 1 on the middle sample, or 1/2 on each of the two middle
+    ones, placed from a stable argsort.
+    """
     vals = ad.val(samples)
     n_p = vals.shape[1]
-    order = np.argsort(vals, axis=1, kind="stable")
-    mid = n_p // 2
-    if n_p % 2 == 1:
-        idx = order[:, mid : mid + 1]
-        picked = ad.gather(samples, idx, axis=1)
-    else:
-        lo = ad.gather(samples, order[:, mid - 1 : mid], axis=1)
-        hi = ad.gather(samples, order[:, mid : mid + 1], axis=1)
-        picked = ad.mul(0.5, ad.add(lo, hi))
-    shape = vals.shape[:1] + vals.shape[2:]
-    return ad.reshape(picked, shape)
+    middle = np.argsort(vals, axis=1, kind="stable")[:, (n_p - 1) // 2 : n_p // 2 + 1]  # one index, or two
+    weights = np.zeros_like(vals)
+    np.put_along_axis(weights, middle, 1.0 / middle.shape[1], axis=1)
+    return ad.sum_(ad.mul(weights, samples), axis=1)
 
 
 def _loss(kind: str, batch: BatchArrays, samples, means, stds):
@@ -330,7 +314,6 @@ def gradients(
     config: TrainConfig,
     graph: Optional[ssm_mod.Graph] = None,
     ss_mask: Optional[np.ndarray] = None,
-    frozen_trace: Optional[list] = None,
 ):
     """Loss and named parameter gradients for one minibatch.
 
@@ -347,7 +330,6 @@ def gradients(
         config.flow,
         graph=graph,
         ss_mask=ss_mask,
-        frozen_trace=frozen_trace,
         collect_trace=True,
     )
     loss = _loss(config.loss, batch, samples, means, stds)

@@ -193,6 +193,24 @@ def test_train_unknown_config_key_is_a_data_error(tmp_path):
     assert cli.main(["train", "--config", str(config_path), "--set", "train.learning_rate=0.1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "config,flags",
+    [
+        ([1, 2], ["--seed", "1"]),
+        ([1, 2], ["--out", "d"]),
+        ([1, 2], ["--set", "train.lr=0.1"]),
+        ({"train": 5}, ["--seed", "1"]),
+        ({"output": 5}, ["--out", "d"]),
+    ],
+)
+def test_train_config_that_is_not_an_object_is_a_data_error(tmp_path, capsys, config, flags):
+    # the command-line overrides write into the config file's objects
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(config_path), *flags]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_train_zero_horizon_is_a_data_error(tmp_path, capsys):
     # a zero horizon leaves the training losses nothing to score
     config_path = tmp_path / "config.json"

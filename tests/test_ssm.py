@@ -275,6 +275,22 @@ def test_covariates_shift_the_transition(rng):
         ssm.transition_core(model.params, model.hyper, x_prev, y_prev, np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("kind", ["gru", "graph_gru"])
+def test_transition_core_on_stacked_particles_equals_the_flat_rows(rng, kind):
+    # (B, n_p, D) states run through the same products as their (B*n_p, D) rows
+    b_sz, n_p, n = 3, 4, 3
+    model = ssm.init_model(kind=kind, n_series=n, d_x=2, layers=2, d_z=2, seed=4, sigma=0.0)
+    graph = ssm.Graph.from_weights(np.abs(rng.standard_normal((n, n))))
+    mixing = _mixing(model, graph)
+    x = rng.standard_normal((b_sz, n_p, model.state_dim))
+    y = rng.standard_normal((b_sz, n_p, n))
+    z = rng.standard_normal((b_sz, n_p, 2))
+    stacked = ssm.transition_core(model.params, model.hyper, x, y, z, mixing=mixing)
+    flat = ssm.transition_core(model.params, model.hyper, x.reshape(-1, model.state_dim), y.reshape(-1, n), z.reshape(-1, 2), mixing=mixing)
+    assert stacked.shape == x.shape
+    np.testing.assert_array_equal(stacked, flat.reshape(x.shape))
+
+
 def test_transition_applies_noise_scale(tiny_gru_model, rng):
     # a one-step history: the flow does not read sigma, so the first decoder
     # states of the two models differ by sigma times the transition draw

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flowcast import autodiff as ad
 from flowcast import data as data_mod
 from flowcast import ssm as ssm_mod
 from flowcast import train
@@ -93,6 +94,15 @@ def test_mae_loss_uses_particle_median(rng):
     wanted = np.array([[[[0.0]], [[10.0]], [[1.0]]]])  # (B=1, 3 particles, Q=1, N=1)
     batch = _batch_emitting(model, _windows(rng, q=1)[:1], cfg, wanted, [[[2.0]]])
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), 1.0)  # median 1.0 vs target 2.0
+    # an even count: the mean of the two middle samples, and half the gradient to each
+    wanted = np.array([[[[0.0]], [[10.0]], [[1.0]], [[4.0]]]])
+    batch = _batch_emitting(model, _windows(rng, q=1)[:1], cfg, wanted, [[[5.0]]])
+    np.testing.assert_allclose(train.batch_loss(model, batch, cfg), 2.5)  # median 2.5 vs target 5.0
+    samples = ad.Var(wanted)
+    median = train._particle_median(samples)
+    np.testing.assert_array_equal(median.value, [[[2.5]]])
+    ad.backward(ad.sum_(median))
+    np.testing.assert_array_equal(samples.grad.ravel(), [0.0, 0.0, 0.5, 0.5])
 
 
 def test_nll_loss_single_gaussian_closed_form(rng):
