@@ -397,7 +397,7 @@ def flow_map(x, pht: np.ndarray, h_mat: np.ndarray, k_mat: np.ndarray, k_vec: np
     """A whole observation-space flow as one affine map, batched over windows.
 
     Every particle row ``x`` of window ``i`` moves to ``x + (x H^T K_i +
-    k_i) PHt_i^T``, the composition of the flow's Euler steps.  ``x`` has
+    k_i) PHt_i^T``, the flow's exact or Euler-composed map.  ``x`` has
     shape (B, P, D), ``pht`` (B, D, N), ``h_mat`` (N, D), ``k_mat`` (B, N, N)
     and ``k_vec`` (B, 1, N): no (D, D) matrix is formed.  ``K`` is not
     symmetric in general.  Gradients do not flow into the coefficients.

@@ -106,7 +106,6 @@ def build_parser() -> _Parser:
     p_fb.add_argument("--t", type=_positive_int, default=20, help="steps per trajectory")
     p_fb.add_argument("--seeds", type=_positive_int, default=5, help="replicates per cell")
     p_fb.add_argument("--seed", type=int, default=0)
-    p_fb.add_argument("--n-lambda", type=_positive_int, default=29)
     p_fb.add_argument("--threads", type=_positive_int, default=None)
     p_fb.add_argument("--out", required=True, help="benchmark CSV path")
 
@@ -303,9 +302,7 @@ def cmd_filter_bench(args) -> int:
 
     from . import data as data_mod
     from . import filters as filters_mod
-    from . import flow as flow_mod
 
-    fcfg = flow_mod.FlowConfig(n_lambda=args.n_lambda)
     rows = []
     for d in args.dims:
         for seed in range(args.seed, args.seed + args.seeds):
@@ -315,7 +312,7 @@ def cmd_filter_bench(args) -> int:
             rows.append([d, "", "kalman", seed, 0.0, ""])
             for n_p in args.particles:
                 rng = np.random.default_rng(np.random.SeedSequence((seed, d, n_p, 11)))
-                flow_means = filters_mod.flow_filter_linear(ssm, obs, n_p, rng, fcfg)
+                flow_means = filters_mod.flow_filter_linear(ssm, obs, n_p, rng)
                 rows.append([d, n_p, "flow", seed, float(np.sqrt(np.mean((flow_means - kf_means) ** 2))), ""])
                 rng = np.random.default_rng(np.random.SeedSequence((seed, d, n_p, 13)))
                 bpf_means, ess = filters_mod.bpf_filter_linear(ssm, obs, n_p, rng)

@@ -80,7 +80,7 @@ SCHEMA: dict = {
         "ratio": Field((int, float), default=1.2, check=_positive, check_msg="must be positive"),
         "jitter": Field((int, float), default=1e-2, check=_non_negative, check_msg="must be non-negative"),
         "single_particle_prior_scale": Field((int, float), default=1.0, check=_positive, check_msg="must be positive"),
-        "relinearize_every_step": Field(bool, default=True),
+        "relinearize_every_step": Field(bool, default=False),
     },
     "train": {
         "loss": Field(str, default="mae", check=lambda v: v in ("mae", "nll"), check_msg="must be 'mae' or 'nll'"),

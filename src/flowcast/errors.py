@@ -22,9 +22,9 @@ class NumericError(FlowcastError, RuntimeError):
 
 
 class FlowError(NumericError):
-    """A flow failure, located by ``window_id``, ``encoder_step``, the 1-based
-    pseudo-time ``step`` and the ``lam`` it starts at; each is None where it
-    does not apply (no window ids, no encoder, the stepless frozen replay)."""
+    """A flow failure, located by ``window_id``, ``encoder_step``, the 1-based Euler ``step`` and the
+    ``lam`` it starts at (a closed-form flow: step 1 at lambda 0, or 1 for a particle it moved); each is
+    None where it does not apply (no window ids, no encoder, the stepless frozen replay)."""
 
     def __init__(self, message, window_id=None, encoder_step=None, step=None, lam=None):
         super().__init__(message)

@@ -13,13 +13,11 @@ Both factor through the N-dimensional observation space: with
 ``beta = 1/2 S^-1 (y + r * S^-1 (y - H eta_bar))``.  ``PHt`` and
 ``eta_bar`` are estimated once from the incoming particles and frozen
 across pseudo-time; ``H`` is constant, and ``r`` may be re-read at the
-running particle mean each Euler step.  Steps follow a geometric schedule,
-with coefficients evaluated at the pre-increment pseudo-time.
+running particle mean each Euler step.
 
-Every Euler increment thus lies in the span of ``PHt``, so the steps
-compose exactly into one affine map per ensemble (Li & Coates, IEEE TSP
-2017), in row form ``x_1 = x_0 + (x_0 H^T K + k) PHt^T``: a step updates
-the N x N ``K`` and the 1 x N ``k`` and touches no particle, and
+Every drift lies in the span of ``PHt``, so the flow is one affine map per
+ensemble (Li & Coates, IEEE TSP 2017), in row form ``x_1 = x_0 + (x_0 H^T
+K + k) PHt^T`` with an N x N ``K`` and a 1 x N ``k``, and
 :func:`autodiff.flow_map` moves the particles once.  No D x D matrix is
 formed, neither ``A`` nor ``P``.  :func:`edh_flow` moves a stack of
 ensembles at once; training, forecasting and the linear reference filter
@@ -27,15 +25,27 @@ call it.
 
 The map is composed on one of two paths.  When ``r`` stays fixed across
 pseudo-time, every ``S(l)`` is diagonal in one basis: with ``G = H PHt``
-(symmetric positive semi-definite) and the whitened ``g = diag(r)^-1/2 G
-diag(r)^-1/2 = U diag(mu) U^T``, the columns of ``V = diag(r)^-1/2 U``
-satisfy ``V^T diag(r) V = I`` and ``V^T G V = diag(mu)``, so ``S(l)^-1 = V
-diag(1 / (1 + l mu)) V^T``.  One eigendecomposition per flow then turns
-every step into N-vector arithmetic on the diagonals of ``V^-1 K V^-T``
-and ``k V^-T``.  When ``r`` is re-read every step, the basis moves, and
-each step inverts its ``S``.  Either way ``G`` is PSD by construction, so
-a finite ``S`` is positive definite exactly when every ``r`` is positive:
-no factorization checks it.
+(symmetric PSD) and ``g = diag(r)^-1/2 G diag(r)^-1/2 = U diag(mu) U^T``,
+``V = diag(r)^-1/2 U`` gives ``V^T diag(r) V = I``, ``V^T G V = diag(mu)``
+and ``S(l)^-1 = V diag(1 / (1 + l mu)) V^T``.  There ``K = V diag(kappa)
+V^T`` and ``k = c V^T``, and each mode solves, from zero, with ``a = V^T y
+/ 2`` and ``b = V^T (y - H eta_bar) / 2``:
+
+    dkappa/dl = -1/2 (kappa mu + 1) / (1 + l mu)
+    dc/dl = -1/2 mu c / (1 + l mu) + a / (1 + l mu) + b / (1 + l mu)^2
+
+So ``kappa mu + 1 = (1 + l mu)^-1/2``, and ``c (1 + l mu)^1/2`` integrates
+term by term.  At ``l = 1``, with ``s = sqrt(1 + mu)``,
+
+    kappa = (1/s - 1) / mu = -1 / (s (1 + s))
+    c = (2 a (s - 1) + 2 b (1 - 1/s)) / (mu s) = -2 kappa (a + b / s)
+
+whose right-hand forms do not cancel as ``mu -> 0`` (``kappa = -1/2``, ``c
+= a + b``): one ``eigh`` per flow gives the exact map.  When ``r`` is
+re-read every step, the basis moves, and each Euler step of a geometric
+schedule (coefficients at the pre-step pseudo-time) inverts its ``S`` and
+updates ``K`` and ``k``.  ``G`` is PSD, so a finite ``S`` is positive
+definite exactly when every ``r`` is positive: no factorization checks it.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ class FlowConfig:
     ratio: float = 1.2
     jitter: float = 1e-2
     single_particle_prior_scale: float = 1.0
-    relinearize_every_step: bool = True
+    relinearize_every_step: bool = False
 
     def __post_init__(self):
         if self.n_lambda < 1:
@@ -119,9 +129,9 @@ def edh_flow(
 
     Noise variances that stay fixed across pseudo-time (an array, or a
     callable read once at the starting means) take the diagonal path: one
-    eigendecomposition of the whitened ``G`` per ensemble, then every Euler
-    step on N-vectors.  Relinearized ones take the stepwise path, which
-    inverts each step's ``S``.  Both compose the same map.
+    eigendecomposition of the whitened ``G`` per ensemble, then the exact map
+    in closed form, which reads neither ``n_lambda`` nor ``ratio``.
+    Relinearized ones take Euler steps, each inverting its ``S``.
 
     Returns the moved particles, plus a :class:`FlowTrace` when
     ``return_trace`` is true.  ``encoder_step`` and ``window_ids`` (one per
@@ -149,50 +159,49 @@ def edh_flow(
     hph = h_mat @ pht  # (B, N, N)
     half_y = 0.5 * y[:, :, None]
     half_innov = half_y - 0.5 * (h_mat @ mean0[:, :, None])  # (y - H eta_bar) / 2, (B, N, 1)
-    eps = step_schedule(config.n_lambda, config.ratio)
-    lams = np.concatenate(([0.0], np.cumsum(eps)[:-1]))  # coefficients use the pre-step pseudo-time
+    relinearized = callable(r) and config.relinearize_every_step
     where = "" if encoder_step is None else f" of encoder step {encoder_step}"
 
-    def fail(cls, what, verb, row, m):
+    def fail(cls, what, verb, row, m=0, lam=0.0):
         window_id = None if window_ids is None else window_ids[row]
         who = f"ensemble {row}" if window_ids is None else f"window {window_id}"
-        when = f"pseudo-time step {m + 1}/{config.n_lambda} (lambda={lams[m]:.6g}){where}"
-        return cls(f"{what} of {who} {verb} {when}", window_id, encoder_step, m + 1, float(lams[m]))
+        when = f"pseudo-time step {m + 1}/{config.n_lambda}" if relinearized else "the closed-form flow"
+        return cls(f"{what} of {who} {verb} {when} (lambda={lam:.6g}){where}", window_id, encoder_step, m + 1, float(lam))
 
-    if callable(r) and config.relinearize_every_step:
+    if relinearized:
+        eps = step_schedule(config.n_lambda, config.ratio)
+        lams = np.concatenate(([0.0], np.cumsum(eps)[:-1]))  # coefficients use the pre-step pseudo-time
         k_mat, k_vec = _relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, eps, lams, fail)
+        moved = (config.n_lambda - 1, lams[-1])  # particles are checked after the last step
     else:
         r_fixed = np.broadcast_to(np.asarray(r(mean0) if callable(r) else r, dtype=np.float64), (b_sz, n))
-        k_mat, k_vec = _fixed_noise_map(r_fixed, hph, half_y, half_innov, eps, lams, fail)
+        k_mat, k_vec = _fixed_noise_map(r_fixed, hph, half_y, half_innov, fail)
+        moved = (0, 1.0)  # the one map takes them to lambda = 1
     x = ad.flow_map(particles, pht, h_mat, k_mat, k_vec)
     if not np.isfinite(ad.val(x)).all():
         row, particle = np.argwhere(~np.isfinite(ad.val(x)))[0][:2]
-        raise fail(FlowDivergedError, f"particle {particle}", "became non-finite after", row, config.n_lambda - 1)
+        raise fail(FlowDivergedError, f"particle {particle}", "became non-finite after", row, *moved)
     if return_trace:
         return x, FlowTrace(mean0, pht, h_mat, k_mat, k_vec)
     return x
 
 
-def _not_spd(fail, ok_rows, m):
-    """The FlowSolveError for the first ensemble whose ``S`` fails ``ok_rows`` at step ``m``."""
+def _not_spd(fail, ok_rows, *at):
+    """The FlowSolveError for the first ensemble whose ``S`` fails ``ok_rows`` (at Euler step and pseudo-time ``at``)."""
     row = np.flatnonzero(~ok_rows)[0]
-    return fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, m)
+    return fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, *at)
 
 
-def _fixed_noise_map(r, hph, half_y, half_innov, eps, lams, fail):
-    """(K, k) of flows whose noise variances ``r`` (B, N) stay fixed, on diagonals.
+def _fixed_noise_map(r, hph, half_y, half_innov, fail):
+    """(K, k) of flows whose noise variances ``r`` (B, N) stay fixed: the exact map at ``lam = 1``.
 
-    Whitened by ``diag(r)^-1/2``, every ``S(lam) = lam G + diag(r)`` shares
-    the eigenbasis ``U`` of ``g = G / (sqrt(r) sqrt(r)^T)``, with eigenvalues
-    ``mu``.  In the coordinates ``V = diag(r)^-1/2 U``, where ``V^T diag(r)
-    V = I`` and ``V^T G V = diag(mu)``, the map is ``K = V diag(kappa) V^T``
-    and ``k = c V^T``, and a step is exact on N-vectors with ``l = 1 / (1 +
-    lam mu)``: ``kappa <- kappa - eps/2 l (kappa mu + 1)`` and ``c <- c -
-    eps/2 c mu l + eps l (V^T y / 2 + l V^T (y - H eta_bar) / 2)``.
+    In the whitened eigenbasis ``V`` (module docstring) each mode solves to
+    ``kappa = -1 / (s (1 + s))`` and ``c = -2 kappa (a + b / s)``, with ``s =
+    sqrt(1 + mu)``, ``a = V^T y / 2`` and ``b = V^T (y - H eta_bar) / 2``.
     """
     positive = (r > 0).all(axis=1)  # G is PSD, so S is SPD exactly when every r is positive
     if not positive.all():
-        raise _not_spd(fail, positive, 0)
+        raise _not_spd(fail, positive)
     sqrt_r = np.sqrt(r)
     g = (hph + np.swapaxes(hph, 1, 2)) / (2.0 * sqrt_r[:, :, None] * sqrt_r[:, None, :])
     finite = np.isfinite(g).all(axis=(1, 2))
@@ -201,19 +210,13 @@ def _fixed_noise_map(r, hph, half_y, half_innov, eps, lams, fail):
     mu = np.where(finite[:, None], np.maximum(mu, 0.0), np.nan)  # G is PSD: a negative eigenvalue is rounding
     v = u / sqrt_r[:, :, None]
     vt = np.swapaxes(v, 1, 2)
-    vt_y, vt_innov = (vt @ half_y)[:, :, 0], (vt @ half_innov)[:, :, 0]
-    kappa = np.zeros((len(eps) + 1, *mu.shape))  # after each step, so one check finds the first bad one
-    c = np.zeros_like(kappa)
-    for m in range(len(eps)):
-        ell = 1.0 / (1.0 + lams[m] * mu)
-        half_step = (0.5 * eps[m]) * ell
-        kappa[m + 1] = kappa[m] - half_step * (kappa[m] * mu + 1.0)
-        c[m + 1] = c[m] - half_step * c[m] * mu + eps[m] * ell * (vt_y + ell * vt_innov)
-    finite = np.isfinite(kappa).all(axis=2) & np.isfinite(c).all(axis=2)  # (steps + 1, B)
+    s = np.sqrt(1.0 + mu)
+    kappa = -1.0 / (s * (1.0 + s))  # in [-1/2, 0), or NaN: the exact map cannot overshoot
+    c = -2.0 * kappa * ((vt @ half_y)[:, :, 0] + (vt @ half_innov)[:, :, 0] / s)
+    finite = np.isfinite(c).all(axis=1)  # a NaN kappa makes its c NaN
     if not finite.all():
-        after, row = np.argwhere(~finite)[0]  # the first step that went non-finite, then its first ensemble
-        raise fail(FlowDivergedError, "the flow map", "became non-finite at", row, after - 1)
-    return (v * kappa[-1, :, None, :]) @ vt, c[-1, :, None, :] @ vt
+        raise fail(FlowDivergedError, "the flow map", "became non-finite at", np.flatnonzero(~finite)[0])
+    return (v * kappa[:, None, :]) @ vt, c[:, None, :] @ vt
 
 
 def _relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, eps, lams, fail):
@@ -233,7 +236,7 @@ def _relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, eps, lams, 
         s = lams[m] * hph
         s.reshape(b_sz, n * n)[:, :: n + 1] += r_now  # the diagonal of each S
         if not ((r_now > 0).all() and np.isfinite(s).all()):  # G is PSD: no factorization needed
-            raise _not_spd(fail, (r_now > 0).all(axis=1) & np.isfinite(s).all(axis=(1, 2)), m)
+            raise _not_spd(fail, (r_now > 0).all(axis=1) & np.isfinite(s).all(axis=(1, 2)), m, lams[m])
         s_inv = np.linalg.inv(s)
         beta = s_inv @ (half_y + r_now[:, :, None] * (s_inv @ half_innov))  # (B, N, 1)
         # K <- K - eps/2 (I + K G^T) S^-1 and k <- k + eps beta - eps/2 k G^T S^-1, with G = H PHt
@@ -245,5 +248,5 @@ def _relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, eps, lams, 
         coef[:, n] += eps[m] * beta[:, :, 0]
         if not np.isfinite(coef).all():
             row = np.flatnonzero(~np.isfinite(coef).all(axis=(1, 2)))[0]
-            raise fail(FlowDivergedError, "the flow map", "became non-finite at", row, m)
+            raise fail(FlowDivergedError, "the flow map", "became non-finite at", row, m, lams[m])
     return coef[:, :n], coef[:, n:]

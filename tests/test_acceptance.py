@@ -268,22 +268,14 @@ def test_end_to_end_learning_approaches_optimal_forecaster():
         n_particles=100, flow=FlowConfig(n_lambda=29), seed=0, noiseless=False, point="mean"
     )
     levels = (0.5, 0.8, 0.95)  # central-interval coverage levels
-    abs_err = []
-    all_samples = []
-    covered = {c: [] for c in levels}
-    for w, w_raw in zip(w_test, w_test_raw):
-        dist = forecast_mod.predict(model, graph, w, pcfg)
-        point = data_mod.destandardize(dist.point, stats)
-        samples = data_mod.destandardize(dist.samples, stats)
-        truth = np.asarray(w_raw.y_future)
-        abs_err.append(np.abs(point - truth))
-        all_samples.append(samples)
-        for c in levels:
-            lo = np.quantile(samples, 0.5 - c / 2, axis=0)
-            hi = np.quantile(samples, 0.5 + c / 2, axis=0)
-            covered[c].append((truth >= lo) & (truth <= hi))
-    model_mae = float(np.mean(abs_err))
-    model_cov = {c: float(np.mean(covered[c])) for c in levels}
+    samples, points = forecast_mod.predict_windows(model, graph, w_test, pcfg)
+    samples = data_mod.destandardize(samples, stats)  # (M, n_p, Q, N)
+    truth = np.stack([np.asarray(w_raw.y_future) for w_raw in w_test_raw])  # (M, Q, N)
+    model_mae = float(np.mean(np.abs(data_mod.destandardize(points, stats) - truth)))
+    model_cov = {}
+    for c in levels:
+        lo, hi = np.quantile(samples, [0.5 - c / 2, 0.5 + c / 2], axis=1)
+        model_cov[c] = float(np.mean((truth >= lo) & (truth <= hi)))
     coverage = model_cov[0.8]
 
     # optimal reference: Kalman-filter each window's history under the true
@@ -306,8 +298,8 @@ def test_end_to_end_learning_approaches_optimal_forecaster():
     # sigma [z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi)]
     from scipy.stats import norm
 
-    truth = np.stack([np.asarray(w_raw.y_future) for w_raw in w_test_raw]).reshape(-1)  # (M*Q*N,), window, horizon, series
-    cells = np.moveaxis(np.stack(all_samples), 1, -1).reshape(truth.size, -1)  # (M*Q*N, n_p)
+    truth = truth.reshape(-1)  # (M*Q*N,), window, horizon, series
+    cells = np.moveaxis(samples, 1, -1).reshape(truth.size, -1)  # (M*Q*N, n_p)
     model_crps = float(np.mean(metrics_mod.crps_batch(cells, truth)))
     mu, sd = np.concatenate(oracle_mean), np.concatenate(oracle_std)
     z = (truth - mu) / sd
@@ -446,8 +438,7 @@ def test_cli_runs_are_bitwise_reproducible(tmp_path):
     )
 
     _run_twice(
-        ["filter-bench", "--dims", "2,4", "--particles", "50", "--t", "5", "--seeds", "2",
-         "--n-lambda", "8", "--out", str(tmp_path / "bench.csv")],
+        ["filter-bench", "--dims", "2,4", "--particles", "50", "--t", "5", "--seeds", "2", "--out", str(tmp_path / "bench.csv")],
         tmp_path,
         ("bench.csv",),
         tmp_path / "snap_bench",

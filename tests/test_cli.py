@@ -505,7 +505,7 @@ def test_non_integer_list_items_are_usage_errors(trained_run, tmp_path, capsys):
         ["filter-bench", "--particles", "0"],
         ["filter-bench", "--t", "0"],
         ["filter-bench", "--seeds", "0"],
-        ["filter-bench", "--n-lambda", "0"],
+        ["filter-bench", "--threads", "0"],
         ["synth", "--kind", "var_graph", "--n", "0"],
         ["synth", "--kind", "linear_gaussian", "--state-dim", "0"],
         ["synth", "--kind", "var_graph", "--t", "0"],
@@ -530,7 +530,7 @@ def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys, monkeypatch):
 def test_filter_bench_writes_rows(tmp_path):
     out = tmp_path / "bench.csv"
     code = cli.main(
-        ["filter-bench", "--dims", "2", "--particles", "50", "--t", "5", "--seeds", "1", "--n-lambda", "8", "--out", str(out)]
+        ["filter-bench", "--dims", "2", "--particles", "50", "--t", "5", "--seeds", "1", "--out", str(out)]
     )
     assert code == 0
     with open(out) as fh:

@@ -1,10 +1,14 @@
 """Particle-flow update: step schedule, ensemble moments, drift
 coefficients (hand-derived affine cases, read from a stepwise reference
-flow), the composed map against that reference, and convergence of the
-Euler integration to the exact Gaussian posterior."""
+flow), the relinearized map against that reference, the closed-form
+fixed-noise map against the exact Gaussian posterior and against Euler
+steps, and convergence of the Euler integration to that posterior."""
+
+import decimal
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from flowcast import autodiff as ad, filters
 from flowcast import flow as flow_mod
@@ -150,7 +154,7 @@ def _relative_difference(got, want):
 
 # noise: True re-reads r at the running means (the stepwise path); False
 # fixes r in [0.5, 1.5] and "spread" fixes it log-uniformly over [1e-3, 1e3]
-# (the diagonal path)
+# (the diagonal path, whose exact map uniform Euler steps approach)
 @pytest.mark.parametrize(
     "b_sz, n_p, d, n, noise, jitter",
     [
@@ -182,13 +186,50 @@ def test_composed_flow_matches_stepwise_reference(rng, b_sz, n_p, d, n, noise, j
         r = 10.0 ** rng.uniform(-3.0, 3.0, size=(b_sz, n))
     else:
         r = rng.uniform(0.5, 1.5, size=(b_sz, n))
-    cfg = FlowConfig(n_lambda=29, jitter=jitter)
+    cfg = FlowConfig(n_lambda=29, jitter=jitter, relinearize_every_step=noise is True)
     got, trace = edh_flow(particles, h, y, r, cfg, return_trace=True)
     want, mean0, pht, _ = _stepwise_flow(particles, h, y, r, cfg)
-    assert _relative_difference(got, want) <= 1e-12
     np.testing.assert_array_equal(trace.mean, mean0)
     assert _relative_difference(trace.pht, pht) <= 1e-12
     assert trace.k_mat.shape == (b_sz, n, n) and trace.k_vec.shape == (b_sz, 1, n)
+    if noise is True:
+        assert _relative_difference(got, want) <= 1e-12
+        return
+    # the fixed-noise map is exact: the particle mean is the Kalman posterior
+    # mean of the jittered ensemble prior, and uniform Euler steps close in on
+    # it at first order: four times the steps, about a quarter of the error
+    r = np.broadcast_to(r, y.shape)
+    want_mean = [_kalman_posterior(mean0[i], _dense_prior(particles[i], cfg), h, r[i], y[i])[0] for i in range(b_sz)]
+    assert _relative_difference(got.mean(axis=1), np.array(want_mean)) <= 1e-12
+    errs = [_relative_difference(got, _stepwise_flow(particles, h, y, r, FlowConfig(n_lambda=m, ratio=1.0, jitter=jitter))[0]) for m in (32, 128, 512)]
+    assert errs[0] > 3.0 * errs[1] > 9.0 * errs[2]
+
+
+def _exact_mode(mu, a, b):
+    """kappa and c of one mode at lambda = 1, from the integrals of the flow ODE in 700-digit decimals."""
+    if mu == 0.0:
+        return -0.5, a + b
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700  # (1 + mu)^-1/2 - 1 must not cancel at mu = 1e-300
+        mu_d, a_d, b_d = decimal.Decimal(mu), decimal.Decimal(a), decimal.Decimal(b)
+        s = (1 + mu_d).sqrt()
+        kappa = (1 / s - 1) / mu_d
+        c = (2 * a_d * (s - 1) / mu_d + 2 * b_d * (1 - 1 / s) / mu_d) / s
+        return float(kappa), float(c)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-300, 1e-8, 1.0, 1e12])
+def test_fixed_noise_map_is_exact_at_extreme_eigenvalues(mu):
+    # one particle of one state with H = sqrt(mu) and r = 1, so G = mu and
+    # V = +-1: the map's K is kappa and its k is c, whatever the sign of V
+    h = np.array([[np.sqrt(mu)]])
+    x0, y = 0.5, 1.25
+    a, b = y / 2.0, (y - h[0, 0] * x0) / 2.0
+    moved, trace = edh_flow(np.array([[[x0]]]), h, np.array([[y]]), np.ones(1), FlowConfig(), return_trace=True)
+    kappa, c = _exact_mode(mu, a, b)
+    assert np.isfinite(moved).all()
+    assert abs(trace.k_mat[0, 0, 0] - kappa) <= 1e-15 * abs(kappa)
+    assert abs(trace.k_vec[0, 0, 0] - c) <= 1e-15 * abs(c)
 
 
 def test_fixed_callable_noise_is_read_once_at_the_starting_mean(rng):
@@ -238,7 +279,7 @@ def test_fixed_noise_flows_factorize_nothing(monkeypatch, rng):
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     c = rng.standard_normal((d, d)) * 0.3
-    relinearized = edh_flow(rng.standard_normal((2, 20, d)), ssm.H, obs[:2], lambda m: 0.5 + np.logaddexp(0.0, m @ c.T) ** 2)
+    relinearized = edh_flow(rng.standard_normal((2, 20, d)), ssm.H, obs[:2], lambda m: 0.5 + np.logaddexp(0.0, m @ c.T) ** 2, FlowConfig(relinearize_every_step=True))
     assert np.isfinite(relinearized).all()
     assert inverted == [(2, d, d)] * FlowConfig().n_lambda
     monkeypatch.setattr(np.linalg, "inv", forbidden)
@@ -250,7 +291,7 @@ def test_composed_map_is_not_symmetric_once_r_varies(rng):
     # gradient must use its transpose
     c = rng.standard_normal((3, 5)) * 0.5
     particles = rng.standard_normal((1, 20, 5))
-    _, trace = edh_flow(particles, rng.standard_normal((3, 5)), rng.standard_normal((1, 3)), lambda m: np.logaddexp(0.0, m @ c.T) ** 2, FlowConfig(), return_trace=True)
+    _, trace = edh_flow(particles, rng.standard_normal((3, 5)), rng.standard_normal((1, 3)), lambda m: np.logaddexp(0.0, m @ c.T) ** 2, FlowConfig(relinearize_every_step=True), return_trace=True)
     assert np.max(np.abs(trace.k_mat - np.swapaxes(trace.k_mat, 1, 2))) > 1e-6
 
 
@@ -310,7 +351,7 @@ def test_coefficients_informative_observation_pulls_towards_it():
 
 
 def test_coefficients_singular_noise_raises():
-    with pytest.raises(FlowSolveError, match=r"pseudo-time step 1/2 \(lambda=0\)"):
+    with pytest.raises(FlowSolveError, match=r"at the closed-form flow \(lambda=0\)$"):
         edh_flow(np.zeros((1, 1, 1)), np.array([[1.0]]), np.zeros((1, 1)), np.array([-1.0]), _SCALAR_CONFIG)
 
 
@@ -320,9 +361,9 @@ def test_non_spd_innovation_raises_on_taped_and_plain_calls(rng):
     cfg = FlowConfig(n_lambda=4)
     h = np.eye(2)
     taped = ad.Var(rng.standard_normal((3, 5, 2)))
-    with pytest.raises(FlowSolveError, match=r"pseudo-time step 1/4 \(lambda=0\) of encoder step 7"):
+    with pytest.raises(FlowSolveError, match=r"at the closed-form flow \(lambda=0\) of encoder step 7$"):
         edh_flow(taped, h, np.zeros((3, 2)), np.full((3, 2), -1.0), cfg, return_trace=True, encoder_step=7)
-    with pytest.raises(FlowSolveError, match=r"pseudo-time step 1/4 \(lambda=0\)$"):
+    with pytest.raises(FlowSolveError, match=r"at the closed-form flow \(lambda=0\)$"):
         edh_flow(rng.standard_normal((1, 5, 2)), h, np.zeros((1, 2)), lambda means: np.full((1, 2), -1.0), cfg)
 
 
@@ -330,7 +371,7 @@ def test_non_spd_innovation_names_the_failing_window(rng):
     # only the middle ensemble gets a non-positive noise variance
     r = np.ones((3, 2))
     r[1, 0] = -0.5
-    with pytest.raises(FlowSolveError, match=r"^innovation covariance of window 17 is not positive definite at pseudo-time step 1/4") as info:
+    with pytest.raises(FlowSolveError, match=r"^innovation covariance of window 17 is not positive definite at the closed-form flow \(lambda=0\)$") as info:
         edh_flow(rng.standard_normal((3, 5, 2)), np.eye(2), np.zeros((3, 2)), r, FlowConfig(n_lambda=4), window_ids=[5, 17, 9])
     assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (17, None, 1, 0.0)
 
@@ -345,7 +386,7 @@ def test_solve_error_attributes_name_a_later_step(rng):
         return np.full((2, 1), 1.0 if len(reads) < 3 else -1.0)
 
     with pytest.raises(FlowSolveError) as info:
-        edh_flow(rng.standard_normal((2, 4, 1)), np.eye(1), np.zeros((2, 1)), r, FlowConfig(n_lambda=5), encoder_step=6, window_ids=[40, 41])
+        edh_flow(rng.standard_normal((2, 4, 1)), np.eye(1), np.zeros((2, 1)), r, FlowConfig(n_lambda=5, relinearize_every_step=True), encoder_step=6, window_ids=[40, 41])
     lams = np.cumsum(step_schedule(5, 1.2))
     assert (info.value.window_id, info.value.encoder_step, info.value.step) == (40, 6, 3)
     assert info.value.lam == lams[1]
@@ -370,7 +411,7 @@ def _stepwise_relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, ep
         spd = (r_now > 0).all(axis=1) & np.isfinite(s).all(axis=(1, 2))
         if not spd.all():
             row = np.flatnonzero(~spd)[0]
-            raise fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, m)
+            raise fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, m, lams[m])
         s_inv = np.linalg.inv(s)
         beta = s_inv @ (half_y + r_now[:, :, None] * (s_inv @ half_innov))
         pull = coef @ np.swapaxes(hph, 1, 2)
@@ -379,7 +420,7 @@ def _stepwise_relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, ep
         coef[:, n] += eps[m] * beta[:, :, 0]
         if not np.isfinite(coef).all():
             row = np.flatnonzero(~np.isfinite(coef).all(axis=(1, 2)))[0]
-            raise fail(FlowDivergedError, "the flow map", "became non-finite at", row, m)
+            raise fail(FlowDivergedError, "the flow map", "became non-finite at", row, m, lams[m])
     return coef[:, :n], coef[:, n:]
 
 
@@ -407,7 +448,7 @@ def test_relinearized_map_is_bitwise_the_stepwise_loop(monkeypatch, rng, b_sz, n
     h = rng.standard_normal((n, d)) * 0.5
     y = rng.standard_normal((b_sz, n))
     c = rng.standard_normal((n, d)) * 0.3
-    got, want = _flow_both_ways(monkeypatch, particles, h, y, lambda: _softplus_noise(c), config=FlowConfig(n_lambda=29), return_trace=True)
+    got, want = _flow_both_ways(monkeypatch, particles, h, y, lambda: _softplus_noise(c), config=FlowConfig(n_lambda=29, relinearize_every_step=True), return_trace=True)
     assert np.array_equal(got[0], want[0])
     for got_field, want_field in zip(got[1], want[1]):
         assert np.array_equal(got_field, want_field)
@@ -444,7 +485,7 @@ def test_relinearized_map_fails_like_the_stepwise_loop(monkeypatch, rng, value, 
     particles[1] *= scale
     got = _flow_both_ways(
         monkeypatch, particles, np.eye(2), np.ones((3, 2)), lambda: _noise_turning(value, 1, at_read),
-        config=FlowConfig(n_lambda=9, jitter=0.0), encoder_step=5, window_ids=[30, 31, 32],
+        config=FlowConfig(n_lambda=9, jitter=0.0, relinearize_every_step=True), encoder_step=5, window_ids=[30, 31, 32],
     )
     assert type(got[0]) is type(got[1]) is error
     assert str(got[0]) == str(got[1])
@@ -458,29 +499,43 @@ def test_relinearized_map_fails_like_the_stepwise_loop(monkeypatch, rng, value, 
 # ---------------------------------------------------------------------------
 
 
+def _dense_prior(particles, cfg):
+    """The D x D prior covariance a flow freezes for one (n_p, D) ensemble."""
+    d = particles.shape[1]
+    if len(particles) == 1:
+        return cfg.single_particle_prior_scale * np.eye(d)
+    return np.cov(particles, rowvar=False, bias=True) + cfg.jitter * np.eye(d)
+
+
 def _dense_reference_flow(particles, h, y, r, cfg):
-    """Euler steps of the textbook drift A x + b, one ensemble at a time, with
+    """The textbook flow dx/dl = A x + b, one ensemble at a time, with
 
     A(l) = -1/2 P H^T (l H P H^T + R)^-1 H
     b(l) = (I + 2 l A) [ (I + l A) P H^T R^-1 y + A eta_bar ]
+
+    Relinearized noise variances take Euler steps.  Fixed ones take the
+    exact solution at l = 1: with J = H^T R^-1 H, ``A = -1/2 P J (I + l
+    P J)^-1``, so ``Phi(l) = (I + l P J)^-1/2`` solves ``dPhi/dl = A Phi``;
+    the mean lands on the Kalman posterior mean and every deviation from it
+    is multiplied by ``Phi(1)``, a matrix square root (not an eigh).
     """
     b_sz, n_p, d = particles.shape
     eye = np.eye(d)
     mean0 = particles.mean(axis=1)
     x = particles.copy()
-    lam = 0.0
-    r_now = None
-    for m, eps in enumerate(step_schedule(cfg.n_lambda, cfg.ratio)):
-        if callable(r):
-            if m == 0 or cfg.relinearize_every_step:
-                r_now = r(x.mean(axis=1))
-        else:
-            r_now = np.broadcast_to(r, (b_sz, h.shape[0]))
+    if not (callable(r) and cfg.relinearize_every_step):
+        r_fixed = np.broadcast_to(r(mean0) if callable(r) else r, (b_sz, h.shape[0]))
         for i in range(b_sz):
-            if n_p == 1:
-                p = cfg.single_particle_prior_scale * eye
-            else:
-                p = np.cov(particles[i], rowvar=False, bias=True) + cfg.jitter * eye
+            p = _dense_prior(particles[i], cfg)
+            mean1 = _kalman_posterior(mean0[i], p, h, r_fixed[i], y[i])[0]
+            phi = np.linalg.inv(scipy.linalg.sqrtm(eye + p @ h.T @ (h / r_fixed[i][:, None])))
+            x[i] = mean1 + (particles[i] - mean0[i]) @ phi.T
+        return x
+    lam = 0.0
+    for m, eps in enumerate(step_schedule(cfg.n_lambda, cfg.ratio)):
+        r_now = r(x.mean(axis=1))
+        for i in range(b_sz):
+            p = _dense_prior(particles[i], cfg)
             r_mat = np.diag(r_now[i])
             a = -0.5 * p @ h.T @ np.linalg.solve(lam * h @ p @ h.T + r_mat, h)
             b = (eye + 2 * lam * a) @ ((eye + lam * a) @ p @ h.T @ np.linalg.solve(r_mat, y[i]) + a @ mean0[i])
@@ -512,7 +567,7 @@ def test_flow_matches_dense_drift_reference(rng, b_sz, n_p, d, n, relinearized):
 
     else:
         r = rng.uniform(0.5, 1.5, size=(b_sz, n))
-    cfg = FlowConfig(n_lambda=29)
+    cfg = FlowConfig(n_lambda=29, relinearize_every_step=relinearized)
     got = edh_flow(particles, h, y, r, cfg)
     want = _dense_reference_flow(particles, h, y, r, cfg)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -583,6 +638,9 @@ def test_flow_matches_kalman_moments_multivariate(rng):
 
 
 def test_flow_euler_error_shrinks_with_more_uniform_steps(rng):
+    # Euler steps (the relinearized path, here with a constant r) approach
+    # the Kalman mean as the uniform grid refines; the fixed-noise map is
+    # already there
     d = 3
     mean0 = rng.standard_normal(d)
     cov0 = np.diag([1.0, 2.0, 0.5])
@@ -596,10 +654,13 @@ def test_flow_euler_error_shrinks_with_more_uniform_steps(rng):
 
     errs = []
     for n_lambda in (8, 64, 512):
-        out = _flow_one(particles, y, h, r_diag, FlowConfig(n_lambda=n_lambda, ratio=1.0, jitter=0.0))
+        cfg = FlowConfig(n_lambda=n_lambda, ratio=1.0, jitter=0.0, relinearize_every_step=True)
+        out = _flow_one(particles, y, h, lambda means: r_diag[None], cfg)
         errs.append(np.linalg.norm(out.mean(axis=0) - want_mean))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.01
+    exact = _flow_one(particles, y, h, r_diag, FlowConfig(n_lambda=8, jitter=0.0))
+    assert np.linalg.norm(exact.mean(axis=0) - want_mean) <= 1e-12 * np.linalg.norm(want_mean)
 
 
 def test_flow_zero_jacobian_leaves_particles_nearly_alone(rng):
@@ -611,16 +672,21 @@ def test_flow_zero_jacobian_leaves_particles_nearly_alone(rng):
 
 
 def test_flow_trace_records_full_schedule(rng):
-    # the trace holds the map composed from all eight steps of the schedule;
-    # the per-step coefficients come from the stepwise reference
+    # the trace of a relinearized flow holds the map composed from all eight
+    # steps of the schedule; the per-step coefficients come from the stepwise
+    # reference
     particles = rng.standard_normal((1, 30, 2))
     h = np.array([[1.0, -0.5]])
-    cfg = FlowConfig(n_lambda=8)
-    moved, trace = edh_flow(particles, h, np.array([[0.5]]), np.array([1.0]), cfg, return_trace=True)
+    cfg = FlowConfig(n_lambda=8, relinearize_every_step=True)
+
+    def r(means):
+        return np.ones((1, 1))
+
+    moved, trace = edh_flow(particles, h, np.array([[0.5]]), r, cfg, return_trace=True)
     assert trace.mean.shape == (1, 2) and trace.pht.shape == (1, 2, 1)
     assert trace.k_mat.shape == (1, 1, 1) and trace.k_vec.shape == (1, 1, 1)
     np.testing.assert_array_equal(trace.h_mat, h)
-    want, _, _, steps = _stepwise_flow(particles, h, np.array([[0.5]]), np.array([1.0]), cfg)
+    want, _, _, steps = _stepwise_flow(particles, h, np.array([[0.5]]), r, cfg)
     assert len(steps) == 8
     eps = step_schedule(8, cfg.ratio)
     lam = 0.0
@@ -644,7 +710,7 @@ def test_flow_batch_slices_match_each_ensemble_flowed_alone(rng):
     def noise_var(means):
         return np.logaddexp(0.0, means @ c.T) ** 2
 
-    cfg = FlowConfig(n_lambda=12)
+    cfg = FlowConfig(n_lambda=12, relinearize_every_step=True)
     batched = edh_flow(particles, h, y, noise_var, cfg)
     for i in range(4):
         alone = edh_flow(particles[i : i + 1], h, y[i : i + 1], noise_var, cfg)
@@ -653,10 +719,12 @@ def test_flow_batch_slices_match_each_ensemble_flowed_alone(rng):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_flow_divergence_error_names_the_step(rng):
-    # an explosive linearization: gigantic drift makes particles overflow
+    # an explosive linearization: H P H^T overflows, and with it the map; a
+    # fixed-noise flow names its one closed-form step, whatever n_lambda says
     particles = rng.standard_normal((10, 1)) * 1e150
-    with pytest.raises((FlowDivergedError, FlowSolveError), match=r"pseudo-time step \d/4"):
+    with pytest.raises(FlowDivergedError, match=r"^the flow map of ensemble 0 became non-finite at the closed-form flow \(lambda=0\)$") as info:
         _flow_one(particles, np.array([1.0]), np.array([[1e150]]), np.array([1e-300]), FlowConfig(n_lambda=4, jitter=0.0))
+    assert (info.value.step, info.value.lam) == (1, 0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -666,7 +734,7 @@ def test_relinearized_non_finite_innovation_is_a_solve_error(rng):
     # reports as not positive definite before inverting it
     particles = rng.standard_normal((1, 10, 1)) * 1e150
     with pytest.raises(FlowSolveError, match=r"^innovation covariance of ensemble 0 is not positive definite at pseudo-time step 1/4 \(lambda=0\)$"):
-        edh_flow(particles, np.array([[1e150]]), np.ones((1, 1)), lambda means: np.ones((1, 1)), FlowConfig(n_lambda=4, jitter=0.0))
+        edh_flow(particles, np.array([[1e150]]), np.ones((1, 1)), lambda means: np.ones((1, 1)), FlowConfig(n_lambda=4, jitter=0.0, relinearize_every_step=True))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -677,13 +745,21 @@ def test_divergence_error_attributes_locate_the_map_and_the_particles(rng):
     particles = rng.standard_normal((2, 10, 1))
     particles[1] *= 1e150
     h = np.array([[1e150]])
-    with pytest.raises(FlowDivergedError, match=r"^the flow map of window 8 became non-finite at pseudo-time step 1/4 \(lambda=0\) of encoder step 2$") as info:
+    with pytest.raises(FlowDivergedError, match=r"^the flow map of window 8 became non-finite at the closed-form flow \(lambda=0\) of encoder step 2$") as info:
         edh_flow(particles, h, np.ones((2, 1)), np.array([[1.0], [1e-300]]), cfg, encoder_step=2, window_ids=[7, 8])
     assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (8, 2, 1, 0.0)
-    # one coarse Euler step from a wide ensemble: the map K = -1/(2 r), k = 0 is
-    # finite, but it moves the particles +-1e100 by +-5e309
+    # a finite closed-form map whose exact answer is out of range: with H = 1e-10
+    # the posterior mean is about y / H = 1e310 (at y = 1e290 it is finite)
+    wide, h_tiny = np.array([[[-1e15], [1e15]]]), np.array([[1e-10]])
+    assert np.isfinite(edh_flow(wide, h_tiny, np.array([[1e290]]), np.ones(1), cfg)).all()
+    with pytest.raises(FlowDivergedError, match=r"^particle 0 of ensemble 0 became non-finite after the closed-form flow \(lambda=1\)$") as info:
+        edh_flow(wide, h_tiny, np.array([[1e300]]), np.ones(1), cfg)
+    assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (None, None, 1, 1.0)
+    # one coarse relinearized Euler step from a wide ensemble: the map K =
+    # -1/(2 r), k = 0 is finite, but it moves the particles +-1e100 by
+    # +-5e309 (the exact fixed-noise map cannot overshoot)
     with pytest.raises(FlowDivergedError, match=r"^particle 0 of ensemble 0 became non-finite after pseudo-time step 1/1 \(lambda=0\)$") as info:
-        edh_flow(np.array([[[1e100], [-1e100]]]), np.eye(1), np.zeros((1, 1)), np.array([1e-10]), FlowConfig(n_lambda=1, jitter=0.0))
+        edh_flow(np.array([[[1e100], [-1e100]]]), np.eye(1), np.zeros((1, 1)), lambda means: np.array([[1e-10]]), FlowConfig(n_lambda=1, jitter=0.0, relinearize_every_step=True))
     assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (None, None, 1, 0.0)
 
 

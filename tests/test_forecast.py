@@ -95,12 +95,16 @@ def test_batched_forecast_matches_per_window_reference(rng, kind, n, d_z):
     vals = 0.5 * rng.standard_normal((40, n))
     s = data_mod.SeriesSet(values=vals, names=[f"s{i}" for i in range(n)])
     windows = data_mod.make_windows(s, 4, 3, period=12 if d_z else None)[:4]
-    cfg = _config(n_particles=3, seed=2)
-    _, samples, _, _ = _forward(model, graph, windows, cfg)
-    assert samples.shape == (4, 3, 3, n)
-    for i, w in enumerate(windows):
-        assert _rel(samples[i], _reference_forecast(model, graph, w, cfg)) <= 1e-12
-        assert _rel(predict(model, graph, w, cfg).samples, samples[i]) <= 1e-12
+    runs = []
+    for relinearized in (False, True):  # the closed-form default, and the path older configs name
+        cfg = _config(n_particles=3, seed=2, flow=FlowConfig(n_lambda=8, relinearize_every_step=relinearized))
+        _, samples, _, _ = _forward(model, graph, windows, cfg)
+        assert samples.shape == (4, 3, 3, n)
+        for i, w in enumerate(windows):
+            assert _rel(samples[i], _reference_forecast(model, graph, w, cfg)) <= 1e-12
+            assert _rel(predict(model, graph, w, cfg).samples, samples[i]) <= 1e-12
+        runs.append(samples)
+    assert _rel(runs[0], runs[1]) > 1e-6  # the noise scale depends on the state, so the two paths differ
 
 
 def test_predict_windows_chunks_do_not_change_forecasts(tiny_gru_model, rng, monkeypatch):

@@ -260,7 +260,7 @@ def test_flow_solve_error_names_the_window(rng):
     cfg = _config()
     batch = train.stack_batch(windows, model, 1, cfg.seed)
     batch.init = np.array([[[1.0, 0.0]], [[-1.0, 0.0]], [[1.0, 0.0]]])
-    want = r"^innovation covariance of window 4 is not positive definite at pseudo-time step 1/5 \(lambda=0\) of encoder step 1$"
+    want = r"^innovation covariance of window 4 is not positive definite at the closed-form flow \(lambda=0\) of encoder step 1$"
     with pytest.raises(FlowSolveError, match=want) as info:
         train.gradients(model, batch, cfg)  # the path fit takes
     assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (4, 1, 1, 0.0)
