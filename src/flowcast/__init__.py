@@ -9,7 +9,7 @@ from .errors import (
     NumericError,
 )
 from .flow import FlowConfig, edh_flow, step_schedule
-from .forecast import ForecastDistribution, PredictConfig, empirical_quantile, predict
+from .forecast import ForecastDistribution, PredictConfig, predict
 from .metrics import crps_empirical, evaluate_forecasts, point_metrics, quantile_loss
 from .ssm import Graph, ModelTheta, init_model, load_checkpoint, save_checkpoint
 from .train import TrainConfig, TrainData, TrainResult, fit
@@ -28,7 +28,6 @@ __all__ = [
     "step_schedule",
     "ForecastDistribution",
     "PredictConfig",
-    "empirical_quantile",
     "predict",
     "crps_empirical",
     "evaluate_forecasts",

@@ -15,6 +15,8 @@ import csv
 import os
 import sys
 
+from . import config as config_mod
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -70,6 +72,8 @@ def _int_list(text) -> list:
 
 
 def build_parser() -> _Parser:
+    from .forecast import POINTS, PredictConfig
+
     parser = _Parser(prog="flowcast", description="Probabilistic multivariate time-series forecasting")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -84,10 +88,10 @@ def build_parser() -> _Parser:
     p_fc.add_argument("--checkpoint", required=True)
     p_fc.add_argument("--config", required=True, help="resolved config from the training run")
     p_fc.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p_fc.add_argument("--particles", type=_positive_int, default=10)
-    p_fc.add_argument("--seed", type=int, default=0)
+    p_fc.add_argument("--particles", type=_positive_int, default=PredictConfig.n_particles)
+    p_fc.add_argument("--seed", type=int, default=PredictConfig.seed)
     p_fc.add_argument("--noiseless", action="store_true", help="emit measurement means instead of draws")
-    p_fc.add_argument("--point", choices=["median", "mean"], default="median")
+    p_fc.add_argument("--point", choices=POINTS, default=PredictConfig.point)
     p_fc.add_argument("--max-windows", type=_positive_int, default=None, help="limit the number of windows (debugging)")
     p_fc.add_argument("--threads", type=_positive_int, default=None)
     p_fc.add_argument("--out", required=True, help="output directory")
@@ -159,49 +163,20 @@ def _prepare_dataset(cfg: dict, splits):
 def _model_from_config(cfg: dict, n_series: int):
     from . import ssm as ssm_mod
 
-    m = cfg["model"]
     d_z = 2 if cfg["data"]["covariates"] else 0
-    return ssm_mod.init_model(
-        kind=m["kind"],
-        n_series=n_series,
-        d_x=m["d_x"],
-        layers=m["layers"],
-        d_z=d_z,
-        d_e=m["d_e"],
-        adjacency_mode=m["adjacency_mode"],
-        rho=m["rho"],
-        sigma=m["sigma"],
-        init_scale=m["init_scale"],
-        seed=m["init_seed"],
-    )
+    return ssm_mod.init_model(n_series=n_series, d_z=d_z, **config_mod.python_names(cfg["model"]))
 
 
 def _flow_config(cfg: dict):
     from . import flow as flow_mod
 
-    return flow_mod.FlowConfig(**cfg["flow"])  # the schema's flow keys are FlowConfig's fields
+    return flow_mod.FlowConfig(**config_mod.python_names(cfg["flow"]))
 
 
 def _train_config(cfg: dict):
     from . import train as train_mod
 
-    t = cfg["train"]
-    return train_mod.TrainConfig(
-        loss=t["loss"],
-        lr=t["lr"],
-        milestones=tuple(t["milestones"]),
-        lr_factor=t["lr_factor"],
-        clip_norm=t["clip_norm"],
-        batch_size=t["batch_size"],
-        max_epochs=t["max_epochs"],
-        patience=t["patience"],
-        n_particles_train=t["particles_train"],
-        n_particles_eval=t["particles_eval"],
-        scheduled_sampling_tau=t["scheduled_sampling_tau"],
-        seed=t["seed"],
-        learn_rho_sigma=t["learn_rho_sigma"],
-        flow=_flow_config(cfg),
-    )
+    return train_mod.TrainConfig(**config_mod.python_names(cfg["train"]), flow=_flow_config(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +185,6 @@ def _train_config(cfg: dict):
 
 
 def cmd_train(args) -> int:
-    from . import config as config_mod
     from . import ssm as ssm_mod
     from . import train as train_mod
 
@@ -243,7 +217,6 @@ def cmd_train(args) -> int:
 def cmd_forecast(args) -> int:
     import numpy as np
 
-    from . import config as config_mod
     from . import data as data_mod
     from . import forecast as forecast_mod
     from . import ssm as ssm_mod

@@ -56,28 +56,23 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import autodiff as ad
+from . import config as config_mod
 from .errors import DataError, FlowDivergedError, FlowSolveError
 
 
 @dataclass(frozen=True)
+@config_mod.schema_defaults("flow")
 class FlowConfig:
-    """Knobs of the flow integrator."""
+    """Knobs of the flow integrator: the ``flow`` settings, whose defaults and ranges ``config.SCHEMA`` declares."""
 
-    n_lambda: int = 29
-    ratio: float = 1.2
-    jitter: float = 1e-2
-    single_particle_prior_scale: float = 1.0
-    relinearize_every_step: bool = False
+    n_lambda: int
+    ratio: float
+    jitter: float
+    single_particle_prior_scale: float
+    relinearize_every_step: bool
 
     def __post_init__(self):
-        if self.n_lambda < 1:
-            raise DataError("n_lambda must be >= 1")
-        if self.ratio <= 0:
-            raise DataError("ratio must be positive")
-        if self.jitter < 0:
-            raise DataError("jitter must be non-negative")
-        if self.single_particle_prior_scale <= 0:
-            raise DataError("single_particle_prior_scale must be positive")
+        config_mod.check_settings("flow", vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +82,7 @@ class FlowConfig:
 
 def step_schedule(n_lambda: int, ratio: float) -> np.ndarray:
     """Geometric Euler step sizes eps_m = eps_1 * ratio^(m-1), summing to one."""
-    if n_lambda < 1:
-        raise DataError("n_lambda must be >= 1")
-    if ratio <= 0:
-        raise DataError("ratio must be positive")
+    config_mod.check_settings("flow", {"n_lambda": n_lambda, "ratio": ratio})
     if ratio == 1.0:
         return np.full(n_lambda, 1.0 / n_lambda)
     eps_1 = (ratio - 1.0) / (ratio**n_lambda - 1.0)

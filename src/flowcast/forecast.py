@@ -31,6 +31,9 @@ from .errors import DataError
 # (``train.CHUNK_WINDOWS``).
 CHUNK_ROWS = 300
 
+# the point summaries of a forecast: the particle median or mean of every cell
+POINTS = ("median", "mean")
+
 
 @dataclass(frozen=True)
 class PredictConfig:
@@ -45,7 +48,9 @@ class PredictConfig:
     def __post_init__(self):
         if self.n_particles < 1:
             raise DataError("n_particles must be >= 1")
-        if self.point not in ("median", "mean"):
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
+        if self.point not in POINTS:
             raise DataError("point must be 'median' or 'mean'")
 
 
@@ -90,15 +95,6 @@ def predict(
     samples, points = predict_windows(model, graph, [window], config)
     meta = {"window_id": window.window_id, "seed": config.seed, "point": config.point, "noiseless": config.noiseless}
     return ForecastDistribution(samples=samples[0], point=points[0], meta=meta)
-
-
-def empirical_quantile(dist, alpha) -> np.ndarray:
-    """Linear-interpolation (type 7) quantiles across the particle axis."""
-    samples = dist.samples if isinstance(dist, ForecastDistribution) else np.asarray(dist, dtype=np.float64)
-    a = np.asarray(alpha, dtype=np.float64)
-    if np.any(a < 0.0) or np.any(a > 1.0):
-        raise DataError("quantile levels must lie in [0, 1]")
-    return np.quantile(samples, a, axis=0)
 
 
 # ---------------------------------------------------------------------------

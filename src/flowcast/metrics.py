@@ -63,8 +63,8 @@ def crps_avg(samples: np.ndarray, targets: np.ndarray, horizon: int) -> float:
     """
     samples = np.asarray(samples, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    s = samples[:, :, horizon - 1, :]  # (M, P, N)
-    y = targets[:, horizon - 1, :]  # (M, N)
+    s = _at_horizon(samples, horizon)  # (M, P, N)
+    y = _at_horizon(targets, horizon)  # (M, N)
     m, n_p, n = s.shape
     flat = np.ascontiguousarray(s.transpose(0, 2, 1).reshape(m * n, n_p))
     return float(np.mean(crps_batch(flat, y.reshape(m * n))))

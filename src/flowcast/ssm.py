@@ -21,14 +21,12 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
+from . import config as config_mod
 from .errors import DataError
 
 CHECKPOINT_FORMAT = 1
 
 GATES = ("r", "z", "c")
-
-_VALID_KINDS = ("gru", "graph_gru")
-_VALID_ADJACENCY = ("mixed", "fixed", "adaptive")
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +114,11 @@ class ModelTheta:
 
 def param_shapes(hyper: dict) -> dict:
     """Dynamics parameter names and shapes, a pure function of the hypers."""
-    kind = hyper["kind"]
-    if kind not in _VALID_KINDS:
-        raise DataError(f"unknown dynamics kind '{kind}'")
-    mode = hyper.get("adjacency_mode", "mixed")
-    if mode not in _VALID_ADJACENCY:
-        raise DataError(f"unknown adjacency mode '{mode}'")
-    n = int(hyper["n_series"])
-    d_x = int(hyper["d_x"])
-    layers = int(hyper["layers"])
-    d_z = int(hyper.get("d_z", 0))
-    d_e = int(hyper.get("d_e", 10))
-    if n < 1 or d_x < 1 or layers < 1 or d_z < 0:
-        raise DataError("hyper-parameters must be positive (d_z may be zero)")
+    config_mod.check_settings("model", hyper)  # kind, d_x, layers, d_e and adjacency_mode
+    kind, mode = hyper["kind"], hyper["adjacency_mode"]
+    n, d_x, layers, d_z, d_e = (int(hyper[key]) for key in ("n_series", "d_x", "layers", "d_z", "d_e"))
+    if n < 1 or d_z < 0:
+        raise DataError("n_series must be positive and d_z non-negative")
     shapes: dict = {}
     for layer in range(layers):
         d_in = 1 + d_z if layer == 0 else d_x
@@ -147,41 +137,36 @@ def param_shapes(hyper: dict) -> dict:
     return shapes
 
 
-def init_model(
-    kind: str = "gru",
-    n_series: int = 1,
-    d_x: int = 64,
-    layers: int = 2,
-    d_z: int = 0,
-    d_e: int = 10,
-    adjacency_mode: str = "mixed",
-    rho: float = 1.0,
-    sigma: float = 0.0,
-    init_scale: float = 1.0,
-    seed: int = 0,
-) -> ModelTheta:
-    """A randomly initialized model (uniform fan-in scaled weights, zero biases)."""
+def init_model(*, n_series: int = 1, d_z: int = 0, **settings) -> ModelTheta:
+    """A randomly initialized model (uniform fan-in scaled weights, zero biases).
+
+    ``settings`` are the ``model`` settings of ``config.SCHEMA`` by keyword
+    (``kind``, ``d_x``, ``layers``, ``d_e``, ``adjacency_mode``, ``rho``,
+    ``sigma``, ``init_scale``, and ``seed`` for ``init_seed``); each one left
+    out takes its schema default, and each is checked against its range.
+    """
+    s = config_mod.resolve_settings("model", settings)
     hyper = {
-        "kind": kind,
+        "kind": s["kind"],
         "n_series": int(n_series),
-        "d_x": int(d_x),
-        "layers": int(layers),
+        "d_x": int(s["d_x"]),
+        "layers": int(s["layers"]),
         "d_z": int(d_z),
-        "d_e": int(d_e),
-        "adjacency_mode": adjacency_mode,
+        "d_e": int(s["d_e"]),
+        "adjacency_mode": s["adjacency_mode"],
     }
     shapes = param_shapes(hyper)
-    rng = np.random.default_rng(seed)
-    params = {"rho": rho, "sigma": sigma}
+    rng = np.random.default_rng(s["seed"])
+    params = {"rho": s["rho"], "sigma": s["sigma"]}
     for name, shape in shapes.items():
         if name.endswith(("b_r", "b_z", "b_c")):
             params[name] = np.zeros(shape)
         elif name == "embed":
             params[name] = rng.standard_normal(shape)
         else:
-            bound = init_scale / np.sqrt(shape[0])
+            bound = s["init_scale"] / np.sqrt(shape[0])
             params[name] = rng.uniform(-bound, bound, size=shape)
-    d = n_series * d_x
+    d = hyper["n_series"] * hyper["d_x"]
     params["W_phi"] = rng.uniform(-1.0, 1.0, size=(n_series, d)) / np.sqrt(d)
     params["C_gamma"] = np.zeros((n_series, d))
     return ModelTheta(hyper, params)
@@ -226,7 +211,7 @@ def build_mixing(params, hyper: dict, graph: Optional[Graph]):
     one (row-softmax of relu(E E^T)); ``fixed``/``adaptive`` use a single
     term.  Returns a Var when the embedding participates and is a Var.
     """
-    mode = hyper.get("adjacency_mode", "mixed")
+    mode = hyper["adjacency_mode"]
     if mode in ("mixed", "fixed"):
         if graph is None:
             raise DataError(f"adjacency mode '{mode}' requires a graph")
@@ -301,12 +286,19 @@ def load_checkpoint(path) -> ModelTheta:
     with handle as data:
         if "meta" not in data:
             raise DataError(f"not a model checkpoint: {path}")
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise DataError(f"unsupported checkpoint format {meta.get('format')!r}")
-        names = _entry_names(meta["hyper"])
+        try:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            fmt, hyper = meta.get("format"), meta.get("hyper")
+        except (ValueError, AttributeError) as exc:  # not bytes of UTF-8 JSON, or not an object
+            raise DataError(f"checkpoint {path} has a malformed meta entry: {exc}")
+        if fmt != CHECKPOINT_FORMAT:
+            raise DataError(f"unsupported checkpoint format {fmt!r}")
+        try:
+            names = _entry_names(hyper)
+        except (KeyError, TypeError) as exc:  # no hyper-parameters, or one missing
+            raise DataError(f"checkpoint {path} has a malformed meta entry: its hyper-parameters are missing or incomplete ({exc!r})")
         stored = set(data.files) - {"meta"}
         if stored != names.keys():
             missing, extra = sorted(names.keys() - stored), sorted(stored - names.keys())
             raise DataError(f"checkpoint {path} is missing entries {missing} and has unexpected entries {extra}")
-        return ModelTheta(meta["hyper"], {name: data[entry] for entry, name in names.items()})
+        return ModelTheta(hyper, {name: data[entry] for entry, name in names.items()})

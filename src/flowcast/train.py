@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import config as config_mod
 from . import flow as flow_mod
 from . import ssm as ssm_mod
 from .data import Window
@@ -38,31 +39,28 @@ CHUNK_WINDOWS = 256
 
 
 @dataclass(frozen=True)
+@config_mod.schema_defaults("train")
 class TrainConfig:
-    """Optimization knobs."""
+    """Optimization knobs: the ``train`` settings, whose defaults and ranges ``config.SCHEMA`` declares, and the flow's."""
 
-    loss: str = "mae"
-    lr: float = 0.01
-    milestones: tuple = (20, 30, 40, 50)
-    lr_factor: float = 0.1
-    clip_norm: float = 5.0
-    batch_size: int = 64
-    max_epochs: int = 100
-    patience: int = 10
-    n_particles_train: int = 1
-    n_particles_eval: int = 10
-    scheduled_sampling_tau: float = 2000.0
-    seed: int = 0
-    learn_rho_sigma: bool = False
+    loss: str
+    lr: float
+    milestones: tuple
+    lr_factor: float
+    clip_norm: float
+    batch_size: int
+    max_epochs: int
+    patience: int
+    n_particles_train: int
+    n_particles_eval: int
+    scheduled_sampling_tau: float
+    seed: int
+    learn_rho_sigma: bool
     flow: flow_mod.FlowConfig = field(default_factory=flow_mod.FlowConfig)
 
     def __post_init__(self):
-        if self.loss not in ("mae", "nll"):
-            raise DataError("loss must be 'mae' or 'nll'")
-        if self.lr < 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise DataError("lr must be non-negative; batch_size and max_epochs positive")
-        if self.n_particles_train < 1 or self.n_particles_eval < 1:
-            raise DataError("particle counts must be >= 1")
+        config_mod.check_settings("train", vars(self))
+        object.__setattr__(self, "milestones", tuple(self.milestones))  # a config file's list
 
 
 @dataclass

@@ -274,6 +274,36 @@ def test_forecast_missing_checkpoint_is_a_data_error(trained_run, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("meta", [b"{not json", b'{"format": 1}'])
+def test_forecast_checkpoint_with_a_malformed_meta_entry_is_a_data_error(trained_run, tmp_path, capsys, meta):
+    import numpy as np
+
+    data = dict(np.load(trained_run["run"] / "checkpoint.npz"))
+    data["meta"] = np.frombuffer(meta, dtype=np.uint8)
+    np.savez(tmp_path / "bad.npz", **data)
+    code = cli.main(
+        [
+            "forecast",
+            "--checkpoint", str(tmp_path / "bad.npz"),
+            "--config", str(trained_run["run"] / "resolved_config.json"),
+            "--out", str(tmp_path / "fc"),
+        ]
+    )
+    assert code == 2
+    assert "bad.npz has a malformed meta entry" in capsys.readouterr().err
+
+
+def test_negative_seeds_are_data_errors(trained_run, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_base_config(tmp_path / "run")))
+    assert cli.main(["train", "--config", str(config_path), "--seed", "-1"]) == 2
+    assert "config key 'train.seed' must be non-negative" in capsys.readouterr().err
+    run = trained_run["run"]
+    argv = ["forecast", "--checkpoint", str(run / "checkpoint.npz"), "--config", str(run / "resolved_config.json"), "--seed", "-1", "--out", str(tmp_path / "fc")]
+    assert cli.main(argv) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_forecast_bad_split_is_a_usage_error(trained_run, tmp_path):
     code = cli.main(
         [

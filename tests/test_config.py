@@ -3,12 +3,20 @@ dotted-path overrides, and snapshot round trips."""
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from flowcast import cli, ssm
 from flowcast import config as config_mod
+from flowcast import train as train_mod
 from flowcast.errors import DataError
 from flowcast.flow import FlowConfig
+from flowcast.train import TrainConfig
+
+BENCH_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "model"
 
 
 def _minimal(**extra):
@@ -231,3 +239,113 @@ def test_load_rejects_bad_json(tmp_path):
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         config_mod.read_json(tmp_path / "absent.json")
+
+
+# ---------------------------------------------------------------------------
+# the Python API reads the flow, train and model sections
+# ---------------------------------------------------------------------------
+
+# values of each JSON type a setting can have; the schema and the Python API must agree on every one
+_PROBES = {
+    int: [-1, 0, 1, 3],
+    (int, float): [-1.5, -1, 0, 0.0, 1e-3, 0.5, 1, 2.5],
+    str: ["gru", "graph_gru", "mixed", "fixed", "adaptive", "mae", "nll", "", "other"],
+    bool: [True, False],
+    list: [[], [0], [1], [3, 5], [2, -1], [1.5], [True]],
+}
+_SETTINGS = [(section, key) for section in ("flow", "train", "model") for key in config_mod.SCHEMA[section]]
+
+
+def _python_name(key):
+    return config_mod.PYTHON_NAMES.get(key, key)
+
+
+def _build(section, **settings):
+    """The Python object a section's settings make: a FlowConfig, a TrainConfig or an initialized model."""
+    if section == "model":
+        return ssm.init_model(n_series=2, **settings)
+    return {"flow": FlowConfig, "train": TrainConfig}[section](**settings)
+
+
+def _schema_accepts(section, key, value):
+    try:
+        config_mod.validate_config(_minimal(**{f"{section}__{key}": value}))
+    except DataError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("section,key", _SETTINGS)
+def test_python_api_takes_the_schema_default(section, key):
+    spec, name = config_mod.SCHEMA[section][key], _python_name(key)
+    if section == "model":  # init_model keeps no attribute per setting: naming the default must change nothing
+        default, named = _build("model"), _build("model", **{name: spec.default})
+        assert default.hyper == named.hyper
+        assert all(np.array_equal(default.params[k], named.params[k]) for k in named.params)
+    else:
+        got = getattr(_build(section), name)
+        assert (list(got) if isinstance(spec.default, list) else got) == spec.default
+
+
+@pytest.mark.parametrize("section,key", _SETTINGS)
+def test_python_api_refuses_what_the_schema_refuses(section, key):
+    spec, name = config_mod.SCHEMA[section][key], _python_name(key)
+    for value in _PROBES[spec.kind]:
+        if _schema_accepts(section, key, value):
+            _build(section, **{name: value})
+        else:
+            with pytest.raises(DataError, match=re.escape(f"{name} {spec.check_msg}")):
+                _build(section, **{name: value})
+
+
+def test_python_api_takes_numpy_numbers_and_tuples():
+    cfg = TrainConfig(batch_size=np.int64(8), lr=np.float32(0.5), milestones=(np.int32(2), 3))
+    assert cfg.milestones == (2, 3) and cfg.batch_size == 8
+    assert FlowConfig(n_lambda=np.int64(4)).n_lambda == 4
+    assert ssm.init_model(n_series=np.int64(2), d_x=np.int64(3), seed=np.uint8(1)).state_dim == 6
+
+
+def test_init_model_rejects_an_unknown_setting():
+    with pytest.raises(TypeError, match=re.escape("unexpected model settings ['init_seed']")):
+        ssm.init_model(n_series=1, init_seed=3)  # the file key; the keyword is seed
+
+
+# ---------------------------------------------------------------------------
+# the committed benchmark configs (read, never written)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["train.json", "resolved_config.json"])
+def test_committed_benchmark_configs_validate(name):
+    config_mod.validate_config(config_mod.read_json(BENCH_MODEL / name))
+
+
+def test_committed_resolved_config_dumps_byte_for_byte(tmp_path):
+    committed = BENCH_MODEL / "resolved_config.json"
+    config_mod.dump_config(config_mod.validate_config(config_mod.read_json(committed)), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == committed.read_bytes()
+
+
+class _Built(Exception):
+    """Raised in place of training, with the objects the train command built."""
+
+
+@pytest.mark.parametrize("section,key", _SETTINGS)
+def test_a_set_override_reaches_what_the_train_command_builds(section, key, tmp_path, monkeypatch):
+    base = config_mod.validate_config(config_mod.read_json(BENCH_MODEL / "train.json"))[section][key]
+    spec, name = config_mod.SCHEMA[section][key], _python_name(key)
+    value = next(v for v in _PROBES[spec.kind] if v != base and _schema_accepts(section, key, v))
+    calls = []
+    init_model = ssm.init_model
+    monkeypatch.setattr(ssm, "init_model", lambda **kw: calls.append(kw) or init_model(**kw))
+
+    def fit(dataset, model, config):
+        raise _Built(config)
+
+    monkeypatch.setattr(train_mod, "fit", fit)
+    argv = ["train", "--config", str(BENCH_MODEL / "train.json"), "--set", f"{section}.{key}={json.dumps(value)}", "--out", str(tmp_path)]
+    with pytest.raises(_Built) as built:
+        cli.main(argv)
+    config = built.value.args[0]
+    got = calls[0][name] if section == "model" else getattr(config.flow if section == "flow" else config, name)
+    assert (list(got) if isinstance(value, list) else got) == value

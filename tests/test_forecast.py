@@ -13,7 +13,7 @@ from flowcast import ssm
 from flowcast import train
 from flowcast.errors import DataError, FlowSolveError
 from flowcast.flow import FlowConfig, edh_flow
-from flowcast.forecast import PredictConfig, empirical_quantile, predict
+from flowcast.forecast import PredictConfig, predict
 
 
 @pytest.fixture
@@ -253,41 +253,36 @@ def test_predict_windows_graph_model_runs_without_einsum(small_graph_model, mult
 
 
 # ---------------------------------------------------------------------------
-# quantiles
+# quantiles: the summary writer's np.quantile, linear (type 7) interpolation
 # ---------------------------------------------------------------------------
 
 
 def test_quantile_midpoint_of_two_samples():
     samples = np.array([0.0, 10.0])
-    np.testing.assert_allclose(empirical_quantile(samples, 0.5), 5.0)
+    np.testing.assert_allclose(np.quantile(samples, 0.5, axis=0), 5.0)
 
 
 def test_quantile_median_of_five():
     samples = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
-    np.testing.assert_allclose(empirical_quantile(samples, 0.5), 3.0)
+    np.testing.assert_allclose(np.quantile(samples, 0.5, axis=0), 3.0)
 
 
 def test_quantile_linear_interpolation():
     samples = np.array([0.0, 1.0, 2.0, 3.0])
-    np.testing.assert_allclose(empirical_quantile(samples, 0.25), 0.75)  # type-7 interpolation
+    np.testing.assert_allclose(np.quantile(samples, 0.25, axis=0), 0.75)  # type-7 interpolation
 
 
 def test_quantile_monotone_in_alpha(rng):
     samples = rng.standard_normal(40)
-    qs = [empirical_quantile(samples, a) for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    qs = [np.quantile(samples, a, axis=0) for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
     assert np.all(np.diff(qs) >= 0)
 
 
 def test_quantile_works_across_distribution_axes(tiny_gru_model, window):
     dist = predict(tiny_gru_model, None, window, _config(n_particles=8))
-    q = empirical_quantile(dist, 0.5)
+    q = np.quantile(dist.samples, 0.5, axis=0)
     assert q.shape == (12, 1)
     np.testing.assert_allclose(q, np.median(dist.samples, axis=0), rtol=1e-12)
-
-
-def test_quantile_rejects_bad_levels(rng):
-    with pytest.raises(DataError):
-        empirical_quantile(rng.standard_normal(5), 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,13 @@ def test_crps_rewards_sharp_calibrated_forecasts(rng):
     assert metrics.crps_empirical(sharp, truth) < metrics.crps_empirical(biased, truth)
 
 
+@pytest.mark.parametrize("horizon", [0, -1, 5])
+def test_crps_avg_horizon_validation(rng, horizon):
+    samples, targets = rng.standard_normal((3, 8, 4, 2)), rng.standard_normal((3, 4, 2))
+    with pytest.raises(DataError, match=f"horizon {horizon} outside 1..4"):
+        metrics.crps_avg(samples, targets, horizon)
+
+
 def test_crps_avg_over_windows_and_series(rng):
     samples = rng.standard_normal((3, 8, 4, 2))  # (windows, particles, Q, N)
     targets = rng.standard_normal((3, 4, 2))

@@ -1,6 +1,7 @@
 """State-space model: recurrent transitions, graph mixing, the emission,
 noise bookkeeping, and checkpoint persistence."""
 
+import re
 import zipfile
 from pathlib import Path
 
@@ -475,4 +476,18 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     data["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     np.savez(path, **data)
     with pytest.raises(DataError):
+        ssm.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "meta", [b"{not json", b"\xff\xfe", b"[1, 2]", b'{"format": 1}', b'{"format": 1, "hyper": null}', b'{"format": 1, "hyper": {"kind": "gru"}}']
+)
+def test_checkpoint_with_a_malformed_meta_entry_is_a_data_error(tmp_path, meta):
+    model = ssm.init_model(kind="gru", n_series=1, d_x=1, layers=1, seed=0)
+    path = tmp_path / "model.npz"
+    ssm.save_checkpoint(path, model)
+    data = dict(np.load(path))
+    data["meta"] = np.frombuffer(meta, dtype=np.uint8)
+    np.savez(path, **data)
+    with pytest.raises(DataError, match=f"checkpoint {re.escape(str(path))} has a malformed meta entry"):
         ssm.load_checkpoint(path)

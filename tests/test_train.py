@@ -351,10 +351,17 @@ def test_truth_probability_schedule():
 # ---------------------------------------------------------------------------
 
 
-def test_fit_zero_lr_leaves_parameters_bitwise_unchanged(rng):
+@pytest.fixture
+def zero_lr(monkeypatch):
+    """fit's Adam steps taken with a zero learning rate, which TrainConfig refuses (lr must be positive)."""
+    step = train._Adam.step
+    monkeypatch.setattr(train._Adam, "step", lambda self, values, grads, lr: step(self, values, grads, 0.0))
+
+
+def test_fit_zero_lr_leaves_parameters_bitwise_unchanged(rng, zero_lr):
     model = _tiny_model()
     windows = _windows(rng)
-    cfg = _config(lr=0.0, max_epochs=2)
+    cfg = _config(max_epochs=2)
     result = train.fit(train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=None), model, cfg)
     for name in train.param_names(model):
         np.testing.assert_array_equal(train.get_param(result.model, name), train.get_param(model, name))
@@ -380,10 +387,10 @@ def test_fit_reduces_training_loss(rng):
     assert last < first
 
 
-def test_fit_respects_patience(rng):
+def test_fit_respects_patience(rng, zero_lr):
     model = _tiny_model()
     windows = _windows(rng)
-    cfg = _config(lr=0.0, max_epochs=50, patience=3)
+    cfg = _config(max_epochs=50, patience=3)
     result = train.fit(train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=None), model, cfg)
     # lr=0 never improves, so epoch 1 is best and 3 stale epochs stop it
     assert result.stopped_early
