@@ -28,9 +28,6 @@ __all__ = [
     "neg",
     "matmul",
     "transpose2",
-    "node_mix",
-    "sigmoid",
-    "tanh",
     "softplus",
     "relu",
     "log",
@@ -44,6 +41,7 @@ __all__ = [
     "stack",
     "reshape",
     "flow_map",
+    "fused",
 ]
 
 
@@ -195,26 +193,6 @@ def transpose2(a):
     return _make(av.T, parents)
 
 
-def node_mix(a, z):
-    """``a @ z``: mix the node axis of ``z`` by ``a``, ``einsum('ij,...jf->...if', a, z)``.
-
-    ``a`` is (N, N); ``z`` is (..., N, F).  Gradients flow into both:
-    ``a^T @ g`` into ``z``, and into ``a`` the contraction of ``g`` with
-    ``z`` over every axis but the node axis.  On a graph-GRU state stack
-    the stacked ``matmul`` runs several times faster than ``einsum`` and
-    agrees with it to rounding.
-    """
-    av, zv = val(a), val(z)
-    out = np.matmul(av, zv)
-    parents = []
-    if isinstance(a, Var):
-        others = [ax for ax in range(zv.ndim) if ax != zv.ndim - 2]  # the stacked and feature axes
-        parents.append((a, lambda g: np.tensordot(g, zv, axes=(others, others))))
-    if isinstance(z, Var):
-        parents.append((z, lambda g: np.matmul(av.T, g)))
-    return _make(out, parents)
-
-
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
 # ---------------------------------------------------------------------------
@@ -223,20 +201,6 @@ def node_mix(a, z):
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a):
-    av = val(a)
-    s = _sigmoid_np(av)
-    parents = [(a, lambda g: g * s * (1.0 - s))] if isinstance(a, Var) else []
-    return _make(s, parents)
-
-
-def tanh(a):
-    av = val(a)
-    t = np.tanh(av)
-    parents = [(a, lambda g: g * (1.0 - t * t))] if isinstance(a, Var) else []
-    return _make(t, parents)
 
 
 def softplus(a):
@@ -413,3 +377,32 @@ def flow_map(x, pht: np.ndarray, h_mat: np.ndarray, k_mat: np.ndarray, k_vec: np
         return g + ((g @ pht) @ np.swapaxes(k_mat, 1, 2)) @ h_mat
 
     return _make(out, [(x, vjp)])
+
+
+# ---------------------------------------------------------------------------
+# hand-derived ops over several inputs
+# ---------------------------------------------------------------------------
+
+
+def fused(out: np.ndarray, inputs: Sequence, vjp):
+    """``out``, computed from ``inputs``, as one tape node whose gradients one call gives.
+
+    ``vjp(g)`` returns one gradient per entry of ``inputs``, in order (any
+    value for a constant input).  The backward pass calls it once, at the
+    first taped input's turn, and hands every taped input its own entry:
+    the several-input form of a hand-derived op such as :func:`flow_map`.
+    If no input is a Var, ``out`` is returned as it is.
+    """
+    taped = [i for i, x in enumerate(inputs) if isinstance(x, Var)]
+    held = {}  # this pass's gradients, until each taped input has taken its own
+
+    def take(i):
+        def grad(g):
+            if not held:
+                grads = vjp(g)
+                held.update((j, grads[j]) for j in taped)
+            return held.pop(i)
+
+        return grad
+
+    return _make(out, [(inputs[i], take(i)) for i in taped])

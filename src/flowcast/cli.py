@@ -49,6 +49,17 @@ def _apply_thread_cap(argv) -> None:
         os.environ[var] = str(n)
 
 
+_SYNTH = config_mod.SCHEMA["data"]["synth"]  # the synth flags' defaults, and the range of a generator seed
+
+
+def _check_seed(seed: int) -> None:
+    """A generator seed flag outside the schema's range is a data error, as a config's seed is."""
+    from .errors import DataError
+
+    if not _SYNTH["seed"].check(seed):
+        raise DataError(f"--seed {_SYNTH['seed'].check_msg}, got {seed}")
+
+
 def _positive_int(text) -> int:
     """argparse type of a count: an integer >= 1."""
     try:
@@ -115,10 +126,10 @@ def build_parser() -> _Parser:
 
     p_sy = sub.add_parser("synth", help="generate a synthetic dataset with a known oracle")
     p_sy.add_argument("--kind", choices=["linear_gaussian", "var_graph"], required=True)
-    p_sy.add_argument("--n", type=_positive_int, default=5, help="number of series")
+    p_sy.add_argument("--n", type=_positive_int, default=_SYNTH["n_series"].default, help="number of series")
     p_sy.add_argument("--state-dim", type=_positive_int, default=None, help="state dimension (linear_gaussian)")
-    p_sy.add_argument("--t", type=_positive_int, default=2000)
-    p_sy.add_argument("--seed", type=int, default=0)
+    p_sy.add_argument("--t", type=_positive_int, default=_SYNTH["t_steps"].default)
+    p_sy.add_argument("--seed", type=int, default=_SYNTH["seed"].default)
     p_sy.add_argument("--threads", type=_positive_int, default=None)
     p_sy.add_argument("--out", required=True, help="output directory")
     return parser
@@ -276,6 +287,7 @@ def cmd_filter_bench(args) -> int:
     from . import data as data_mod
     from . import filters as filters_mod
 
+    _check_seed(args.seed)
     rows = []
     for d in args.dims:
         for seed in range(args.seed, args.seed + args.seeds):
@@ -302,6 +314,7 @@ def cmd_synth(args) -> int:
     from . import data as data_mod
     from . import filters as filters_mod
 
+    _check_seed(args.seed)
     dims = (args.n, args.state_dim or args.n) if args.kind == "linear_gaussian" else args.n
     result = data_mod.synth_generate(args.kind, dims, args.t, args.seed)
     os.makedirs(args.out, exist_ok=True)

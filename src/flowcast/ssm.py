@@ -6,10 +6,10 @@ The latent state stacks one hidden vector of width ``d_x`` per series, so
 adjacency); emissions are linear with a state-dependent diagonal noise
 scale ``softplus(C_gamma x)``.
 
-Transitions are written against :mod:`flowcast.autodiff` ops, so the same
-code runs as plain numpy during inference and records a tape when handed
-``Var`` parameters during training; :func:`train.batch_forward` runs them,
-the flow and the emissions over stacked windows.
+Each recurrent cell runs as plain numpy on its input values; when handed
+``Var`` inputs during training it records one :mod:`flowcast.autodiff` tape
+node with a hand-derived VJP.  :func:`train.batch_forward` runs the
+transitions, the flow and the emissions over stacked windows.
 """
 
 from __future__ import annotations
@@ -177,31 +177,95 @@ def init_model(*, n_series: int = 1, d_z: int = 0, **settings) -> ModelTheta:
 # ---------------------------------------------------------------------------
 
 
-def _gru_cell(u, h, params, layer: int):
-    w = lambda name: params[f"l{layer}.{name}"]
-    pre_r = ad.add(ad.add(ad.matmul(u, w("W_r")), ad.matmul(h, w("U_r"))), w("b_r"))
-    pre_z = ad.add(ad.add(ad.matmul(u, w("W_z")), ad.matmul(h, w("U_z"))), w("b_z"))
-    r = ad.sigmoid(pre_r)
-    z = ad.sigmoid(pre_z)
-    hr = ad.mul(r, h)
-    pre_c = ad.add(ad.add(ad.matmul(u, w("W_c")), ad.matmul(hr, w("U_c"))), w("b_c"))
-    c = ad.tanh(pre_c)
-    return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, c))
+def _rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` with the leading axes of ``x`` run as one 2-D product, as ``ad.matmul`` runs it."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
 
 
-def _graph_gru_cell(u, h, a_hat, params, layer: int):
-    w = lambda gate, name: params[f"l{layer}.{gate}.{name}"]
-    mixed_u, mixed_h = ad.node_mix(a_hat, u), ad.node_mix(a_hat, h)  # mixed over the graph once, for every gate
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of ``w`` in ``_rows(x, w)``: every leading row of ``x`` against ``g``'s."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
-    def pre(gate, state, mixed_state):  # graph convolutions of u and the state, plus the gate's bias
-        conv_u = ad.add(ad.matmul(mixed_u, w(gate, "Wu0")), ad.matmul(u, w(gate, "Wu1")))
-        conv_h = ad.add(ad.matmul(mixed_state, w(gate, "Wh0")), ad.matmul(state, w(gate, "Wh1")))
-        return ad.add(ad.add(conv_u, conv_h), params[f"l{layer}.b_{gate}"])
 
-    r, z = ad.sigmoid(pre("r", h, mixed_h)), ad.sigmoid(pre("z", h, mixed_h))
-    hr = ad.mul(r, h)
-    c = ad.tanh(pre("c", hr, ad.node_mix(a_hat, hr)))
-    return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, c))
+def _conv(sources, weights) -> np.ndarray:
+    """``sources[0] @ weights[0] + sources[1] @ weights[1] + ...``: one side of a gate."""
+    out = _rows(sources[0], weights[0])
+    for x, w in zip(sources[1:], weights[1:]):
+        out = out + _rows(x, w)
+    return out
+
+
+def _gru_cell(u, h, params, layer: int, a_hat=None):
+    """One GRU layer step on the (..., N, F) node layout, as one tape node.
+
+    Gate g's pre-activation is ``(conv_u + conv_h) + b_g``.  In a GRU,
+    ``conv_u = u W_g`` and ``conv_h = h U_g``; in a graph GRU (``a_hat``
+    given) each side is a graph convolution, ``(A u) Wu0 + u Wu1`` and
+    ``(A h) Wh0 + h Wh1``.  The candidate ``c`` reads ``r ⊙ h`` for ``h``,
+    and the new state is ``(1 - z) h + z c``.
+
+    The forward pass runs on the input values, product for product as the
+    composed tape ops ran it.  When any input is a Var the cell is one tape
+    node, and its hand-derived VJP gives the gradients of ``u``, ``h``,
+    ``a_hat`` and every gate weight and bias in one call.
+    """
+    if a_hat is None:
+        names = {gate: ((f"l{layer}.W_{gate}",), (f"l{layer}.U_{gate}",)) for gate in GATES}
+    else:
+        names = {gate: tuple((f"l{layer}.{gate}.{w}0", f"l{layer}.{gate}.{w}1") for w in ("Wu", "Wh")) for gate in GATES}
+    w_u = {gate: [ad.val(params[name]) for name in names[gate][0]] for gate in GATES}
+    w_h = {gate: [ad.val(params[name]) for name in names[gate][1]] for gate in GATES}
+    uv, hv, av = ad.val(u), ad.val(h), None if a_hat is None else ad.val(a_hat)
+
+    def sources(x):  # what one side's weights multiply: (A x, x) in a graph GRU, x alone in a GRU
+        return (x,) if av is None else (np.matmul(av, x), x)
+
+    def pre(gate, states):
+        return (_conv(src_u, w_u[gate]) + _conv(states, w_h[gate])) + ad.val(params[f"l{layer}.b_{gate}"])
+
+    src_u, src_h = sources(uv), sources(hv)
+    r, z = ad._sigmoid_np(pre("r", src_h)), ad._sigmoid_np(pre("z", src_h))
+    hr = r * hv
+    src_hr = sources(hr)
+    c = np.tanh(pre("c", src_hr))
+    keep = 1.0 - z  # the share of h kept, reused by the VJP
+    out = keep * hv + z * c
+
+    def to_sources(d_pre, gates, weights):  # the gradient of each source of one side, summed over the gates
+        d_sources = []
+        for ws in zip(*(weights[gate] for gate in gates)):  # one source's weight in each gate
+            # by a contiguous transpose: numpy multiplies by a transposed view markedly slower
+            terms = [_rows(d_pre[gate], np.ascontiguousarray(w.T)) for gate, w in zip(gates, ws)]
+            d_sources.append(sum(terms[1:], terms[0]))
+        return d_sources
+
+    def unmix(d_sources):  # the gradient of x from those of its sources
+        return d_sources[0] if av is None else d_sources[1] + np.matmul(av.T, d_sources[0])
+
+    def vjp(g):
+        d_pre = {"c": (g * z) * (1.0 - c * c), "z": (g * (c - hv)) * (z * keep)}
+        d_src_hr = to_sources(d_pre, "c", w_h)
+        d_hr = unmix(d_src_hr)
+        d_pre["r"] = (d_hr * hv) * (r * (1.0 - r))
+        d_src_h = to_sources(d_pre, "rz", w_h)
+        d_h = (g * keep + d_hr * r) + unmix(d_src_h)
+        d_u = d_a = None
+        if isinstance(u, ad.Var) or isinstance(a_hat, ad.Var):
+            d_src_u = to_sources(d_pre, GATES, w_u)
+            d_u = unmix(d_src_u)
+        if isinstance(a_hat, ad.Var):  # (A u, A h, A (r ⊙ h)) against (u, h, r ⊙ h), over every axis but the node axis
+            d_mixed = np.concatenate([d_src_u[0], d_src_h[0], d_src_hr[0]], axis=-1)
+            mixed = np.concatenate([uv, hv, hr], axis=-1)
+            d_a = _weight_grad(np.swapaxes(d_mixed, -1, -2), np.swapaxes(mixed, -1, -2))
+        grads, ones = {}, np.ones(g.size // g.shape[-1])
+        for gate in GATES:
+            for k, side in enumerate((src_u, src_hr if gate == "c" else src_h)):
+                grads.update((name, _weight_grad(x, d_pre[gate])) for name, x in zip(names[gate][k], side))
+            grads[f"l{layer}.b_{gate}"] = ones @ d_pre[gate].reshape(len(ones), -1)  # the sum over every row, as one product
+        return [d_u, d_h, d_a, *(grads[name] for name in param_names)]
+
+    param_names = [name for gate in GATES for name in (*names[gate][0], *names[gate][1], f"l{layer}.b_{gate}")]
+    return ad.fused(out, [u, h, a_hat, *(params[name] for name in param_names)], vjp)
 
 
 def build_mixing(params, hyper: dict, graph: Optional[Graph]):
@@ -246,11 +310,9 @@ def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None):
         if z.shape != lead + (d_z,):
             raise DataError(f"z_t must have shape {lead + (d_z,)}")
         u = ad.concat([u, np.broadcast_to(z[..., None, :], lead + (n, d_z))], axis=-1)
+    a_hat = mixing if hyper["kind"] == "graph_gru" else None
     for layer in range(int(hyper["layers"])):
-        if hyper["kind"] == "gru":
-            u = _gru_cell(u, h, params, layer)
-        else:
-            u = _graph_gru_cell(u, h, mixing, params, layer)
+        u = _gru_cell(u, h, params, layer, a_hat)
     return ad.reshape(u, lead + (n * d_x,))
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flowcast import autodiff as ad
+from reference_cells import node_mix, sigmoid, tanh  # the ops the recurrent cells were composed of
 
 
 def _fd_grad(f, x, eps=1e-6):
@@ -87,8 +88,8 @@ def test_matmul_stacked_left_operand(rng):
 def test_node_mix_gradients(rng):
     a0 = rng.standard_normal((3, 3))
     z0 = rng.standard_normal((2, 4, 3, 5))
-    _check(lambda v: ad.sum_(ad.square(ad.node_mix(v, z0))), a0, atol=1e-6)
-    _check(lambda v: ad.sum_(ad.square(ad.node_mix(a0, v))), z0, atol=1e-6)
+    _check(lambda v: ad.sum_(ad.square(node_mix(v, z0))), a0, atol=1e-6)
+    _check(lambda v: ad.sum_(ad.square(node_mix(a0, v))), z0, atol=1e-6)
 
 
 @pytest.mark.parametrize("shape", [(7, 3, 1), (7, 3, 8), (1, 3, 8), (2, 4, 3, 1), (1, 4, 3, 8)])
@@ -97,7 +98,7 @@ def test_node_mix_matches_its_einsum_definition(rng, shape):
     # and 4-D stacks, one feature (the mixed input) or eight, a leading axis of one
     a0, z0, g = rng.standard_normal((3, 3)), rng.standard_normal(shape), rng.standard_normal(shape)
     a, z = ad.Var(a0), ad.Var(z0)
-    out = ad.node_mix(a, z)
+    out = node_mix(a, z)
     ad.backward(ad.sum_(ad.mul(out, g)))
     n, f = shape[-2:]
     want_a = np.einsum("bif,bjf->ij", g.reshape(-1, n, f), z0.reshape(-1, n, f))
@@ -112,7 +113,7 @@ def test_node_mix_matches_its_einsum_definition(rng, shape):
 
 @pytest.mark.parametrize(
     "op",
-    [ad.sigmoid, ad.tanh, ad.softplus, ad.square, ad.abs_],
+    [sigmoid, tanh, ad.softplus, ad.square, ad.abs_],
     ids=lambda f: f.__name__,
 )
 def test_elementwise_gradients(op, x):
@@ -132,7 +133,7 @@ def test_log_gradients(rng):
 
 
 def test_sigmoid_is_stable_at_large_inputs():
-    big = ad.sigmoid(ad.Var(np.array([800.0, -800.0])))
+    big = sigmoid(ad.Var(np.array([800.0, -800.0])))
     np.testing.assert_allclose(ad.val(big), [1.0, 0.0], atol=1e-12)
     assert np.all(np.isfinite(ad.val(big)))
 
@@ -141,7 +142,7 @@ def test_sigmoid_matches_two_branch_formula_at_extremes():
     # 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) below: neither branch overflows
     x = np.array([800.0, -800.0, 1e-300, -1e-300, 0.0, -0.0, 36.7, -36.7, 709.0, -745.0, np.inf, -np.inf, np.nan])
     with np.errstate(over="raise", invalid="raise"):
-        got = ad.val(ad.sigmoid(x))
+        got = ad.val(sigmoid(x))
     pos = x >= 0
     want = np.where(pos, 1.0 / (1.0 + np.exp(-np.where(pos, x, 0.0))), np.exp(np.where(pos, 0.0, x)) / (1.0 + np.exp(np.where(pos, 0.0, x))))
     np.testing.assert_array_equal(got, want)
@@ -215,6 +216,41 @@ def test_flow_map_gradient_treats_map_as_constant(rng):
     _check(lambda v: ad.sum_(ad.square(ad.flow_map(v, *coefficients))), x0)
 
 
+def _fused_product(a, b, calls):
+    """``a @ b`` as one fused node; ``calls`` counts the VJP's calls."""
+    av, bv = ad.val(a), ad.val(b)
+
+    def vjp(g):
+        calls.append(None)
+        return [g @ bv.T, av.T @ g]
+
+    return ad.fused(av @ bv, [a, b], vjp)
+
+
+def test_fused_node_gradients(rng):
+    a0, b0 = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+    _check(lambda v: ad.sum_(ad.square(_fused_product(v, b0, []))), a0)
+    _check(lambda v: ad.sum_(ad.square(_fused_product(a0, v, []))), b0)
+    assert isinstance(_fused_product(a0, b0, []), np.ndarray)  # no Var in, no node out
+
+
+def test_fused_node_runs_its_vjp_once_per_backward_pass(rng):
+    a, b, calls = ad.Var(rng.standard_normal((3, 4))), ad.Var(rng.standard_normal((4, 2))), []
+    out = _fused_product(a, b, calls)
+    loss = ad.add(ad.sum_(ad.square(out)), ad.sum_(out))  # two paths into the node, one VJP call
+    ad.backward(loss)
+    assert len(calls) == 1
+    first = a.grad.copy(), b.grad.copy()
+    nodes = [loss]
+    for node in nodes:  # clear the tape, then run a second pass: the VJP runs again
+        node.grad = None
+        nodes.extend(parent for parent, _ in node._parents)
+    ad.backward(loss)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(a.grad, first[0])
+    np.testing.assert_array_equal(b.grad, first[1])
+
+
 def test_gradient_accumulates_across_reuse(rng):
     x0 = rng.standard_normal(4)
     v = ad.Var(x0.copy())
@@ -245,8 +281,8 @@ def test_composite_gru_like_expression(rng):
     x0 = rng.standard_normal((5, 3))
 
     def build(v):
-        h = ad.tanh(ad.matmul(x0, v))
-        gate = ad.sigmoid(ad.matmul(x0, v))
+        h = tanh(ad.matmul(x0, v))
+        gate = sigmoid(ad.matmul(x0, v))
         mixed = ad.add(ad.mul(gate, h), ad.mul(ad.sub(1.0, gate), x0))
         return ad.mean_(ad.square(mixed))
 

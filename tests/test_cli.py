@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from flowcast import cli
+from flowcast import config as config_mod
 
 
 def _base_config(out_dir):
@@ -304,6 +305,22 @@ def test_negative_seeds_are_data_errors(trained_run, tmp_path, capsys):
     assert "seed must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["synth", "--kind", "var_graph"], ["filter-bench", "--dims", "2", "--t", "5", "--seeds", "1"]])
+def test_negative_generator_seeds_are_data_errors(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main([*command, "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_flag_defaults_come_from_the_schema(monkeypatch):
+    synth = config_mod.SCHEMA["data"]["synth"]
+    for key, default in (("n_series", 3), ("t_steps", 123), ("seed", 9)):
+        monkeypatch.setitem(synth, key, config_mod.Field(int, default=default, check=synth[key].check, check_msg=synth[key].check_msg))
+    args = cli.build_parser().parse_args(["synth", "--kind", "var_graph", "--out", "unused"])
+    assert (args.n, args.t, args.seed) == (3, 123, 9)
+
+
 def test_forecast_bad_split_is_a_usage_error(trained_run, tmp_path):
     code = cli.main(
         [
@@ -592,3 +609,18 @@ def test_module_entry_point_usage_error_subprocess():
     proc = subprocess.run([sys.executable, "-m", "flowcast", "nonsense"], capture_output=True, text=True)
     assert proc.returncode == 1
     assert "invalid choice" in proc.stderr
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # `--threads` sets the BLAS thread variables in `cli.main`, which only
+    # takes effect if numpy has not started yet; the package exports load lazily
+    code = "\n".join([
+        "import sys, flowcast.cli",
+        "assert 'numpy' not in sys.modules, 'numpy loaded by import flowcast.cli'",
+        "import flowcast",
+        "missing = [name for name in flowcast.__all__ if getattr(flowcast, name, None) is None]",
+        "assert not missing, missing",
+        "from flowcast import FlowConfig, fit",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -220,7 +220,8 @@ def test_gradients_graph_model_and_covariates(rng):
 
 def test_graph_gradients_run_without_einsum(monkeypatch, rng):
     # node mixing is a stacked matmul forward and backward; with the mixed
-    # adjacency the learned embedding is taped, so both VJPs of node_mix run
+    # adjacency the learned embedding is taped, so the cell's VJP runs its
+    # gradients into both the mixing matrix and the mixed states
     model = _tiny_model(n_series=3, kind="graph_gru", seed=7)
     assert model.hyper.get("adjacency_mode", "mixed") == "mixed"
     graph = ssm_mod.Graph.from_weights(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
