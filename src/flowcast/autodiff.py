@@ -22,20 +22,11 @@ __all__ = [
     "val",
     "backward",
     "add",
-    "sub",
     "mul",
-    "div",
-    "neg",
     "matmul",
     "transpose2",
     "softplus",
     "relu",
-    "log",
-    "square",
-    "abs_",
-    "sum_",
-    "mean_",
-    "logsumexp",
     "softmax_rows",
     "concat",
     "stack",
@@ -127,17 +118,6 @@ def add(a, b):
     return _make(out, parents)
 
 
-def sub(a, b):
-    av, bv = val(a), val(b)
-    out = av - bv
-    parents = []
-    if isinstance(a, Var):
-        parents.append((a, lambda g: _unbroadcast(g, av.shape)))
-    if isinstance(b, Var):
-        parents.append((b, lambda g: _unbroadcast(-g, bv.shape)))
-    return _make(out, parents)
-
-
 def mul(a, b):
     av, bv = val(a), val(b)
     out = av * bv
@@ -149,41 +129,32 @@ def mul(a, b):
     return _make(out, parents)
 
 
-def div(a, b):
-    av, bv = val(a), val(b)
-    out = av / bv
-    parents = []
-    if isinstance(a, Var):
-        parents.append((a, lambda g: _unbroadcast(g / bv, av.shape)))
-    if isinstance(b, Var):
-        parents.append((b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)))
-    return _make(out, parents)
+def _rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a (K, F) ``w`` and a (..., K) ``x``, the leading axes of ``x`` run as one (M, K) @ (K, F) product."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
 
 
-def neg(a):
-    av = val(a)
-    parents = [(a, lambda g: -g)] if isinstance(a, Var) else []
-    return _make(-av, parents)
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of ``w`` in ``_rows(x, w)`` given the output's ``g``: every leading row of ``x`` against ``g``'s."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def matmul(a, b):
     """Matrix product ``a @ b`` where ``b`` is (K, F) and ``a`` is (..., K).
 
-    The leading axes of ``a`` are flattened into one (M, K) @ (K, F)
-    product, so a stack of states costs one BLAS call and its rows round as
-    they would in the 2-D product; the result is (..., F).
+    The leading axes of ``a`` are flattened into one 2-D product
+    (:func:`_rows`), so a stack of states costs one BLAS call and its rows
+    round as they would in the 2-D product; the result is (..., F).
     """
     av, bv = val(a), val(b)
     if bv.ndim != 2:
         raise ValueError("matmul expects a 2-D right operand")
-    k = av.shape[-1]
-    out = (av.reshape(-1, k) @ bv).reshape(av.shape[:-1] + bv.shape[1:])
     parents = []
     if isinstance(a, Var):
-        parents.append((a, lambda g: (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(av.shape)))
+        parents.append((a, lambda g: _rows(g, bv.T)))
     if isinstance(b, Var):
-        parents.append((b, lambda g: av.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])))
-    return _make(out, parents)
+        parents.append((b, lambda g: _weight_grad(av, g)))
+    return _make(_rows(av, bv), parents)
 
 
 def transpose2(a):
@@ -217,79 +188,6 @@ def relu(a):
     out = np.maximum(av, 0.0)
     parents = [(a, lambda g: g * (av > 0.0))] if isinstance(a, Var) else []
     return _make(out, parents)
-
-
-def log(a):
-    av = val(a)
-    out = np.log(av)
-    parents = [(a, lambda g: g / av)] if isinstance(a, Var) else []
-    return _make(out, parents)
-
-
-def square(a):
-    av = val(a)
-    parents = [(a, lambda g: g * 2.0 * av)] if isinstance(a, Var) else []
-    return _make(av * av, parents)
-
-
-def abs_(a):
-    av = val(a)
-    parents = [(a, lambda g: g * np.sign(av))] if isinstance(a, Var) else []
-    return _make(np.abs(av), parents)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-# ---------------------------------------------------------------------------
-
-
-def _restore_axes(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        axes = tuple(a % len(shape) for a in axes)
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
-    return np.broadcast_to(g, shape)
-
-
-def sum_(a, axis=None, keepdims=False):
-    av = val(a)
-    out = av.sum(axis=axis, keepdims=keepdims)
-    if not isinstance(a, Var):
-        return out
-    shape = av.shape
-    return _make(out, [(a, lambda g: _restore_axes(g, shape, axis, keepdims))])
-
-
-def mean_(a, axis=None, keepdims=False):
-    av = val(a)
-    out = av.mean(axis=axis, keepdims=keepdims)
-    if not isinstance(a, Var):
-        return out
-    shape = av.shape
-    count = av.size
-    if axis is not None:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([shape[x % len(shape)] for x in axes]))
-    return _make(out, [(a, lambda g: _restore_axes(g / count, shape, axis, keepdims))])
-
-
-def logsumexp(a, axis):
-    av = val(a)
-    m = np.max(av, axis=axis, keepdims=True)
-    shifted = np.exp(av - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    out = np.squeeze(m + np.log(total), axis=axis)
-    if not isinstance(a, Var):
-        return out
-    soft = shifted / total
-
-    def vjp(g):
-        return np.expand_dims(g, axis) * soft
-
-    return _make(out, [(a, vjp)])
 
 
 def softmax_rows(a):
@@ -367,8 +265,7 @@ def flow_map(x, pht: np.ndarray, h_mat: np.ndarray, k_mat: np.ndarray, k_vec: np
     symmetric in general.  Gradients do not flow into the coefficients.
     """
     xv = val(x)
-    b_sz, n_p, d = xv.shape
-    xh = (xv.reshape(b_sz * n_p, d) @ h_mat.T).reshape(b_sz, n_p, -1)  # one product for every particle
+    xh = _rows(xv, h_mat.T)  # one product for every particle
     out = xv + (xh @ k_mat + k_vec) @ np.swapaxes(pht, 1, 2)
     if not isinstance(x, Var):
         return out

@@ -238,11 +238,7 @@ def cmd_forecast(args) -> int:
     windows, graph, stats, names = _prepare_dataset(cfg, (args.split,))
     if model.n_series != len(names):
         raise DataError(f"checkpoint expects {model.n_series} series but the data has {len(names)}")
-    chosen = windows[args.split]
-    if args.max_windows is not None:
-        chosen = chosen[: args.max_windows]
-    if not chosen:
-        raise DataError(f"the {args.split} split has no complete windows")
+    chosen = windows[args.split][: args.max_windows]  # a split holds at least one window (chronological_split's min_length)
     pcfg = forecast_mod.PredictConfig(
         n_particles=args.particles,
         flow=_flow_config(cfg),

@@ -99,6 +99,15 @@ def save_linear_ssm(path, ssm: LinearGaussianSSM) -> None:
         np.savez(fh, F=ssm.F, Q=ssm.Q, H=ssm.H, R=ssm.R, init_mean=ssm.init_mean, init_cov=ssm.init_cov)
 
 
+def _diagonal_r(ssm: LinearGaussianSSM) -> np.ndarray:
+    """The measurement-noise variances of a diagonal ``R``; the particle filters take no correlated measurement noise."""
+    r_diag = np.diag(ssm.R)
+    if np.count_nonzero(ssm.R) > np.count_nonzero(r_diag):
+        i, j = np.argwhere((ssm.R != 0.0) & ~np.eye(ssm.obs_dim, dtype=bool))[0]
+        raise DataError(f"the particle filters need a diagonal R, but R[{i}, {j}] = {float(ssm.R[i, j])!r}")
+    return r_diag
+
+
 def _observations(observations) -> np.ndarray:
     """The (T, N) observations as floats; a missing (NaN) one is a DataError, since no filter masks it."""
     obs = np.asarray(observations, dtype=np.float64)
@@ -201,7 +210,7 @@ def bpf_filter_linear(
     obs = _observations(observations)
     t_steps = obs.shape[0]
     lq = _safe_cholesky(ssm.Q)
-    r_std = np.tile(np.sqrt(np.diag(ssm.R)), (n_particles, 1))
+    r_std = np.tile(np.sqrt(_diagonal_r(ssm)), (n_particles, 1))
     particles = ssm.init_mean + rng.standard_normal((n_particles, ssm.state_dim)) @ _safe_cholesky(ssm.init_cov).T
     uniform = np.full(n_particles, -np.log(n_particles))
     log_w = uniform
@@ -231,13 +240,13 @@ def flow_filter_linear(
     rng: np.random.Generator,
     config: flow_mod.FlowConfig = flow_mod.FlowConfig(),
 ):
-    """Run the particle-flow filter over a sequence; returns means (T, D)."""
+    """Run the particle-flow filter over a sequence (diagonal R); returns means (T, D)."""
     obs = _observations(observations)
     t_steps = obs.shape[0]
     l0 = _safe_cholesky(ssm.init_cov)
     lq = _safe_cholesky(ssm.Q)
     particles = (ssm.init_mean + rng.standard_normal((n_particles, ssm.state_dim)) @ l0.T)[None]
-    r_diag = np.diag(ssm.R)
+    r_diag = _diagonal_r(ssm)
     means = np.empty((t_steps, ssm.state_dim))
     for t in range(t_steps):
         if t > 0:

@@ -177,21 +177,11 @@ def init_model(*, n_series: int = 1, d_z: int = 0, **settings) -> ModelTheta:
 # ---------------------------------------------------------------------------
 
 
-def _rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` with the leading axes of ``x`` run as one 2-D product, as ``ad.matmul`` runs it."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
-
-
-def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The gradient of ``w`` in ``_rows(x, w)``: every leading row of ``x`` against ``g``'s."""
-    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-
-
 def _conv(sources, weights) -> np.ndarray:
     """``sources[0] @ weights[0] + sources[1] @ weights[1] + ...``: one side of a gate."""
-    out = _rows(sources[0], weights[0])
+    out = ad._rows(sources[0], weights[0])
     for x, w in zip(sources[1:], weights[1:]):
-        out = out + _rows(x, w)
+        out = out + ad._rows(x, w)
     return out
 
 
@@ -235,7 +225,7 @@ def _gru_cell(u, h, params, layer: int, a_hat=None):
         d_sources = []
         for ws in zip(*(weights[gate] for gate in gates)):  # one source's weight in each gate
             # by a contiguous transpose: numpy multiplies by a transposed view markedly slower
-            terms = [_rows(d_pre[gate], np.ascontiguousarray(w.T)) for gate, w in zip(gates, ws)]
+            terms = [ad._rows(d_pre[gate], np.ascontiguousarray(w.T)) for gate, w in zip(gates, ws)]
             d_sources.append(sum(terms[1:], terms[0]))
         return d_sources
 
@@ -256,11 +246,11 @@ def _gru_cell(u, h, params, layer: int, a_hat=None):
         if isinstance(a_hat, ad.Var):  # (A u, A h, A (r ⊙ h)) against (u, h, r ⊙ h), over every axis but the node axis
             d_mixed = np.concatenate([d_src_u[0], d_src_h[0], d_src_hr[0]], axis=-1)
             mixed = np.concatenate([uv, hv, hr], axis=-1)
-            d_a = _weight_grad(np.swapaxes(d_mixed, -1, -2), np.swapaxes(mixed, -1, -2))
+            d_a = ad._weight_grad(np.swapaxes(d_mixed, -1, -2), np.swapaxes(mixed, -1, -2))
         grads, ones = {}, np.ones(g.size // g.shape[-1])
         for gate in GATES:
             for k, side in enumerate((src_u, src_hr if gate == "c" else src_h)):
-                grads.update((name, _weight_grad(x, d_pre[gate])) for name, x in zip(names[gate][k], side))
+                grads.update((name, ad._weight_grad(x, d_pre[gate])) for name, x in zip(names[gate][k], side))
             grads[f"l{layer}.b_{gate}"] = ones @ d_pre[gate].reshape(len(ones), -1)  # the sum over every row, as one product
         return [d_u, d_h, d_a, *(grads[name] for name in param_names)]
 

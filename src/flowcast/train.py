@@ -268,37 +268,46 @@ def batch_forward(
     return samples, mean_steps, std_steps, trace
 
 
-def _particle_median(samples):
-    """Median over the particle axis (axis 1) as a tape op: a constant weighting of the samples.
-
-    The weight is 1 on the middle sample, or 1/2 on each of the two middle
-    ones, placed from a stable argsort.
-    """
-    vals = ad.val(samples)
-    n_p = vals.shape[1]
-    middle = np.argsort(vals, axis=1, kind="stable")[:, (n_p - 1) // 2 : n_p // 2 + 1]  # one index, or two
-    weights = np.zeros_like(vals)
-    np.put_along_axis(weights, middle, 1.0 / middle.shape[1], axis=1)
-    return ad.sum_(ad.mul(weights, samples), axis=1)
-
-
 def _loss(kind: str, batch: BatchArrays, samples, means, stds):
-    """MAE of the particle median, or the NLL of the targets under the per-step particle mixture."""
-    _, _, q_steps, n = batch.sizes
+    """MAE of the particle median, or the NLL of the targets under the per-step particle mixture, as one tape node.
+
+    The median weighs the samples by 1 on the middle one, or 1/2 on each of
+    the two middle ones, placed from a stable argsort: sample j's gradient is
+    ``weight_j sign(err) g / err.size``.  The NLL averages over windows the
+    sum over steps of ``-log mean_j exp(ll_j)``, where ``ll_j = -sum(z^2 / 2 +
+    log s) - N log(2 pi) / 2`` and ``z = (y - mean_j) / s``: particle j's
+    mean and std get its share of the mixture times ``z / s`` and ``(z^2 -
+    1) / s``, times ``-g / B``.
+    """
+    b_sz, _, q_steps, n = batch.sizes
     if q_steps == 0:
         raise DataError("training windows need target rows")
-    if kind == "mae":
-        return ad.mean_(ad.abs_(ad.sub(_particle_median(samples), batch.y_future)))
     n_p = batch.init.shape[1]
-    per_window = None
-    for k in range(q_steps):
-        y_t = batch.y_future[:, k, :][:, None, :]  # (B, 1, N)
-        zsc = ad.div(ad.sub(y_t, means[k]), stds[k])
-        quad = ad.add(ad.mul(0.5, ad.square(zsc)), ad.log(stds[k]))
-        ll = ad.sub(ad.neg(ad.sum_(quad, axis=2)), 0.5 * n * _LOG_2PI)  # (B, n_p)
-        lme = ad.sub(ad.logsumexp(ll, axis=1), math.log(n_p))  # (B,)
-        per_window = lme if per_window is None else ad.add(per_window, lme)
-    return ad.neg(ad.mean_(per_window))
+    if kind == "mae":
+        vals = ad.val(samples)
+        middle = np.argsort(vals, axis=1, kind="stable")[:, (n_p - 1) // 2 : n_p // 2 + 1]  # one index, or two
+        weights = np.zeros_like(vals)
+        np.put_along_axis(weights, middle, 1.0 / middle.shape[1], axis=1)
+        err = (weights * vals).sum(axis=1) - batch.y_future
+        return ad.fused(np.abs(err).mean(), [samples], lambda g: [np.expand_dims(g / err.size * np.sign(err), 1) * weights])
+    per_window, steps = None, []
+    for k, (mean, std) in enumerate(zip(means, stds)):
+        s = ad.val(std)
+        zsc = (batch.y_future[:, k, None, :] - ad.val(mean)) / s
+        ll = -(0.5 * (zsc * zsc) + np.log(s)).sum(axis=2) - 0.5 * n * _LOG_2PI  # (B, n_p)
+        top = np.max(ll, axis=1, keepdims=True)  # log-sum-exp over the particles, shifted by the largest
+        shifted = np.exp(ll - top)
+        total = shifted.sum(axis=1, keepdims=True)
+        lme = np.squeeze(top + np.log(total), axis=1) - math.log(n_p)  # (B,)
+        per_window = lme if per_window is None else per_window + lme
+        steps.append((zsc, s, shifted / total))
+
+    def vjp(g):
+        scaled = [(-g / b_sz * share)[:, :, None] for _, _, share in steps]
+        d_means = [w * zsc / s for w, (zsc, s, _) in zip(scaled, steps)]
+        return d_means + [w * (zsc * zsc - 1.0) / s for w, (zsc, s, _) in zip(scaled, steps)]
+
+    return ad.fused(-per_window.mean(), [*means, *stds], vjp)
 
 
 # ---------------------------------------------------------------------------

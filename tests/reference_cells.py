@@ -52,7 +52,7 @@ def gru_cell(u, h, params, layer: int):
     hr = ad.mul(r, h)
     pre_c = ad.add(ad.add(ad.matmul(u, w("W_c")), ad.matmul(hr, w("U_c"))), w("b_c"))
     c = tanh(pre_c)
-    return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, c))
+    return ad.add(ad.mul(ad.add(1.0, ad.mul(-1.0, z)), h), ad.mul(z, c))
 
 
 def graph_gru_cell(u, h, a_hat, params, layer: int):
@@ -67,7 +67,7 @@ def graph_gru_cell(u, h, a_hat, params, layer: int):
     r, z = sigmoid(pre("r", h, mixed_h)), sigmoid(pre("z", h, mixed_h))
     hr = ad.mul(r, h)
     c = tanh(pre("c", hr, node_mix(a_hat, hr)))
-    return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, c))
+    return ad.add(ad.mul(ad.add(1.0, ad.mul(-1.0, z)), h), ad.mul(z, c))
 
 
 def cell(u, h, params, layer: int, a_hat=None):

@@ -1,10 +1,12 @@
 """Reverse-mode tape: every op's gradient is checked against central
-finite differences of its own forward evaluation."""
+finite differences of its own forward evaluation, probed through ``<out, g>``
+for a random ``g``."""
 
 import numpy as np
 import pytest
 
 from flowcast import autodiff as ad
+from gradient_probe import dot
 from reference_cells import node_mix, sigmoid, tanh  # the ops the recurrent cells were composed of
 
 
@@ -25,14 +27,15 @@ def _fd_grad(f, x, eps=1e-6):
 
 
 def _check(build, x0, rtol=1e-6, atol=1e-8):
-    """build(var) -> scalar Var; compares tape gradient to FD."""
+    """build(var) -> Var; compares the tape gradient of ``<out, g>``, for a fixed random ``g``, to FD."""
     v = ad.Var(x0.copy())
     out = build(v)
-    ad.backward(out)
+    g = np.random.default_rng(99).standard_normal(out.value.shape)
+    ad.backward(dot(out, g))
     got = v.grad
 
     def f(x):
-        return float(ad.val(build(ad.Var(x))))
+        return float(np.sum(ad.val(build(ad.Var(x))) * g))
 
     want = _fd_grad(f, x0.copy())
     np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
@@ -43,40 +46,39 @@ def x(rng):
     return rng.standard_normal((3, 4))
 
 
-def test_add_sub_mul_div_gradients(x, rng):
+def test_add_mul_gradients(x, rng):
     other = rng.standard_normal((3, 4)) + 3.0
-    _check(lambda v: ad.sum_(ad.mul(ad.add(v, other), ad.sub(v, 1.5))), x)
-    _check(lambda v: ad.sum_(ad.div(v, other)), x)
-    _check(lambda v: ad.sum_(ad.div(other, ad.add(v, 10.0))), x)
+    _check(lambda v: ad.mul(ad.add(v, other), ad.add(v, -1.5)), x)
+    _check(lambda v: ad.mul(other, v), x)
+    _check(lambda v: ad.mul(v, v), x)
 
 
 def test_broadcasting_add_reduces_gradient(rng):
     row = rng.standard_normal(4)
     full = rng.standard_normal((3, 4))
     v = ad.Var(row.copy())
-    out = ad.sum_(ad.add(full, v))
-    ad.backward(out)
+    ad.backward(dot(ad.add(full, v), np.ones((3, 4))))
     np.testing.assert_allclose(v.grad, np.full(4, 3.0))
 
 
 def test_matmul_gradients(rng):
     a0 = rng.standard_normal((3, 4))
     b0 = rng.standard_normal((4, 2))
-    _check(lambda v: ad.sum_(ad.matmul(v, b0)), a0)
-    _check(lambda v: ad.sum_(ad.matmul(a0, v)), b0)
+    _check(lambda v: ad.matmul(v, b0), a0)
+    _check(lambda v: ad.matmul(a0, v), b0)
 
 
 def test_matmul_stacked_left_operand(rng):
     a0 = rng.standard_normal((2, 3, 5, 4))
     b0 = rng.standard_normal((4, 6))
-    _check(lambda v: ad.sum_(ad.square(ad.matmul(v, b0))), a0)
-    _check(lambda v: ad.sum_(ad.square(ad.matmul(a0, v))), b0)
+    _check(lambda v: ad.matmul(v, b0), a0)
+    _check(lambda v: ad.matmul(a0, v), b0)
     # the leading axes run as one 2-D product: forward and the VJP into a are
     # that product bit for bit, and numpy's stacked matmul to rounding
     g = rng.standard_normal((2, 3, 5, 6))
     a = ad.Var(a0)
     out = ad.matmul(a, b0)
-    ad.backward(ad.sum_(ad.mul(out, g)))
+    ad.backward(dot(out, g))
     for got, flat, stacked in [
         (out.value, (a0.reshape(-1, 4) @ b0).reshape(g.shape), np.matmul(a0, b0)),
         (a.grad, (g.reshape(-1, 6) @ b0.T).reshape(a0.shape), np.matmul(g, b0.T)),
@@ -88,8 +90,8 @@ def test_matmul_stacked_left_operand(rng):
 def test_node_mix_gradients(rng):
     a0 = rng.standard_normal((3, 3))
     z0 = rng.standard_normal((2, 4, 3, 5))
-    _check(lambda v: ad.sum_(ad.square(node_mix(v, z0))), a0, atol=1e-6)
-    _check(lambda v: ad.sum_(ad.square(node_mix(a0, v))), z0, atol=1e-6)
+    _check(lambda v: node_mix(v, z0), a0, atol=1e-6)
+    _check(lambda v: node_mix(a0, v), z0, atol=1e-6)
 
 
 @pytest.mark.parametrize("shape", [(7, 3, 1), (7, 3, 8), (1, 3, 8), (2, 4, 3, 1), (1, 4, 3, 8)])
@@ -99,7 +101,7 @@ def test_node_mix_matches_its_einsum_definition(rng, shape):
     a0, z0, g = rng.standard_normal((3, 3)), rng.standard_normal(shape), rng.standard_normal(shape)
     a, z = ad.Var(a0), ad.Var(z0)
     out = node_mix(a, z)
-    ad.backward(ad.sum_(ad.mul(out, g)))
+    ad.backward(dot(out, g))
     n, f = shape[-2:]
     want_a = np.einsum("bif,bjf->ij", g.reshape(-1, n, f), z0.reshape(-1, n, f))
     for got, want in [
@@ -111,25 +113,15 @@ def test_node_mix_matches_its_einsum_definition(rng, shape):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize(
-    "op",
-    [sigmoid, tanh, ad.softplus, ad.square, ad.abs_],
-    ids=lambda f: f.__name__,
-)
+@pytest.mark.parametrize("op", [sigmoid, tanh, ad.softplus], ids=lambda f: f.__name__)
 def test_elementwise_gradients(op, x):
-    shift = x + (3.0 if op is ad.abs_ else 0.0)  # keep |.| away from the kink
-    _check(lambda v: ad.sum_(op(v)), shift)
+    _check(op, x)
 
 
 def test_relu_gradient_off_the_kink(rng):
     x0 = rng.standard_normal((3, 4))
     x0[np.abs(x0) < 0.1] += 0.5
-    _check(lambda v: ad.sum_(ad.relu(v)), x0)
-
-
-def test_log_gradients(rng):
-    x0 = rng.uniform(0.5, 3.0, (3, 4))
-    _check(lambda v: ad.sum_(ad.log(v)), x0)
+    _check(ad.relu, x0)
 
 
 def test_sigmoid_is_stable_at_large_inputs():
@@ -154,32 +146,19 @@ def test_softplus_matches_logaddexp(rng):
     np.testing.assert_allclose(ad.val(ad.softplus(ad.Var(x0))), np.logaddexp(0.0, x0), rtol=1e-15)
 
 
-def test_mean_and_axis_reductions(x):
-    _check(lambda v: ad.mean_(ad.square(v)), x)
-    _check(lambda v: ad.sum_(ad.mean_(v, axis=0)), x)
-    _check(lambda v: ad.sum_(ad.square(ad.sum_(v, axis=1, keepdims=True))), x)
-
-
-def test_logsumexp_gradient_and_stability(rng):
-    x0 = rng.standard_normal((4, 3))
-    _check(lambda v: ad.sum_(ad.logsumexp(v, axis=1)), x0)
-    huge = ad.logsumexp(ad.Var(np.array([[1000.0, 1000.0]])), axis=1)
-    np.testing.assert_allclose(ad.val(huge), [1000.0 + np.log(2.0)], rtol=1e-15)
-
-
 def test_softmax_rows_gradient(rng):
     x0 = rng.standard_normal((3, 3))
-    _check(lambda v: ad.sum_(ad.square(ad.softmax_rows(v))), x0)
+    _check(ad.softmax_rows, x0)
     sm = ad.val(ad.softmax_rows(ad.Var(x0)))
     np.testing.assert_allclose(sm.sum(axis=-1), np.ones(3), rtol=1e-14)
 
 
 def test_reshape_concat_stack_gradients(rng):
     x0 = rng.standard_normal((2, 6))
-    _check(lambda v: ad.sum_(ad.square(ad.reshape(v, (3, 4)))), x0)
+    _check(lambda v: ad.reshape(v, (3, 4)), x0)
     other = rng.standard_normal((2, 6))
-    _check(lambda v: ad.sum_(ad.square(ad.concat([v, other], axis=1))), x0)
-    _check(lambda v: ad.sum_(ad.square(ad.stack([v, ad.mul(v, 2.0)], axis=0))), x0)
+    _check(lambda v: ad.concat([v, other], axis=1), x0)
+    _check(lambda v: ad.stack([v, ad.mul(v, 2.0)], axis=0), x0)
 
 
 def _flow_map_coefficients(rng, b_sz=2, d=5, n=3):
@@ -213,7 +192,7 @@ def test_flow_map_gradient_treats_map_as_constant(rng):
     x0 = rng.standard_normal((2, 3, 5))
     coefficients = _flow_map_coefficients(rng)
     assert np.max(np.abs(coefficients[2] - np.swapaxes(coefficients[2], 1, 2))) > 0.1
-    _check(lambda v: ad.sum_(ad.square(ad.flow_map(v, *coefficients))), x0)
+    _check(lambda v: ad.flow_map(v, *coefficients), x0)
 
 
 def _fused_product(a, b, calls):
@@ -229,15 +208,16 @@ def _fused_product(a, b, calls):
 
 def test_fused_node_gradients(rng):
     a0, b0 = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-    _check(lambda v: ad.sum_(ad.square(_fused_product(v, b0, []))), a0)
-    _check(lambda v: ad.sum_(ad.square(_fused_product(a0, v, []))), b0)
+    _check(lambda v: _fused_product(v, b0, []), a0)
+    _check(lambda v: _fused_product(a0, v, []), b0)
     assert isinstance(_fused_product(a0, b0, []), np.ndarray)  # no Var in, no node out
 
 
 def test_fused_node_runs_its_vjp_once_per_backward_pass(rng):
     a, b, calls = ad.Var(rng.standard_normal((3, 4))), ad.Var(rng.standard_normal((4, 2))), []
     out = _fused_product(a, b, calls)
-    loss = ad.add(ad.sum_(ad.square(out)), ad.sum_(out))  # two paths into the node, one VJP call
+    g = rng.standard_normal((3, 2))
+    loss = ad.add(dot(ad.mul(out, out), g), dot(out, g))  # two paths into the node, one VJP call
     ad.backward(loss)
     assert len(calls) == 1
     first = a.grad.copy(), b.grad.copy()
@@ -254,16 +234,14 @@ def test_fused_node_runs_its_vjp_once_per_backward_pass(rng):
 def test_gradient_accumulates_across_reuse(rng):
     x0 = rng.standard_normal(4)
     v = ad.Var(x0.copy())
-    out = ad.sum_(ad.add(ad.mul(v, v), ad.mul(3.0, v)))
-    ad.backward(out)
+    ad.backward(dot(ad.add(ad.mul(v, v), ad.mul(3.0, v)), np.ones(4)))
     np.testing.assert_allclose(v.grad, 2 * x0 + 3.0, rtol=1e-12)
 
 
 def test_backward_only_touches_reachable_nodes(rng):
     v = ad.Var(rng.standard_normal(3))
     unused = ad.Var(rng.standard_normal(3))
-    out = ad.sum_(ad.square(v))
-    ad.backward(out)
+    ad.backward(dot(ad.mul(v, v), np.ones(3)))
     assert unused.grad is None
 
 
@@ -272,7 +250,7 @@ def test_deep_chain_does_not_recurse(rng):
     node = v
     for _ in range(5000):
         node = ad.add(node, 0.001)
-    ad.backward(ad.sum_(node))
+    ad.backward(dot(node, np.ones(1)))
     np.testing.assert_allclose(v.grad, [1.0])
 
 
@@ -283,7 +261,6 @@ def test_composite_gru_like_expression(rng):
     def build(v):
         h = tanh(ad.matmul(x0, v))
         gate = sigmoid(ad.matmul(x0, v))
-        mixed = ad.add(ad.mul(gate, h), ad.mul(ad.sub(1.0, gate), x0))
-        return ad.mean_(ad.square(mixed))
+        return ad.add(ad.mul(gate, h), ad.mul(ad.add(1.0, ad.mul(-1.0, gate)), x0))
 
     _check(build, w0, rtol=1e-5)

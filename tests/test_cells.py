@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference_cells
+from gradient_probe import dot
 from flowcast import autodiff as ad
 from flowcast import data as data_mod
 from flowcast import ssm
@@ -45,7 +46,7 @@ def _transition(cell, monkeypatch, model, graph, x0, y0, z, u_taped, g):
     y = ad.Var(y0) if u_taped else y0  # decoder feedback is taped, the history is not
     mixing = ssm.build_mixing(params, model.hyper, graph) if model.hyper["kind"] == "graph_gru" else None
     out = ssm.transition_core(params, model.hyper, x, y, z, mixing=mixing)
-    ad.backward(ad.sum_(ad.mul(out, g)))
+    ad.backward(dot(out, g))
     grads = {name: var.grad for name, var in params.items() if var.grad is not None}
     grads["x"] = x.grad
     if u_taped:
@@ -96,7 +97,7 @@ def test_cell_weight_gradients_match_central_differences(rng):
         return float(np.sum(ad.val(ssm._gru_cell(u, h, {**model.params, **values}, 0, a_hat)) * g))
 
     params = {name: ad.Var(model.params[name]) for name in names}
-    ad.backward(ad.sum_(ad.mul(ssm._gru_cell(u, h, {**model.params, **params}, 0, a_hat), g)))
+    ad.backward(dot(ssm._gru_cell(u, h, {**model.params, **params}, 0, a_hat), g))
     eps = 1e-6
     for name in names:
         value = model.params[name]

@@ -4,9 +4,11 @@ synth -> train -> forecast -> evaluate pipeline."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from flowcast import cli
@@ -277,8 +279,6 @@ def test_forecast_missing_checkpoint_is_a_data_error(trained_run, tmp_path):
 
 @pytest.mark.parametrize("meta", [b"{not json", b'{"format": 1}'])
 def test_forecast_checkpoint_with_a_malformed_meta_entry_is_a_data_error(trained_run, tmp_path, capsys, meta):
-    import numpy as np
-
     data = dict(np.load(trained_run["run"] / "checkpoint.npz"))
     data["meta"] = np.frombuffer(meta, dtype=np.uint8)
     np.savez(tmp_path / "bad.npz", **data)
@@ -355,6 +355,62 @@ def test_forecast_zero_horizon_writes_header_only_files(trained_run, tmp_path):
     assert (fc / "samples.csv").read_text().splitlines() == ["window,horizon,series,sample,value"]
     assert (fc / "summary.csv").read_text().splitlines() == ["window,horizon,series,point,q10,q50,q90"]
     assert not (fc / "truth.csv").exists()
+
+
+def _forecast(run, config, out, *extra):
+    return cli.main(["forecast", "--checkpoint", str(run / "checkpoint.npz"), "--config", str(config), "--particles", "3", "--out", str(out), *extra])
+
+
+def test_forecast_numeric_failure_exits_3_naming_the_window_and_encoder_step(trained_run, tmp_path, capsys):
+    # a hugely negative emission scale: the softplus noise std underflows to 0
+    # (r = 0, no warning) where a window's particle mean leans the wrong way
+    from flowcast import ssm as ssm_mod
+
+    model = ssm_mod.load_checkpoint(trained_run["run"] / "checkpoint.npz")
+    model.params["C_gamma"] = np.full_like(model.params["C_gamma"], -1e6)
+    (tmp_path / "run").mkdir()
+    ssm_mod.save_checkpoint(tmp_path / "run" / "checkpoint.npz", model)
+    capsys.readouterr()
+    assert _forecast(tmp_path / "run", trained_run["run"] / "resolved_config.json", tmp_path / "fc") == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric failure: innovation covariance of window \d+ is not positive definite at .* of encoder step \d+\n", err), err
+    assert not (tmp_path / "fc").exists()
+
+
+def test_forecast_max_windows_writes_exactly_that_many(trained_run, tmp_path):
+    assert _forecast(trained_run["run"], trained_run["run"] / "resolved_config.json", tmp_path / "fc", "--max-windows", "4") == 0
+    for name in ("samples", "summary", "truth"):
+        with open(tmp_path / "fc" / f"{name}.csv") as fh:
+            windows = [row["window"] for row in csv.DictReader(fh)]
+        with open(trained_run["fc"] / f"{name}.csv") as fh:
+            first = [row["window"] for row in csv.DictReader(fh)]
+        assert sorted(set(windows), key=int) == sorted(set(first), key=int)[:4]
+        assert len(windows) == len(first) * 4 // 15  # the first 4 of the 15 test windows, whole
+
+
+def _edited_config(trained_run, tmp_path, key, value):
+    cfg = json.loads((trained_run["run"] / "resolved_config.json").read_text())
+    config_mod.set_key(cfg, tuple(key.split(".")), value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("data.synth.n_series", 4, "checkpoint expects 3 series but the data has 4"),
+        ("split", {"train": 0.7, "val": 0.26, "test": 0.04}, "split segment [115, 120) is shorter than the required 10 steps"),
+        ("data.covariates", True, "config key 'data.period' is required when covariates are enabled"),
+    ],
+    ids=["series_count", "empty_split", "covariates_without_period"],
+)
+def test_forecast_config_that_does_not_fit_is_a_data_error(trained_run, tmp_path, capsys, key, value, message):
+    config_path = _edited_config(trained_run, tmp_path, key, value)
+    capsys.readouterr()
+    assert _forecast(trained_run["run"], config_path, tmp_path / "fc") == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not (tmp_path / "fc").exists()
 
 
 # ---------------------------------------------------------------------------

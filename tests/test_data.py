@@ -99,6 +99,23 @@ def test_series_csv_non_numeric_cell_raises(tmp_path):
         data.load_series(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", r"^empty series file: .*series\.csv$"),
+        ("a,b\n", r"^series file has no data rows: .*series\.csv$"),
+        ("when,a\nMonday,1.0\n", r"^cell at row 2, column 'when' is neither numeric nor an ISO-8601 timestamp: 'Monday'$"),
+        ("when,a\n2024-01-01,1.0\n2024-01-02,2.0\n2024-13-01,3.0\n", r"^bad timestamp at row 4: '2024-13-01'$"),
+    ],
+    ids=["empty", "header_only", "first_cell", "later_timestamp"],
+)
+def test_series_csv_structural_faults_raise_naming_the_row(tmp_path, text, message):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        data.load_series(path)
+
+
 def test_series_csv_missing_round_trip(tmp_path):
     s = _series([[1.0, np.nan], [np.nan, 4.0]])
     path = tmp_path / "series.csv"
@@ -282,6 +299,21 @@ def test_graph_csv_bad_rows_raise(tmp_path):
         data.load_graph(path, n_nodes=2)
     path.write_text("src,dst,weight\n0,1\n")
     with pytest.raises(DataError):
+        data.load_graph(path, n_nodes=2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", r"^empty graph file: .*graph\.csv$"),
+        ("src,dst,weight\n0,1,1.0\n1,x,1.0\n", r"^bad graph row 3: invalid literal for int\(\) with base 10: 'x'$"),
+    ],
+    ids=["empty", "unparsable_row"],
+)
+def test_graph_csv_structural_faults_raise_naming_the_row(tmp_path, text, message):
+    path = tmp_path / "graph.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
         data.load_graph(path, n_nodes=2)
 
 

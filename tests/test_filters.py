@@ -241,6 +241,28 @@ def test_filters_reject_a_missing_observation(run):
         run(ssm, obs)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda ssm, obs: bpf_filter_linear(ssm, obs, n_particles=20, rng=np.random.default_rng(0)),
+        lambda ssm, obs: flow_filter_linear(ssm, obs, n_particles=20, rng=np.random.default_rng(0)),
+    ],
+    ids=["bpf", "flow"],
+)
+def test_particle_filters_reject_correlated_measurement_noise(run):
+    # the particle filters model R by its diagonal, so a correlated R would
+    # make them filter a different system than the Kalman filter they are held to
+    r_full = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.4], [0.0, 0.4, 1.0]])
+    ssm = LinearGaussianSSM(F=0.9 * np.eye(2), Q=0.1 * np.eye(2), H=np.ones((3, 2)), R=r_full, init_mean=np.zeros(2), init_cov=np.eye(2))
+    obs = np.full((4, 3), 0.1)
+    with pytest.raises(DataError, match=r"^the particle filters need a diagonal R, but R\[1, 2\] = 0\.4$"):
+        run(ssm, obs)
+    means, _ = kalman_filter(ssm, obs)  # the exact filter takes the full R
+    assert np.isfinite(means).all()
+    ssm.R = np.diag(np.diag(r_full))
+    assert np.isfinite(run(ssm, obs)[0]).all()
+
+
 @pytest.mark.parametrize("h", [0.0, 1.0])
 def test_bpf_ess_lies_between_one_and_n(rng, h):
     ssm = _scalar_ssm(f=1.0, q=1.0, h=h, r=1e-2)

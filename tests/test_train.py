@@ -94,15 +94,18 @@ def test_mae_loss_uses_particle_median(rng):
     wanted = np.array([[[[0.0]], [[10.0]], [[1.0]]]])  # (B=1, 3 particles, Q=1, N=1)
     batch = _batch_emitting(model, _windows(rng, q=1)[:1], cfg, wanted, [[[2.0]]])
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), 1.0)  # median 1.0 vs target 2.0
+    samples = ad.Var(wanted)
+    ad.backward(train._loss("mae", batch, samples, None, None))
+    np.testing.assert_array_equal(samples.grad.ravel(), [0.0, 0.0, -1.0])  # all of it to the middle sample
     # an even count: the mean of the two middle samples, and half the gradient to each
     wanted = np.array([[[[0.0]], [[10.0]], [[1.0]], [[4.0]]]])
     batch = _batch_emitting(model, _windows(rng, q=1)[:1], cfg, wanted, [[[5.0]]])
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), 2.5)  # median 2.5 vs target 5.0
     samples = ad.Var(wanted)
-    median = train._particle_median(samples)
-    np.testing.assert_array_equal(median.value, [[[2.5]]])
-    ad.backward(ad.sum_(median))
-    np.testing.assert_array_equal(samples.grad.ravel(), [0.0, 0.0, 0.5, 0.5])
+    loss = train._loss("mae", batch, samples, None, None)
+    assert loss.value == 2.5
+    ad.backward(loss)
+    np.testing.assert_array_equal(samples.grad.ravel(), [0.0, 0.0, -0.5, -0.5])
 
 
 def test_nll_loss_single_gaussian_closed_form(rng):
@@ -134,6 +137,75 @@ def test_nll_loss_multiple_particles_mixes_before_log(rng):
         m = max(lls)
         total += -(m + np.log(np.mean(np.exp(np.array(lls) - m))))
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), total, rtol=1e-10)
+
+
+def _loss_batch(y_future, n_p):
+    """A batch that holds only what the losses read: the (B, Q, N) targets, for ``n_p`` particles."""
+    b_sz, _, n = y_future.shape
+    return train.BatchArrays(
+        y_hist=np.zeros((b_sz, 1, n)), y_future=y_future, z=None, window_ids=list(range(b_sz)), init=np.zeros((b_sz, n_p, 1)), dyn=None, meas=None
+    )
+
+
+def test_nll_loss_is_stable_with_particle_likelihoods_far_apart(rng):
+    # every particle's log-likelihood is below -745, where exp underflows, and
+    # particle 2's sits about 1e3 below the others: the shifted log-sum-exp
+    # keeps the loss finite, and the node's gradient matches central
+    # differences of the loss
+    y = rng.standard_normal((2, 2, 3))  # (B, Q, N)
+    offsets = np.array([[40.0, 0.2, -0.3], [40.01, -0.1, 0.25], [65.0, 0.1, 0.0]])  # (3 particles, N)
+    means0 = [y[:, k, None, :] + offsets for k in range(2)]
+    stds0 = [rng.uniform(0.9, 1.0, (2, 1, 3)) * (1.0 + 1e-3 * rng.standard_normal((2, 3, 3))) for _ in range(2)]
+    batch = _loss_batch(y, 3)
+
+    def loss_at(flat):
+        parts = [p.reshape(2, 3, 3) for p in np.split(flat, 4)]
+        return float(train._loss("nll", batch, None, parts[:2], parts[2:]))
+
+    x0 = np.concatenate([a.ravel() for a in means0 + stds0])
+    lls = [-(0.5 * ((y[:, k, None, :] - means0[k]) / stds0[k]) ** 2 + np.log(stds0[k])).sum(axis=2) - 1.5 * np.log(2 * np.pi) for k in range(2)]
+    for ll in lls:
+        assert ll.max() < -745 and np.all(ll[:, 2] < ll[:, :2].min(axis=1) - 900)
+    with np.errstate(divide="ignore"):
+        assert np.isinf(sum(np.log(np.mean(np.exp(ll), axis=1)) for ll in lls)).all()  # the unshifted form fails
+    want = -np.mean(sum(np.logaddexp.reduce(ll, axis=1) - np.log(3) for ll in lls))
+    np.testing.assert_allclose(loss_at(x0), want, rtol=1e-13)
+
+    means, stds = [ad.Var(m) for m in means0], [ad.Var(s) for s in stds0]
+    ad.backward(train._loss("nll", batch, None, means, stds))
+    got = np.concatenate([v.grad.ravel() for v in means + stds])
+    fd = np.empty_like(x0)
+    for i in range(x0.size):
+        hi, lo = x0.copy(), x0.copy()
+        hi[i] += 1e-6
+        lo[i] -= 1e-6
+        fd[i] = (loss_at(hi) - loss_at(lo)) / 2e-6
+    np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-6)
+    assert np.all(means[0].grad[:, 2] == 0.0) and np.abs(means[0].grad[:, :2, 0]).min() > 1.0  # the far particle gets no share
+
+
+def test_nll_loss_survives_log_likelihoods_that_overflow_exp():
+    # a tiny std puts every particle's log-likelihood near +690 per coordinate, where exp overflows
+    y = np.zeros((1, 1, 2))
+    means = [np.array([[[0.0, 0.0], [1e-300, 0.0]]])]
+    stds = [np.full((1, 2, 2), 1e-300)]
+    ll = -(0.5 * ((y[:, 0, None, :] - means[0]) / stds[0]) ** 2 + np.log(stds[0])).sum(axis=2) - np.log(2 * np.pi)
+    assert ll.min() > 1e3
+    want = -(np.logaddexp.reduce(ll, axis=1) - np.log(2))[0]
+    np.testing.assert_allclose(train._loss("nll", _loss_batch(y, 2), None, means, stds), want, rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["mae", "nll"])
+def test_losses_on_nan_inputs_are_nan(kind):
+    # a NaN reaching the loss is reported as a NaN loss (fit's divergence check), not raised
+    y = np.zeros((2, 1, 2))
+    samples = ad.Var(np.full((2, 3, 1, 2), np.nan))
+    means, stds = [ad.Var(np.full((2, 3, 2), np.nan))], [ad.Var(np.ones((2, 3, 2)))]
+    loss = train._loss(kind, _loss_batch(y, 3), samples, means, stds)
+    assert math.isnan(float(loss.value))
+    ad.backward(loss)
+    assert np.isnan(samples.grad if kind == "mae" else means[0].grad).all()
+    assert math.isnan(train._loss(kind, _loss_batch(y, 3), samples.value, [means[0].value], [stds[0].value]))
 
 
 def test_losses_need_target_rows(rng):
@@ -446,6 +518,31 @@ def test_fit_flow_failure_in_validation_returns_the_best_epoch(rng, request):
     assert math.isnan(result.log[1]["val_loss"]) and math.isfinite(result.log[1]["train_loss"])
     for name in train.param_names(model):
         np.testing.assert_array_equal(train.get_param(result.model, name), train.get_param(one_epoch.model, name))
+
+
+def test_fit_nan_loss_in_a_later_minibatch_returns_the_best_epoch(rng, monkeypatch):
+    # a NaN loss that no NumericError announces (the loss node returns NaN
+    # rather than raising): fit stops, logs the epoch as diverged, and keeps epoch 1
+    model = _tiny_model()
+    windows = _windows(rng)
+    ds = train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=None)
+    one_epoch = train.fit(ds, model, _config(max_epochs=1))
+    gradients, calls = train.gradients, []
+
+    def nan_from_the_fourth_call(*args, **kwargs):  # two minibatches an epoch: epoch 2's second
+        calls.append(None)
+        loss, grads, trace = gradients(*args, **kwargs)
+        return (math.nan if len(calls) >= 4 else loss), grads, trace
+
+    monkeypatch.setattr(train, "gradients", nan_from_the_fourth_call)
+    result = train.fit(ds, model, _config(max_epochs=4, patience=10))
+    assert len(calls) == 4
+    assert result.diverged and not result.stopped_early
+    assert result.best_epoch == 1 and result.best_val == one_epoch.best_val
+    assert [row["note"] for row in result.log] == ["", "diverged"]
+    assert math.isnan(result.log[1]["train_loss"]) and math.isnan(result.log[1]["val_loss"])
+    for name, value in one_epoch.model.params.items():
+        np.testing.assert_array_equal(result.model.params[name], value)
 
 
 def test_evaluate_loss_uses_eval_particle_count(rng):
