@@ -56,6 +56,9 @@ class LinearGaussianSSM:
         for name, mat in (("Q", self.Q), ("R", self.R), ("init_cov", self.init_cov)):
             if not np.allclose(mat, mat.T, atol=1e-10):
                 raise DataError(f"{name} must be symmetric")
+            eigs = np.linalg.eigvalsh(mat)
+            if eigs.size and eigs[0] < -1e-10 * max(1.0, eigs[-1]):
+                raise DataError(f"{name} must be positive semi-definite, but has eigenvalue {float(eigs[0])!r}")
 
     @property
     def state_dim(self) -> int:

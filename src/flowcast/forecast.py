@@ -24,13 +24,6 @@ from .data import Window
 from .errors import DataError
 
 
-# particle rows (windows x particles) per stacked forecast batch: a batch's
-# pre-drawn noise and its temporaries grow with its rows, so the budget
-# bounds a batch's memory whatever the particle count (3 windows at 100
-# particles).  Validation, at fewer particles, stacks by window count
-# (``train.CHUNK_WINDOWS``).
-CHUNK_ROWS = 300
-
 # the point summaries of a forecast: the particle median or mean of every cell
 POINTS = ("median", "mean")
 
@@ -71,11 +64,14 @@ def predict_windows(
 ):
     """Forecast every window: the samples (M, n_p, Q, N) and their point summaries (M, Q, N).
 
-    Windows run in stacked batches of at most ``CHUNK_ROWS`` particle rows.
+    Windows run in stacked batches of at most ``train.CHUNK_ROWS`` particle
+    rows, which bounds a batch's memory whatever the particle count (six
+    windows at 100 particles).  Validation, at fewer particles, stacks by
+    window count (``train.CHUNK_WINDOWS``).
     """
     if not windows:
         raise DataError("no windows to forecast")
-    size = max(1, CHUNK_ROWS // config.n_particles)
+    size = max(1, train_mod.CHUNK_ROWS // config.n_particles)
     q = 0 if windows[0].y_future is None else len(windows[0].y_future)
     samples = np.empty((len(windows), config.n_particles, q, model.n_series))
     for lo in range(0, len(windows), size):

@@ -32,6 +32,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # windows per stacked batch when evaluating a whole split
 CHUNK_WINDOWS = 256
 
+# particle rows (windows x particles) per stacked forecast batch, and the
+# rows x steps of one block of encoder transition draws: a batch's
+# temporaries grow with its rows, so the budget bounds its memory whatever
+# the particle count (six windows at 100 particles)
+CHUNK_ROWS = 600
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -117,15 +123,14 @@ def unflatten_params(model: ssm_mod.ModelTheta, vector: np.ndarray) -> Dict[str,
 
 @dataclass
 class BatchArrays:
-    """One minibatch, stacked: histories, targets, covariates, noise."""
+    """One minibatch, stacked: histories, targets, covariates, and what seeds each window's noise."""
 
     y_hist: np.ndarray  # (B, P, N)
     y_future: np.ndarray  # (B, Q, N)
     z: Optional[np.ndarray]  # (B, P+Q, d_z) or None
     window_ids: List[int]
-    init: np.ndarray  # (B, n_p, D)
-    dyn: np.ndarray  # (P+Q-1, B, n_p, D)
-    meas: np.ndarray  # (Q, B, n_p, N)
+    n_particles: int
+    seed_key: tuple  # window i draws from SeedSequence((*seed_key, window_ids[i]))
 
     @property
     def sizes(self):
@@ -134,40 +139,42 @@ class BatchArrays:
 
 
 def stack_batch(windows: Sequence[Window], model: ssm_mod.ModelTheta, n_particles: int, seed_key) -> BatchArrays:
-    """Stack windows and pre-draw every noise tensor.
+    """Stack windows: their histories, targets and covariates.
 
-    Each window draws from its own generator, seeded with ``(*seed_key,
-    window_id)``, in one fixed order: the time-1 draw, every transition
-    draw, then the measurement draws.  A window's noise therefore does
-    not depend on the batch it is stacked in.  Q is read from the
-    windows; windows without target rows give Q = 0.
+    The noise is not drawn here: :func:`batch_forward` draws each window's
+    from its own generator, seeded with ``(*seed_key, window_id)``, as the
+    pass reaches it, so a window's noise does not depend on the batch it is
+    stacked in, and a stack holds no transition draws.  Q is read from the
+    windows; windows without target rows give Q = 0.  ``model`` is not read
+    (callers pass it).
     """
     y_hist = np.stack([np.asarray(w.y_past, dtype=np.float64) for w in windows])
-    b, p, n = y_hist.shape
+    n = y_hist.shape[2]
     y_future = np.stack([np.zeros((0, n)) if w.y_future is None else np.asarray(w.y_future, dtype=np.float64) for w in windows])
     z = None
     if windows[0].z is not None:
         z = np.stack([np.asarray(w.z, dtype=np.float64) for w in windows])
-    q = y_future.shape[1]
-    d = model.state_dim
-    init = np.empty((b, n_particles, d))
-    dyn = np.empty((max(p + q - 1, 0), b, n_particles, d))
-    meas = np.empty((q, b, n_particles, n))
-    key = tuple(int(s) for s in np.atleast_1d(seed_key))
-    for i, w in enumerate(windows):  # one window's draws at a time, straight into the stacks
-        rng = np.random.default_rng(np.random.SeedSequence((*key, int(w.window_id))))
-        init[i] = rng.standard_normal(init.shape[1:])
-        dyn[:, i] = rng.standard_normal(dyn.shape[:1] + dyn.shape[2:])
-        meas[:, i] = rng.standard_normal(meas.shape[:1] + meas.shape[2:])
     return BatchArrays(
         y_hist=y_hist,
         y_future=y_future,
         z=z,
         window_ids=[w.window_id for w in windows],
-        init=init,
-        dyn=dyn,
-        meas=meas,
+        n_particles=n_particles,
+        seed_key=tuple(int(s) for s in np.atleast_1d(seed_key)),
     )
+
+
+def _draw(rngs, shape) -> np.ndarray:
+    """Each window's next standard normal draws of ``shape`` = (steps, ...), from its own generator: (steps, B, ...).
+
+    A generator's consecutive draws are the numbers one larger draw gives,
+    so the blocks :func:`batch_forward` draws make the same stream however
+    it cuts them.
+    """
+    out = np.empty((shape[0], len(rngs)) + shape[1:])
+    for i, rng in enumerate(rngs):
+        out[:, i] = rng.standard_normal(shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +204,13 @@ def batch_forward(
     where ``ss_mask`` is set, on the true value), and each particle emits
     one observation draw per horizon.
 
+    Each window draws its noise from a generator seeded with ``(*seed_key,
+    window_id)`` at the start of the call, in one order: the time-1 draw,
+    the encoder transitions in blocks of at most ``CHUNK_ROWS`` rows x
+    steps as the encoder reaches them, then, at the first decoder step, the
+    Q decoder transitions and the Q measurement draws.  So every call on a
+    batch sees the same noise, and the stack holds no transition draws.
+
     ``params`` maps parameter names to Vars (training) or arrays
     (inference).  Returns ``(samples, means, stds, trace)``: the (B, n_p,
     Q, N) samples, the per-step (B, n_p, N) emission means and stds, and
@@ -205,7 +219,9 @@ def batch_forward(
     """
     hyper = model.hyper
     b_sz, p_steps, q_steps, n = batch.sizes
-    n_p = batch.init.shape[1]
+    n_p, d = batch.n_particles, model.state_dim
+    rngs = [np.random.default_rng(np.random.SeedSequence((*batch.seed_key, int(w)))) for w in batch.window_ids]
+    block = max(1, CHUNK_ROWS // (b_sz * n_p))  # encoder transitions per draw
     w_phi_t = ad.transpose2(params["W_phi"])
     c_gamma_t = ad.transpose2(params["C_gamma"])
     w_phi_val = ad.val(params["W_phi"])
@@ -226,11 +242,14 @@ def batch_forward(
         std = np.logaddexp(0.0, means @ c_gamma_val.T)
         return std * std
 
-    x = ad.mul(params["rho"], batch.init)  # (B, n_p, D)
+    x = ad.mul(params["rho"], _draw(rngs, (1, n_p, d))[0])  # (B, n_p, D)
     trace: List[flow_mod.FlowTrace] = []
     for t in range(1, p_steps + 1):
         if t > 1:
-            x = step_transition(x, y_hist[:, :, t - 2], t, batch.dyn[t - 2])
+            j = (t - 2) % block
+            if j == 0:
+                dyn = _draw(rngs, (min(block, p_steps + 1 - t), n_p, d))
+            x = step_transition(x, y_hist[:, :, t - 2], t, dyn[j])
         if frozen_trace is None:
             y_t = batch.y_hist[:, t - 1, :]
             x, flow_trace = flow_mod.edh_flow(x, w_phi_val, y_t, noise_var, flow_config, return_trace=True, encoder_step=t, window_ids=batch.window_ids)
@@ -252,15 +271,17 @@ def batch_forward(
         t = p_steps + k
         if k == 1:
             y_in = y_hist[:, :, p_steps - 1]
+            dyn = _draw(rngs, (q_steps, n_p, d))  # measurement draws follow every transition draw in the stream
+            meas = _draw(rngs, (q_steps, n_p, n))
         else:
             y_in = sample_steps[-1]
             if ss_mask is not None:
                 mask = ss_mask[:, k - 2, None, None].astype(np.float64)  # (B, 1, 1)
                 y_in = ad.add(mask * batch.y_future[:, None, k - 2], ad.mul(1.0 - mask, y_in))
-        x = step_transition(x, y_in, t, batch.dyn[t - 2])
+        x = step_transition(x, y_in, t, dyn[k - 1])
         mean = ad.matmul(x, w_phi_t)
         std = ad.softplus(ad.matmul(x, c_gamma_t))
-        sample_steps.append(mean if noiseless else ad.add(mean, ad.mul(std, batch.meas[k - 1])))
+        sample_steps.append(mean if noiseless else ad.add(mean, ad.mul(std, meas[k - 1])))
         mean_steps.append(mean)
         std_steps.append(std)
 
@@ -282,7 +303,7 @@ def _loss(kind: str, batch: BatchArrays, samples, means, stds):
     b_sz, _, q_steps, n = batch.sizes
     if q_steps == 0:
         raise DataError("training windows need target rows")
-    n_p = batch.init.shape[1]
+    n_p = batch.n_particles
     if kind == "mae":
         vals = ad.val(samples)
         middle = np.argsort(vals, axis=1, kind="stable")[:, (n_p - 1) // 2 : n_p // 2 + 1]  # one index, or two

@@ -87,6 +87,17 @@ def test_matmul_stacked_left_operand(rng):
         np.testing.assert_allclose(got, stacked, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("shape", [(64, 1), (37, 10, 5, 1), (3, 100, 1)])
+def test_one_feature_rows_product_is_matmul_bit_for_bit(rng, shape):
+    # K = 1 (the layer-0 input u without covariates) runs through np.dot: the same numbers as @
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((1, 7))
+    got = ad._rows(x, w)
+    assert got.shape == shape[:-1] + (7,)
+    assert got.tobytes() == (x.reshape(-1, 1) @ w).reshape(got.shape).tobytes()
+    assert got.tobytes() == np.matmul(x, w).tobytes()
+
+
 def test_node_mix_gradients(rng):
     a0 = rng.standard_normal((3, 3))
     z0 = rng.standard_normal((2, 4, 3, 5))

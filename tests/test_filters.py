@@ -46,6 +46,16 @@ def test_ssm_validates_shapes():
         )
 
 
+@pytest.mark.parametrize("name", ["Q", "R", "init_cov"])
+def test_ssm_rejects_a_covariance_that_is_not_positive_semi_definite(name):
+    # R = diag(1, -0.5) once gave finite Kalman means, a flow solve error and a sqrt warning
+    mats = {"Q": np.eye(2), "R": np.eye(2), "init_cov": np.eye(2), name: np.diag([1.0, -0.5])}
+    with pytest.raises(DataError, match=rf"^{name} must be positive semi-definite, but has eigenvalue -0\.5$"):
+        LinearGaussianSSM(F=0.9 * np.eye(2), H=np.eye(2), init_mean=np.zeros(2), **mats)
+    mats[name] = np.zeros((2, 2))  # a zero covariance is allowed: no noise
+    LinearGaussianSSM(F=0.9 * np.eye(2), H=np.eye(2), init_mean=np.zeros(2), **mats)
+
+
 def test_ssm_simulation_shapes_and_determinism():
     ssm = _scalar_ssm()
     s1, o1 = ssm.simulate(10, np.random.default_rng(5))

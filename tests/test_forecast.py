@@ -3,6 +3,7 @@ sample-based distributions, quantiles, and CSV artifacts."""
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from flowcast import train
 from flowcast.errors import DataError, FlowSolveError
 from flowcast.flow import FlowConfig, edh_flow
 from flowcast.forecast import PredictConfig, predict
+
+import noise
 
 
 @pytest.fixture
@@ -61,19 +64,19 @@ def _reference_forecast(model, graph, window, cfg):
     n_p, n = cfg.n_particles, model.n_series
     y_hist = np.asarray(window.y_past, dtype=np.float64)
     p, q = y_hist.shape[0], window.y_future.shape[0]
-    noise = train.stack_batch([window], model, n_p, cfg.seed)  # this window's draws, alone
+    init, dyn, meas = noise.drawn(train.stack_batch([window], model, n_p, cfg.seed), model)  # this window's draws, alone
     prm = model.params
     mixing = ssm.build_mixing(prm, model.hyper, graph) if model.hyper["kind"] == "graph_gru" else None
 
     def step(x, y_prev, t):  # the transition into (1-based) time t
         z_rows = None if window.z is None else np.broadcast_to(window.z[t - 1], (n_p, window.z.shape[1]))
         y_rows = np.broadcast_to(y_prev, (n_p, n))
-        return ssm.transition_core(prm, model.hyper, x, y_rows, z_rows, mixing=mixing) + prm["sigma"] * noise.dyn[t - 2, 0]
+        return ssm.transition_core(prm, model.hyper, x, y_rows, z_rows, mixing=mixing) + prm["sigma"] * dyn[t - 2, 0]
 
     def noise_var(means):
         return np.logaddexp(0.0, means @ prm["C_gamma"].T) ** 2
 
-    x = prm["rho"] * noise.init[0]
+    x = prm["rho"] * init[0]
     for t in range(1, p + 1):
         if t > 1:
             x = step(x, y_hist[t - 2], t)
@@ -82,7 +85,7 @@ def _reference_forecast(model, graph, window, cfg):
     y_prev = y_hist[-1]
     for k in range(q):
         x = step(x, y_prev, p + 1 + k)
-        y_prev = x @ prm["W_phi"].T + np.logaddexp(0.0, x @ prm["C_gamma"].T) * noise.meas[k, 0]
+        y_prev = x @ prm["W_phi"].T + np.logaddexp(0.0, x @ prm["C_gamma"].T) * meas[k, 0]
         samples[:, k] = y_prev
     return samples
 
@@ -124,12 +127,32 @@ def test_predict_windows_chunks_do_not_change_forecasts(tiny_gru_model, rng, mon
         # two windows of three particles a chunk; one window when a window alone is over the budget; all at once
         for rows, sizes in ((6, [2, 2, 1]), (2, [1] * 5), (9, [3, 2]), (300, [5])):
             stacked.clear()
-            monkeypatch.setattr(forecast, "CHUNK_ROWS", rows)
+            monkeypatch.setattr(train, "CHUNK_ROWS", rows)
             samples, points = forecast.predict_windows(tiny_gru_model, None, windows, cfg)
             assert stacked == sizes
             assert samples.shape == (5, 3, 3, 1) and points.shape == (5, 3, 1)
             assert samples.tobytes() == np.stack([d.samples for d in alone]).tobytes()
             assert points.tobytes() == np.stack([d.point for d in alone]).tobytes()
+
+
+def test_predict_windows_memory_does_not_grow_with_the_history():
+    # one stack of 6 windows x 100 particles at D = 40: the noise is drawn as
+    # the pass reaches it, so four times the history holds no more memory
+    model = ssm.init_model(kind="gru", n_series=2, d_x=20, layers=1, d_z=0, rho=0.8, sigma=0.05, init_scale=0.5, seed=5)
+    rng = np.random.default_rng(0)
+    s = data_mod.SeriesSet(values=0.5 * rng.standard_normal((60, 2)), names=["a", "b"])
+    cfg = _config(n_particles=100, flow=FlowConfig())
+    peaks = {}
+    for p in (12, 48):
+        windows = data_mod.make_windows(s, p, 4)[:6]
+        forecast.predict_windows(model, None, windows, cfg)  # warm up
+        tracemalloc.start()
+        try:
+            forecast.predict_windows(model, None, windows, cfg)
+            peaks[p] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[48] < 1.1 * peaks[12], peaks
 
 
 def test_predict_windows_needs_a_window(tiny_gru_model):
@@ -160,7 +183,7 @@ def test_predict_flow_error_names_the_window(rng):
     cfg = _config(n_particles=1)
     # a huge emission scale pointing away from the one particle: the softplus
     # noise std underflows to 0, so S = diag(r) is singular at lambda = 0
-    init = train.stack_batch([window], model, 1, cfg.seed).init[0, 0]
+    init = noise.drawn(train.stack_batch([window], model, 1, cfg.seed), model)[0][0, 0]
     model.params["C_gamma"] = -1e4 * np.sign(init)[None, :]
     with pytest.raises(FlowSolveError, match=r"of window 7 is not positive definite .* of encoder step 1$"):
         predict(model, None, window, cfg)
@@ -197,7 +220,7 @@ def test_noiseless_forecast_emits_measurement_means(tiny_gru_model, window):
     np.testing.assert_array_equal(predict(tiny_gru_model, None, window, cfg).samples, samples[0])
 
 
-def test_single_particle_noiseless_rollout_is_recursive_point_path(window):
+def test_single_particle_noiseless_rollout_is_recursive_point_path(window, monkeypatch):
     # sigma = 0, one particle, noiseless decoding: starting from the same
     # filtered state, the decoder is a plain deterministic recursion and the
     # decoder's noise draws are irrelevant
@@ -205,9 +228,10 @@ def test_single_particle_noiseless_rollout_is_recursive_point_path(window):
     cfg = _config(n_particles=1, noiseless=True, seed=0)
     batch = train.stack_batch([window], model, 1, cfg.seed)
     d1 = train.batch_forward(model.params, model, batch, cfg.flow, noiseless=True)[0]
+    init, dyn, meas = noise.drawn(batch, model)
     other = np.random.default_rng(99)
-    batch.dyn[11:] = other.standard_normal(batch.dyn[11:].shape)  # the decoder's transitions
-    batch.meas[:] = other.standard_normal(batch.meas.shape)
+    dyn[11:] = other.standard_normal(dyn[11:].shape)  # the decoder's transitions
+    noise.serve(monkeypatch, init, dyn, other.standard_normal(meas.shape))
     d2 = train.batch_forward(model.params, model, batch, cfg.flow, noiseless=True)[0]
     np.testing.assert_array_equal(d1, d2)
     full = predict(model, None, window, cfg)

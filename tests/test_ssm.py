@@ -15,6 +15,8 @@ from flowcast import train
 from flowcast.errors import DataError
 from flowcast.flow import FlowConfig, edh_flow
 
+import noise
+
 
 def _zero_params(model):
     """The model's parameters with every dynamics array zeroed."""
@@ -42,9 +44,10 @@ def _first_decoder_state(model, batch):
     """The state the first decoder step emits from: the prior flowed onto y_1, then one transition."""
     y_1 = batch.y_hist[:, 0]
     p = model.params
-    x = edh_flow(p["rho"] * batch.init, p["W_phi"], y_1, lambda m: np.logaddexp(0.0, m @ p["C_gamma"].T) ** 2, _FLOW)[0]
+    init, dyn, _ = noise.drawn(batch, model)
+    x = edh_flow(p["rho"] * init, p["W_phi"], y_1, lambda m: np.logaddexp(0.0, m @ p["C_gamma"].T) ** 2, _FLOW)[0]
     y_rows = np.broadcast_to(y_1[0], (x.shape[0], model.n_series))
-    return ssm.transition_core(p, model.hyper, x, y_rows, None) + p["sigma"] * batch.dyn[0, 0]
+    return ssm.transition_core(p, model.hyper, x, y_rows, None) + p["sigma"] * dyn[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +303,17 @@ def test_transition_applies_noise_scale(tiny_gru_model, rng):
     batch = _short_batch(model, rng, 4, 1)
     _, noisy_means, _ = _forward(model, batch)
     _, quiet_means, _ = _forward(quiet, batch)
-    np.testing.assert_allclose(noisy_means[0] - quiet_means[0], model.params["sigma"] * batch.dyn[0] @ model.params["W_phi"].T, rtol=1e-10, atol=1e-14)
+    dyn = noise.drawn(batch, model)[1]
+    np.testing.assert_allclose(noisy_means[0] - quiet_means[0], model.params["sigma"] * dyn[0] @ model.params["W_phi"].T, rtol=1e-10, atol=1e-14)
 
 
-def test_sigma_zero_transition_is_deterministic(tiny_gru_model, rng):
+def test_sigma_zero_transition_is_deterministic(tiny_gru_model, rng, monkeypatch):
     model = ssm.ModelTheta(tiny_gru_model.hyper, {**tiny_gru_model.params, "sigma": 0.0})
     # with the noise term off, the transition draws do not reach the samples
     batch = _short_batch(model, rng, 5, 3)
     before = _forward(model, batch)[0]
-    batch.dyn = np.random.default_rng(0).standard_normal(batch.dyn.shape)
+    init, dyn, meas = noise.drawn(batch, model)
+    noise.serve(monkeypatch, init, np.random.default_rng(0).standard_normal(dyn.shape), meas)
     np.testing.assert_array_equal(_forward(model, batch)[0], before)
 
 
@@ -323,13 +328,15 @@ def test_init_ensemble_scales_with_rho(rng):
     model = ssm.init_model(kind="gru", n_series=1, d_x=2, layers=1, d_z=0, rho=2.0, seed=0)
     batch = _short_batch(model, rng, 2000, 1)
     first = train.batch_forward(model.params, model, batch, _FLOW, collect_trace=True)[3][0]
-    prior = model.params["rho"] * batch.init[0]
+    init = noise.drawn(batch, model)[0]
+    prior = model.params["rho"] * init[0]
     assert abs(prior.std() - 2.0) < 0.1
     np.testing.assert_allclose(first.mean[0], prior.mean(axis=0), rtol=1e-12, atol=1e-15)
     w_phi = model.params["W_phi"]
     pht = np.cov(prior, rowvar=False, bias=True) @ w_phi.T + _FLOW.jitter * w_phi.T
     np.testing.assert_allclose(first.pht[0], pht, rtol=1e-12, atol=1e-15)
-    np.testing.assert_array_equal(_short_batch(model, rng, 2000, 1).init, batch.init)
+    again = train.batch_forward(model.params, model, _short_batch(model, rng, 2000, 1), _FLOW, collect_trace=True)[3][0]
+    np.testing.assert_array_equal(again.mean, first.mean)  # a restacked window draws the same prior
 
 
 def _window(window_id, p_steps, q_steps, n=1):
@@ -339,40 +346,56 @@ def _window(window_id, p_steps, q_steps, n=1):
     return data_mod.make_windows(s, p_steps, q_steps)[window_id]
 
 
-def test_window_noise_shapes_and_replay(tiny_gru_model):
-    n1 = train.stack_batch([_window(17, 4, 2)], tiny_gru_model, 3, 5)
-    assert n1.init.shape == (1, 3, 2)
-    assert n1.dyn.shape == (5, 1, 3, 2)
-    assert n1.meas.shape == (2, 1, 3, 1)
-    n2 = train.stack_batch([_window(17, 4, 2)], tiny_gru_model, 3, 5)
-    np.testing.assert_array_equal(n1.init, n2.init)
-    np.testing.assert_array_equal(n1.dyn, n2.dyn)
-    np.testing.assert_array_equal(n1.meas, n2.meas)
-    n3 = train.stack_batch([_window(18, 4, 2)], tiny_gru_model, 3, 5)
-    assert not np.array_equal(n1.init, n3.init)
+def _pass_draws(monkeypatch, model, windows, n_particles, seed_key):
+    """The blocks of noise one forward pass over the stacked ``windows`` draws."""
+    passes = noise.record(monkeypatch)
+    batch = train.stack_batch(windows, model, n_particles, seed_key)
+    train.batch_forward(model.params, model, batch, _FLOW)
+    return passes[-1]
 
 
-def test_window_noise_accepts_composite_seed(tiny_gru_model):
-    a = train.stack_batch([_window(0, 2, 2)], tiny_gru_model, 2, (5, 3, 1))
-    b = train.stack_batch([_window(0, 2, 2)], tiny_gru_model, 2, (5, 3, 1))
-    c = train.stack_batch([_window(0, 2, 2)], tiny_gru_model, 2, (5, 3, 2))
-    np.testing.assert_array_equal(a.init, b.init)
-    assert not np.array_equal(a.init, c.init)
+def test_window_noise_shapes_and_replay(tiny_gru_model, monkeypatch):
+    # P = 4, Q = 2: the time-1 draw, the 3 encoder transitions in one block,
+    # then the decoder's 2 transitions and its 2 measurement draws
+    n1 = _pass_draws(monkeypatch, tiny_gru_model, [_window(17, 4, 2)], 3, 5)
+    assert [a.shape for a in n1] == [(1, 1, 3, 2), (3, 1, 3, 2), (2, 1, 3, 2), (2, 1, 3, 1)]
+    n2 = _pass_draws(monkeypatch, tiny_gru_model, [_window(17, 4, 2)], 3, 5)
+    for a, b in zip(n1, n2):
+        np.testing.assert_array_equal(a, b)
+    n3 = _pass_draws(monkeypatch, tiny_gru_model, [_window(18, 4, 2)], 3, 5)
+    assert not np.array_equal(n1[0], n3[0])
+
+
+def test_window_noise_accepts_composite_seed(tiny_gru_model, monkeypatch):
+    a = _pass_draws(monkeypatch, tiny_gru_model, [_window(0, 2, 2)], 2, (5, 3, 1))
+    b = _pass_draws(monkeypatch, tiny_gru_model, [_window(0, 2, 2)], 2, (5, 3, 1))
+    c = _pass_draws(monkeypatch, tiny_gru_model, [_window(0, 2, 2)], 2, (5, 3, 2))
+    np.testing.assert_array_equal(a[0], b[0])
+    assert not np.array_equal(a[0], c[0])
 
 
 @pytest.mark.parametrize("seed_key", [5, (5, 3, 1)])
-def test_window_noise_is_each_windows_own_stream(seed_key):
+def test_window_noise_is_each_windows_own_stream(seed_key, monkeypatch):
     # window i of a stack draws from SeedSequence((*seed_key, window id)):
-    # its time-1 draw, every transition draw, then every measurement draw
+    # its time-1 draw, every transition draw, then every measurement draw,
+    # bit for bit the numbers one draw per part gives, however the encoder
+    # transitions are cut into blocks (15 rows: all 8 at once, 2 a block, or 1)
     model = ssm.init_model(kind="gru", n_series=2, d_x=3, layers=1, d_z=0, seed=0)
-    windows = [_window(i, 4, 3, n=2) for i in (9, 2, 30)]
-    batch = train.stack_batch(windows, model, 5, seed_key)
+    windows = [_window(i, 9, 3, n=2) for i in (9, 2, 30)]
     key = (seed_key,) if isinstance(seed_key, int) else seed_key
-    for i, w in enumerate(windows):
-        rng = np.random.default_rng(np.random.SeedSequence((*key, w.window_id)))
-        assert batch.init[i].tobytes() == rng.standard_normal((5, 6)).tobytes()
-        assert batch.dyn[:, i].tobytes() == rng.standard_normal((6, 5, 6)).tobytes()
-        assert batch.meas[:, i].tobytes() == rng.standard_normal((3, 5, 2)).tobytes()
+    for rows, n_blocks in ((600, 1), (30, 4), (1, 8)):
+        monkeypatch.setattr(train, "CHUNK_ROWS", rows)
+        blocks = _pass_draws(monkeypatch, model, windows, 5, seed_key)
+        assert len(blocks) == 1 + n_blocks + 2
+        for i, w in enumerate(windows):
+            rng = np.random.default_rng(np.random.SeedSequence((*key, w.window_id)))
+            assert blocks[0][0, i].tobytes() == rng.standard_normal((5, 6)).tobytes()
+            assert np.concatenate([b[:, i] for b in blocks[1:-1]]).tobytes() == rng.standard_normal((11, 5, 6)).tobytes()
+            assert blocks[-1][:, i].tobytes() == rng.standard_normal((3, 5, 2)).tobytes()
+        init, dyn, meas = noise.drawn(train.stack_batch(windows, model, 5, seed_key), model)
+        assert init.tobytes() == blocks[0][0].tobytes()
+        assert dyn.tobytes() == np.concatenate(blocks[1:-1]).tobytes()
+        assert meas.tobytes() == blocks[-1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +428,9 @@ def test_sample_measurement_uses_given_draws(tiny_gru_model, rng):
     model = tiny_gru_model
     batch = _short_batch(model, rng, 3, 3)
     samples, means, stds = _forward(model, batch)
+    meas = noise.drawn(batch, model)[2]
     for k in range(3):
-        np.testing.assert_array_equal(samples[0, :, k], means[k][0] + stds[k][0] * batch.meas[k, 0])
+        np.testing.assert_array_equal(samples[0, :, k], means[k][0] + stds[k][0] * meas[k, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from flowcast import train
 from flowcast.errors import DataError, FlowDivergedError, FlowSolveError
 from flowcast.flow import FlowConfig
 
+import noise
+
 
 def _tiny_model(n_series=1, d_x=2, sigma=0.05, seed=3, kind="gru", layers=1, d_z=0):
     return ssm_mod.init_model(
@@ -70,36 +72,39 @@ def test_param_names_cover_all_trainables():
 # ---------------------------------------------------------------------------
 
 
-def _batch_emitting(model, windows, cfg, wanted, target):
-    """A stacked batch whose decoder draws make the samples ``wanted`` (B, n_p, Q, N), scored against ``target`` (B, Q, N)."""
+def _batch_emitting(model, windows, cfg, wanted, target, monkeypatch):
+    """A stacked batch, with decoder draws served that make the samples ``wanted`` (B, n_p, Q, N), scored against ``target`` (B, Q, N)."""
     batch = train.stack_batch(windows, model, wanted.shape[1], cfg.seed)
+    init, dyn, meas = noise.drawn(batch, model)
     for k in range(wanted.shape[2]):  # step k's mean and std depend only on the draws before it
+        noise.serve(monkeypatch, init, dyn, meas)
         _, means, stds, _ = train.batch_forward(model.params, model, batch, cfg.flow)
-        batch.meas[k] = (wanted[:, :, k] - means[k]) / stds[k]
+        meas[k] = (wanted[:, :, k] - means[k]) / stds[k]
+    noise.serve(monkeypatch, init, dyn, meas)
     batch.y_future = np.asarray(target, dtype=np.float64)
     return batch
 
 
-def test_mae_loss_single_sample_is_absolute_error(rng):
+def test_mae_loss_single_sample_is_absolute_error(rng, monkeypatch):
     model = _tiny_model()
     cfg = _config(loss="mae")
     wanted = np.array([[[[1.0], [3.0]]]])  # (B=1, 1 particle, Q=2, N=1)
-    batch = _batch_emitting(model, _windows(rng, q=2)[:1], cfg, wanted, [[[0.0], [5.0]]])
+    batch = _batch_emitting(model, _windows(rng, q=2)[:1], cfg, wanted, [[[0.0], [5.0]]], monkeypatch)
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), (1.0 + 2.0) / 2)
 
 
-def test_mae_loss_uses_particle_median(rng):
+def test_mae_loss_uses_particle_median(rng, monkeypatch):
     model = _tiny_model()
     cfg = _config(loss="mae")
     wanted = np.array([[[[0.0]], [[10.0]], [[1.0]]]])  # (B=1, 3 particles, Q=1, N=1)
-    batch = _batch_emitting(model, _windows(rng, q=1)[:1], cfg, wanted, [[[2.0]]])
+    batch = _batch_emitting(model, _windows(rng, q=1)[:1], cfg, wanted, [[[2.0]]], monkeypatch)
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), 1.0)  # median 1.0 vs target 2.0
     samples = ad.Var(wanted)
     ad.backward(train._loss("mae", batch, samples, None, None))
     np.testing.assert_array_equal(samples.grad.ravel(), [0.0, 0.0, -1.0])  # all of it to the middle sample
     # an even count: the mean of the two middle samples, and half the gradient to each
     wanted = np.array([[[[0.0]], [[10.0]], [[1.0]], [[4.0]]]])
-    batch = _batch_emitting(model, _windows(rng, q=1)[:1], cfg, wanted, [[[5.0]]])
+    batch = _batch_emitting(model, _windows(rng, q=1)[:1], cfg, wanted, [[[5.0]]], monkeypatch)
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), 2.5)  # median 2.5 vs target 5.0
     samples = ad.Var(wanted)
     loss = train._loss("mae", batch, samples, None, None)
@@ -142,9 +147,7 @@ def test_nll_loss_multiple_particles_mixes_before_log(rng):
 def _loss_batch(y_future, n_p):
     """A batch that holds only what the losses read: the (B, Q, N) targets, for ``n_p`` particles."""
     b_sz, _, n = y_future.shape
-    return train.BatchArrays(
-        y_hist=np.zeros((b_sz, 1, n)), y_future=y_future, z=None, window_ids=list(range(b_sz)), init=np.zeros((b_sz, n_p, 1)), dyn=None, meas=None
-    )
+    return train.BatchArrays(y_hist=np.zeros((b_sz, 1, n)), y_future=y_future, z=None, window_ids=list(range(b_sz)), n_particles=n_p, seed_key=(0,))
 
 
 def test_nll_loss_is_stable_with_particle_likelihoods_far_apart(rng):
@@ -281,6 +284,40 @@ def test_gradients_match_finite_differences_nll(rng):
     assert errs.max() < 1e-4
 
 
+@pytest.mark.parametrize("n_particles", [3, 4])
+def test_gradients_match_finite_differences_mae_median_weights(rng, n_particles):
+    # an odd count puts weight 1 on the middle sample, an even one 1/2 on each of the two middle samples
+    model = _tiny_model(sigma=0.05)
+    windows = _windows(rng, p=2, q=2)[:2]
+    cfg = _config(loss="mae", flow=FlowConfig(n_lambda=5), n_particles_train=n_particles, scheduled_sampling_tau=0.0)
+    errs, _ = _fd_check(model, windows, cfg, n_coords=100)
+    assert errs.max() < 1e-4
+
+
+def test_gradients_match_finite_differences_nll_state_dependent_std(rng):
+    # a non-zero C_gamma gives every particle its own std, so the std's VJP reaches every coordinate
+    model = _with_params(_tiny_model(sigma=0.05), C_gamma=np.array([[0.7, -0.4]]))
+    windows = _windows(rng, p=2, q=2)[:2]
+    cfg = _config(loss="nll", flow=FlowConfig(n_lambda=5), n_particles_train=3, scheduled_sampling_tau=0.0)
+    errs, _ = _fd_check(model, windows, cfg, n_coords=100)
+    assert errs.max() < 1e-4
+
+
+def test_batch_forward_replays_the_same_noise(rng):
+    # every pass over a batch seeds its windows' generators afresh: two
+    # passes, and the taped pass and its replays, see the same draws
+    model = _tiny_model(n_series=3, kind="graph_gru", d_z=2, seed=7)
+    graph = ssm_mod.Graph.from_weights(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    cfg = _config(loss="nll", n_particles_train=3)
+    batch = train.stack_batch(_windows(rng, n=3, p=5, q=3, period=12)[:4], model, 3, (4, 2))
+    first, second = (train.batch_forward(model.params, model, batch, cfg.flow, graph=graph) for _ in range(2))
+    for a, b in zip([first[0], *first[1], *first[2]], [second[0], *second[1], *second[2]]):
+        assert a.tobytes() == b.tobytes()
+    loss, _, trace = train.gradients(model, batch, cfg, graph=graph)
+    assert train.batch_loss(model, batch, cfg, graph=graph) == loss
+    assert train.batch_loss(model, batch, cfg, graph=graph, frozen_trace=trace) == loss
+
+
 def test_gradients_graph_model_and_covariates(rng):
     model = _tiny_model(n_series=3, kind="graph_gru", d_z=2, seed=7)
     graph = ssm_mod.Graph.from_weights(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
@@ -324,7 +361,7 @@ def _with_params(model, **replaced):
     return ssm_mod.ModelTheta(model.hyper, {**model.params, **replaced})
 
 
-def test_flow_solve_error_names_the_window(rng):
+def test_flow_solve_error_names_the_window(rng, monkeypatch):
     # a huge emission scale: the softplus noise std underflows to 0 (r = 0,
     # so S = diag(r) is singular at lambda = 0) where the particle mean is
     # negative, and only the middle window's particle is pushed there
@@ -332,7 +369,8 @@ def test_flow_solve_error_names_the_window(rng):
     windows = _windows(rng)[3:6]
     cfg = _config()
     batch = train.stack_batch(windows, model, 1, cfg.seed)
-    batch.init = np.array([[[1.0, 0.0]], [[-1.0, 0.0]], [[1.0, 0.0]]])
+    _, dyn, meas = noise.drawn(batch, model)
+    noise.serve(monkeypatch, np.array([[[1.0, 0.0]], [[-1.0, 0.0]], [[1.0, 0.0]]]), dyn, meas)
     want = r"^innovation covariance of window 4 is not positive definite at the closed-form flow \(lambda=0\) of encoder step 1$"
     with pytest.raises(FlowSolveError, match=want) as info:
         train.gradients(model, batch, cfg)  # the path fit takes
