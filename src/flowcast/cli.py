@@ -220,7 +220,8 @@ def cmd_train(args) -> int:
     print(f"trained {len(result.log)} epochs; best val loss {result.best_val:.6g} at epoch {result.best_epoch}")
     print(f"artifacts in {out_dir}: checkpoint.npz, training_log.csv, resolved_config.json")
     if result.diverged:
-        print("training diverged; checkpoint holds the last good parameters", file=sys.stderr)
+        cause = "" if result.cause is None else f" ({result.cause})"
+        print(f"training diverged{cause}; checkpoint holds the last good parameters", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

@@ -88,7 +88,7 @@ SCHEMA: dict = {
         "relinearize_every_step": Field(bool, default=False),
     },
     "train": {
-        "loss": Field(str, default="mae", **_one_of("mae", "nll")),
+        "loss": Field(str, default="nll", **_one_of("mae", "nll")),
         "lr": Field((int, float), default=0.01, **_POSITIVE),
         "milestones": Field(list, default=[20, 30, 40, 50], check=_epoch_list, check_msg="must be a list of epochs (integers >= 1)"),
         "lr_factor": Field((int, float), default=0.1, **_POSITIVE),

@@ -111,13 +111,12 @@ def edh_flow(
 ):
     """Transport B ensembles through the measurement update for ``y``.
 
-    ``particles`` is a (B, n_p, D) array, or a taped :class:`autodiff.Var`
-    whose gradient then flows through the composed affine map only;
-    ``h_mat`` is the constant (N, D) observation matrix and ``y`` the (B, N)
-    observations.  ``r`` gives the diagonal noise variances: an array that
-    broadcasts to (B, N), or a callable mapping the (B, D) running particle
-    means to them, read before the first step and, when
-    ``config.relinearize_every_step`` is set, before every step.
+    ``particles`` is a (B, n_p, D) array, ``h_mat`` the constant (N, D)
+    observation matrix and ``y`` the (B, N) observations.  ``r`` gives the
+    diagonal noise variances: an array that broadcasts to (B, N), or a
+    callable mapping the (B, D) running particle means to them, read before
+    the first step and, when ``config.relinearize_every_step`` is set,
+    before every step.
 
     Noise variances that stay fixed across pseudo-time (an array, or a
     callable read once at the starting means) take the diagonal path: one
@@ -126,26 +125,27 @@ def edh_flow(
     Relinearized ones take Euler steps, each inverting its ``S``.
 
     Returns the moved particles, plus a :class:`FlowTrace` when
-    ``return_trace`` is true.  ``encoder_step`` and ``window_ids`` (one per
-    ensemble) only label the errors: ``FlowSolveError`` when an innovation
-    covariance ``S`` is not positive definite (some noise variance is not
-    positive, or a relinearized ``S`` is not finite), ``FlowDivergedError``
-    when the flow map or a particle becomes non-finite.
+    ``return_trace`` is true: the map a training pass differentiates through
+    with :func:`autodiff.flow_map_vjp`.  ``encoder_step`` and ``window_ids``
+    (one per ensemble) only label the errors: ``FlowSolveError`` when an
+    innovation covariance ``S`` is not positive definite (some noise
+    variance is not positive, or a relinearized ``S`` is not finite),
+    ``FlowDivergedError`` when the flow map or a particle becomes non-finite.
     """
-    xv = ad.val(particles)
-    if xv.ndim != 3:
+    particles = np.asarray(particles, dtype=np.float64)
+    if particles.ndim != 3:
         raise DataError("particles must be a (B, n_particles, D) array")
-    b_sz, n_p, d = xv.shape
+    b_sz, n_p, d = particles.shape
     h_mat = np.array(h_mat, dtype=np.float64)  # a copy: the trace freezes H
     y = np.asarray(y, dtype=np.float64)
     n = h_mat.shape[0]
     if h_mat.shape != (n, d) or y.shape != (b_sz, n):
         raise DataError(f"need h_mat of shape (N, {d}) and y of shape ({b_sz}, N)")
-    mean0 = xv.mean(axis=1)
+    mean0 = particles.mean(axis=1)
     if n_p == 1:  # a single particle falls back to the prior P = scale * I, without jitter
         pht = np.broadcast_to(config.single_particle_prior_scale * h_mat.T, (b_sz, d, n))
     else:  # P = C^T C / n_p + jitter * I, applied to H^T without forming it
-        centered = xv - mean0[:, None, :]
+        centered = particles - mean0[:, None, :]
         # built as the contiguous (B, N, D) array H P, which the map multiplies by
         pht = np.swapaxes(np.swapaxes(centered @ h_mat.T, 1, 2) @ centered / n_p + config.jitter * h_mat, 1, 2)
     hph = h_mat @ pht  # (B, N, N)
@@ -170,8 +170,8 @@ def edh_flow(
         k_mat, k_vec = _fixed_noise_map(r_fixed, hph, half_y, half_innov, fail)
         moved = (0, 1.0)  # the one map takes them to lambda = 1
     x = ad.flow_map(particles, pht, h_mat, k_mat, k_vec)
-    if not np.isfinite(ad.val(x)).all():
-        row, particle = np.argwhere(~np.isfinite(ad.val(x)))[0][:2]
+    if not np.isfinite(x).all():
+        row, particle = np.argwhere(~np.isfinite(x))[0][:2]
         raise fail(FlowDivergedError, f"particle {particle}", "became non-finite after", row, *moved)
     if return_trace:
         return x, FlowTrace(mean0, pht, h_mat, k_mat, k_vec)

@@ -6,10 +6,11 @@ The latent state stacks one hidden vector of width ``d_x`` per series, so
 adjacency); emissions are linear with a state-dependent diagonal noise
 scale ``softplus(C_gamma x)``.
 
-Each recurrent cell runs as plain numpy on its input values; when handed
-``Var`` inputs during training it records one :mod:`flowcast.autodiff` tape
-node with a hand-derived VJP.  :func:`train.batch_forward` runs the
-transitions, the flow and the emissions over stacked windows.
+Each recurrent cell runs as plain numpy and returns its output with a
+hand-derived VJP, and :func:`transition_core` returns the next state with
+the VJP of its stacked cells; :func:`train.gradients` calls them in
+reverse.  :func:`train.batch_forward` runs the transitions, the flow and the
+emissions over stacked windows.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def init_model(*, n_series: int = 1, d_z: int = 0, **settings) -> ModelTheta:
 
 
 # ---------------------------------------------------------------------------
-# core dynamics (autodiff-transparent)
+# core dynamics
 # ---------------------------------------------------------------------------
 
 
@@ -186,7 +187,7 @@ def _conv(sources, weights) -> np.ndarray:
 
 
 def _gru_cell(u, h, params, layer: int, a_hat=None):
-    """One GRU layer step on the (..., N, F) node layout, as one tape node.
+    """One GRU layer step on the (..., N, F) node layout: the new state and its VJP.
 
     Gate g's pre-activation is ``(conv_u + conv_h) + b_g``.  In a GRU,
     ``conv_u = u W_g`` and ``conv_h = h U_g``; in a graph GRU (``a_hat``
@@ -194,32 +195,30 @@ def _gru_cell(u, h, params, layer: int, a_hat=None):
     ``(A h) Wh0 + h Wh1``.  The candidate ``c`` reads ``r ⊙ h`` for ``h``,
     and the new state is ``(1 - z) h + z c``.
 
-    The forward pass runs on the input values, product for product as the
-    composed tape ops ran it.  When any input is a Var the cell is one tape
-    node, and its hand-derived VJP gives the gradients of ``u``, ``h``,
-    ``a_hat`` and every gate weight and bias in one call.
+    ``vjp(g)`` gives, from the new state's ``g``, the gradients of ``u``,
+    ``h`` and ``a_hat`` (None without one) and a dict of every gate weight
+    and bias of the layer, by name.
     """
     if a_hat is None:
         names = {gate: ((f"l{layer}.W_{gate}",), (f"l{layer}.U_{gate}",)) for gate in GATES}
     else:
         names = {gate: tuple((f"l{layer}.{gate}.{w}0", f"l{layer}.{gate}.{w}1") for w in ("Wu", "Wh")) for gate in GATES}
-    w_u = {gate: [ad.val(params[name]) for name in names[gate][0]] for gate in GATES}
-    w_h = {gate: [ad.val(params[name]) for name in names[gate][1]] for gate in GATES}
-    uv, hv, av = ad.val(u), ad.val(h), None if a_hat is None else ad.val(a_hat)
+    w_u = {gate: [params[name] for name in names[gate][0]] for gate in GATES}
+    w_h = {gate: [params[name] for name in names[gate][1]] for gate in GATES}
 
     def sources(x):  # what one side's weights multiply: (A x, x) in a graph GRU, x alone in a GRU
-        return (x,) if av is None else (np.matmul(av, x), x)
+        return (x,) if a_hat is None else (np.matmul(a_hat, x), x)
 
     def pre(gate, states):
-        return (_conv(src_u, w_u[gate]) + _conv(states, w_h[gate])) + ad.val(params[f"l{layer}.b_{gate}"])
+        return (_conv(src_u, w_u[gate]) + _conv(states, w_h[gate])) + params[f"l{layer}.b_{gate}"]
 
-    src_u, src_h = sources(uv), sources(hv)
+    src_u, src_h = sources(u), sources(h)
     r, z = ad._sigmoid_np(pre("r", src_h)), ad._sigmoid_np(pre("z", src_h))
-    hr = r * hv
+    hr = r * h
     src_hr = sources(hr)
     c = np.tanh(pre("c", src_hr))
     keep = 1.0 - z  # the share of h kept, reused by the VJP
-    out = keep * hv + z * c
+    out = keep * h + z * c
 
     def to_sources(d_pre, gates, weights):  # the gradient of each source of one side, summed over the gates
         d_sources = []
@@ -230,40 +229,44 @@ def _gru_cell(u, h, params, layer: int, a_hat=None):
         return d_sources
 
     def unmix(d_sources):  # the gradient of x from those of its sources
-        return d_sources[0] if av is None else d_sources[1] + np.matmul(av.T, d_sources[0])
+        return d_sources[0] if a_hat is None else d_sources[1] + np.matmul(a_hat.T, d_sources[0])
 
     def vjp(g):
-        d_pre = {"c": (g * z) * (1.0 - c * c), "z": (g * (c - hv)) * (z * keep)}
+        d_pre = {"c": (g * z) * (1.0 - c * c), "z": (g * (c - h)) * (z * keep)}
         d_src_hr = to_sources(d_pre, "c", w_h)
         d_hr = unmix(d_src_hr)
-        d_pre["r"] = (d_hr * hv) * (r * (1.0 - r))
+        d_pre["r"] = (d_hr * h) * (r * (1.0 - r))
         d_src_h = to_sources(d_pre, "rz", w_h)
         d_h = (g * keep + d_hr * r) + unmix(d_src_h)
-        d_u = d_a = None
-        if isinstance(u, ad.Var) or isinstance(a_hat, ad.Var):
-            d_src_u = to_sources(d_pre, GATES, w_u)
-            d_u = unmix(d_src_u)
-        if isinstance(a_hat, ad.Var):  # (A u, A h, A (r ⊙ h)) against (u, h, r ⊙ h), over every axis but the node axis
+        d_src_u = to_sources(d_pre, GATES, w_u)
+        d_a = None
+        if a_hat is not None:  # (A u, A h, A (r ⊙ h)) against (u, h, r ⊙ h), over every axis but the node axis
             d_mixed = np.concatenate([d_src_u[0], d_src_h[0], d_src_hr[0]], axis=-1)
-            mixed = np.concatenate([uv, hv, hr], axis=-1)
+            mixed = np.concatenate([u, h, hr], axis=-1)
             d_a = ad._weight_grad(np.swapaxes(d_mixed, -1, -2), np.swapaxes(mixed, -1, -2))
         grads, ones = {}, np.ones(g.size // g.shape[-1])
         for gate in GATES:
             for k, side in enumerate((src_u, src_hr if gate == "c" else src_h)):
                 grads.update((name, ad._weight_grad(x, d_pre[gate])) for name, x in zip(names[gate][k], side))
             grads[f"l{layer}.b_{gate}"] = ones @ d_pre[gate].reshape(len(ones), -1)  # the sum over every row, as one product
-        return [d_u, d_h, d_a, *(grads[name] for name in param_names)]
+        return unmix(d_src_u), d_h, d_a, grads
 
-    param_names = [name for gate in GATES for name in (*names[gate][0], *names[gate][1], f"l{layer}.b_{gate}")]
-    return ad.fused(out, [u, h, a_hat, *(params[name] for name in param_names)], vjp)
+    return out, vjp
 
 
-def build_mixing(params, hyper: dict, graph: Optional[Graph]):
+def _learned_mixing(embed: np.ndarray) -> np.ndarray:
+    """The row softmax of relu(E E^T)."""
+    scores = np.maximum(ad._rows(embed, embed.T), 0.0)
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def build_mixing(params, hyper: dict, graph: Optional[Graph]) -> np.ndarray:
     """The row-stochastic node-mixing matrix used by graph dynamics.
 
     ``mixed`` averages the fixed row-normalized adjacency with a learned
     one (row-softmax of relu(E E^T)); ``fixed``/``adaptive`` use a single
-    term.  Returns a Var when the embedding participates and is a Var.
+    term.
     """
     mode = hyper["adjacency_mode"]
     if mode in ("mixed", "fixed"):
@@ -273,37 +276,64 @@ def build_mixing(params, hyper: dict, graph: Optional[Graph]):
             raise DataError("graph size does not match the number of series")
     if mode == "fixed":
         return graph.normalized
-    learned = ad.softmax_rows(ad.relu(ad.matmul(params["embed"], ad.transpose2(params["embed"]))))
+    learned = _learned_mixing(params["embed"])
     if mode == "adaptive":
         return learned
-    return ad.add(ad.mul(0.5, graph.normalized), ad.mul(0.5, learned))
+    return 0.5 * graph.normalized + 0.5 * learned
+
+
+def mixing_vjp(embed: np.ndarray, mode: str, g: np.ndarray) -> np.ndarray:
+    """The gradient of ``embed`` from the mixing matrix's ``g`` (``mode`` adaptive or mixed).
+
+    The softmax's rows ``s`` take ``s ⊙ (g - <g, s>)``; relu passes the
+    positive scores; and ``E E^T`` gives ``G E + G^T E``.
+    """
+    d_learned = g if mode == "adaptive" else 0.5 * g
+    learned = _learned_mixing(embed)
+    d_scores = learned * (d_learned - np.sum(d_learned * learned, axis=-1, keepdims=True))
+    d_scores = d_scores * (ad._rows(embed, embed.T) > 0.0)
+    return d_scores @ embed + d_scores.T @ embed
 
 
 def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None):
-    """Deterministic part of the state transition.
+    """Deterministic part of the state transition, and its VJP.
 
     ``x_prev``: (..., D) states; ``y_prev``: (..., N) previous observations;
     ``z_t``: (..., d_z) covariates, or None.  Both cells run on the
-    (..., N, d_x) node layout and return the (..., D) pre-noise next state.
-    Works on Vars or arrays.
+    (..., N, d_x) node layout.  Returns the (..., D) pre-noise next state and
+    ``vjp``: from the next state's ``g``, ``vjp(g)`` gives the gradients of
+    ``x_prev``, ``y_prev`` and ``mixing`` (None for a GRU) and a dict of
+    every layer's weights by name.
     """
     n = int(hyper["n_series"])
     d_x = int(hyper["d_x"])
     d_z = int(hyper.get("d_z", 0))
-    lead = ad.val(x_prev).shape[:-1]
-    h = ad.reshape(x_prev, lead + (n, d_x))
-    u = ad.reshape(y_prev, lead + (n, 1))
+    lead = x_prev.shape[:-1]
+    h = x_prev.reshape(lead + (n, d_x))
+    u = y_prev.reshape(lead + (n, 1))
     if d_z:
         if z_t is None:
             raise DataError("the model expects covariates (d_z > 0) but z_t is None")
         z = np.asarray(z_t, dtype=np.float64)
         if z.shape != lead + (d_z,):
             raise DataError(f"z_t must have shape {lead + (d_z,)}")
-        u = ad.concat([u, np.broadcast_to(z[..., None, :], lead + (n, d_z))], axis=-1)
+        u = np.concatenate([u, np.broadcast_to(z[..., None, :], lead + (n, d_z))], axis=-1)
     a_hat = mixing if hyper["kind"] == "graph_gru" else None
+    cells = []
     for layer in range(int(hyper["layers"])):
-        u = _gru_cell(u, h, params, layer, a_hat)
-    return ad.reshape(u, lead + (n * d_x,))
+        u, cell_vjp = _gru_cell(u, h, params, layer, a_hat)
+        cells.append(cell_vjp)
+
+    def vjp(g):
+        d_u, d_h, d_a, grads = g.reshape(lead + (n, d_x)), None, None, {}
+        for cell_vjp in reversed(cells):  # every layer reads the same state h
+            d_u, d_h_layer, d_a_layer, layer_grads = cell_vjp(d_u)
+            d_h = d_h_layer if d_h is None else d_h + d_h_layer
+            d_a = d_a_layer if d_a is None else d_a + d_a_layer
+            grads.update(layer_grads)
+        return d_h.reshape(x_prev.shape), d_u[..., 0], d_a, grads
+
+    return u.reshape(lead + (n * d_x,)), vjp
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Training: losses, reverse-mode gradients, and the SGD fit loop.
 
-The gradient path records one tape over a whole minibatch (windows
-stacked on a leading axis) and differentiates the sampled forecast
-pipeline end to end — through transitions, emissions, the sampled decoder
-feedback and the flow's affine map.  The flow *coefficients* (the frozen
-ensemble moments, H, and the map K, k composed from S^-1, beta and the
-noise variances) are treated as constants: gradients do not flow into
-them, and the recorded trace can be replayed so finite-difference checks
-differentiate exactly the same function.  Forecasting runs the same
-:func:`batch_forward` on plain parameter arrays.
+The gradient path runs one forward pass over a whole minibatch (windows
+stacked on a leading axis), keeping each step's VJP, then walks those steps
+in reverse by hand: it differentiates the sampled forecast pipeline end to
+end — through transitions, emissions, the sampled decoder feedback and the
+flow's affine map.  The flow *coefficients* (the frozen ensemble moments,
+H, and the map K, k composed from S^-1, beta and the noise variances) are
+treated as constants: gradients do not flow into them, and the recorded
+trace can be replayed so finite-difference checks differentiate exactly the
+same function.  Validation and forecasting run the same
+:func:`batch_forward`, keeping nothing for a reverse pass.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ class TrainResult:
     best_val: float
     stopped_early: bool = False
     diverged: bool = False
+    cause: Optional[str] = None  # the message of the NumericError that ended a diverged fit
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +180,12 @@ def _draw(rngs, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the batched forward pass (tape-transparent)
+# the batched forward pass
 # ---------------------------------------------------------------------------
 
 
 def batch_forward(
-    params: Dict[str, object],
+    params: Dict[str, np.ndarray],
     model: ssm_mod.ModelTheta,
     batch: BatchArrays,
     flow_config: flow_mod.FlowConfig,
@@ -211,38 +213,43 @@ def batch_forward(
     Q decoder transitions and the Q measurement draws.  So every call on a
     batch sees the same noise, and the stack holds no transition draws.
 
-    ``params`` maps parameter names to Vars (training) or arrays
-    (inference).  Returns ``(samples, means, stds, trace)``: the (B, n_p,
-    Q, N) samples, the per-step (B, n_p, N) emission means and stds, and
-    the flow traces (one :class:`flow.FlowTrace` per encoder step, kept
-    when ``collect_trace`` is set or a ``frozen_trace`` is replayed).
+    ``params`` maps parameter names to arrays.  Returns ``(samples, means,
+    stds, trace, steps)``: the (B, n_p, Q, N) samples, the per-step (B, n_p,
+    N) emission means and stds, the flow traces (one
+    :class:`flow.FlowTrace` per encoder step, kept when ``collect_trace``
+    is set or a ``frozen_trace`` is replayed), and, when ``collect_trace``
+    is set, what :func:`gradients` reads to run the steps in reverse
+    (None otherwise): ``(init, transitions, emissions)``, the time-1 draw,
+    each transition's VJP and draw from time 2 on, and each decoder step's
+    state, emission-std pre-activation and measurement draw.
     """
     hyper = model.hyper
     b_sz, p_steps, q_steps, n = batch.sizes
     n_p, d = batch.n_particles, model.state_dim
     rngs = [np.random.default_rng(np.random.SeedSequence((*batch.seed_key, int(w)))) for w in batch.window_ids]
     block = max(1, CHUNK_ROWS // (b_sz * n_p))  # encoder transitions per draw
-    w_phi_t = ad.transpose2(params["W_phi"])
-    c_gamma_t = ad.transpose2(params["C_gamma"])
-    w_phi_val = ad.val(params["W_phi"])
-    c_gamma_val = ad.val(params["C_gamma"])
+    w_phi, c_gamma = params["W_phi"], params["C_gamma"]
     mixing = None
     if hyper["kind"] == "graph_gru":
         mixing = ssm_mod.build_mixing(params, hyper, graph)
     # every particle of a window sees the window's history and covariates: (B, n_p, time, ...) views
     y_hist = np.broadcast_to(batch.y_hist[:, None], (b_sz, n_p) + batch.y_hist.shape[1:])
     z = None if batch.z is None else np.broadcast_to(batch.z[:, None], (b_sz, n_p) + batch.z.shape[1:])
+    transitions, emissions = [], []
 
     def step_transition(x, y_prev, t_index, dyn_noise):  # the transition into (1-based) time t
-        out = ssm_mod.transition_core(params, hyper, x, y_prev, None if z is None else z[:, :, t_index - 1], mixing=mixing)
-        return ad.add(out, ad.mul(params["sigma"], dyn_noise))
+        out, vjp = ssm_mod.transition_core(params, hyper, x, y_prev, None if z is None else z[:, :, t_index - 1], mixing=mixing)
+        if collect_trace:
+            transitions.append((vjp, dyn_noise))
+        return out + params["sigma"] * dyn_noise
 
     # ---- encoder: assimilate the history -------------------------------
     def noise_var(means):  # emission variances at the running particle means
-        std = np.logaddexp(0.0, means @ c_gamma_val.T)
+        std = np.logaddexp(0.0, means @ c_gamma.T)
         return std * std
 
-    x = ad.mul(params["rho"], _draw(rngs, (1, n_p, d))[0])  # (B, n_p, D)
+    init = _draw(rngs, (1, n_p, d))[0]
+    x = params["rho"] * init  # (B, n_p, D)
     trace: List[flow_mod.FlowTrace] = []
     for t in range(1, p_steps + 1):
         if t > 1:
@@ -252,12 +259,12 @@ def batch_forward(
             x = step_transition(x, y_hist[:, :, t - 2], t, dyn[j])
         if frozen_trace is None:
             y_t = batch.y_hist[:, t - 1, :]
-            x, flow_trace = flow_mod.edh_flow(x, w_phi_val, y_t, noise_var, flow_config, return_trace=True, encoder_step=t, window_ids=batch.window_ids)
+            x, flow_trace = flow_mod.edh_flow(x, w_phi, y_t, noise_var, flow_config, return_trace=True, encoder_step=t, window_ids=batch.window_ids)
         else:  # replay the map the flow composed, with everything it froze, H included
             flow_trace = frozen_trace[t - 1]
             x = ad.flow_map(x, flow_trace.pht, flow_trace.h_mat, flow_trace.k_mat, flow_trace.k_vec)
-            if not np.isfinite(ad.val(x)).all():
-                row, particle = np.argwhere(~np.isfinite(ad.val(x)))[0][:2]
+            if not np.isfinite(x).all():
+                row, particle = np.argwhere(~np.isfinite(x))[0][:2]
                 where = f"window {batch.window_ids[row]} became non-finite during the frozen flow replay of encoder step {t}"
                 raise flow_mod.FlowDivergedError(f"particle {particle} of {where}", batch.window_ids[row], t)
         if collect_trace or frozen_trace is not None:
@@ -277,44 +284,53 @@ def batch_forward(
             y_in = sample_steps[-1]
             if ss_mask is not None:
                 mask = ss_mask[:, k - 2, None, None].astype(np.float64)  # (B, 1, 1)
-                y_in = ad.add(mask * batch.y_future[:, None, k - 2], ad.mul(1.0 - mask, y_in))
+                y_in = mask * batch.y_future[:, None, k - 2] + (1.0 - mask) * y_in
         x = step_transition(x, y_in, t, dyn[k - 1])
-        mean = ad.matmul(x, w_phi_t)
-        std = ad.softplus(ad.matmul(x, c_gamma_t))
-        sample_steps.append(mean if noiseless else ad.add(mean, ad.mul(std, meas[k - 1])))
+        mean = ad._rows(x, w_phi.T)
+        pre = ad._rows(x, c_gamma.T)
+        std = np.logaddexp(0.0, pre)
+        sample_steps.append(mean if noiseless else mean + std * meas[k - 1])
         mean_steps.append(mean)
         std_steps.append(std)
+        if collect_trace:
+            emissions.append((x, pre, meas[k - 1]))
 
-    samples = ad.stack(sample_steps, axis=2) if q_steps else np.zeros((b_sz, n_p, 0, n))
-    return samples, mean_steps, std_steps, trace
+    samples = np.stack(sample_steps, axis=2) if q_steps else np.zeros((b_sz, n_p, 0, n))
+    return samples, mean_steps, std_steps, trace, (init, transitions, emissions) if collect_trace else None
 
 
 def _loss(kind: str, batch: BatchArrays, samples, means, stds):
-    """MAE of the particle median, or the NLL of the targets under the per-step particle mixture, as one tape node.
+    """MAE of the particle median, or the NLL of the targets under the per-step particle mixture, and its VJP.
 
-    The median weighs the samples by 1 on the middle one, or 1/2 on each of
-    the two middle ones, placed from a stable argsort: sample j's gradient is
-    ``weight_j sign(err) g / err.size``.  The NLL averages over windows the
-    sum over steps of ``-log mean_j exp(ll_j)``, where ``ll_j = -sum(z^2 / 2 +
-    log s) - N log(2 pi) / 2`` and ``z = (y - mean_j) / s``: particle j's
-    mean and std get its share of the mixture times ``z / s`` and ``(z^2 -
-    1) / s``, times ``-g / B``.
+    ``vjp()`` gives the loss's gradients of the samples, the means and the
+    stds, each a list of Q (B, n_p, N) arrays (or 0.0 for what the loss does
+    not read).  The median weighs the samples by 1 on the middle one, or 1/2
+    on each of the two middle ones, placed from a stable argsort: sample j's
+    gradient is ``weight_j sign(err) / err.size``.  The NLL averages over
+    windows the sum over steps of ``-log mean_j exp(ll_j)``, where ``ll_j =
+    -sum(z^2 / 2 + log s) - N log(2 pi) / 2`` and ``z = (y - mean_j) / s``:
+    particle j's mean and std get its share of the mixture times ``z / s``
+    and ``(z^2 - 1) / s``, times ``-1 / B``.
     """
     b_sz, _, q_steps, n = batch.sizes
     if q_steps == 0:
         raise DataError("training windows need target rows")
     n_p = batch.n_particles
+    absent = [0.0] * q_steps
     if kind == "mae":
-        vals = ad.val(samples)
-        middle = np.argsort(vals, axis=1, kind="stable")[:, (n_p - 1) // 2 : n_p // 2 + 1]  # one index, or two
-        weights = np.zeros_like(vals)
+        middle = np.argsort(samples, axis=1, kind="stable")[:, (n_p - 1) // 2 : n_p // 2 + 1]  # one index, or two
+        weights = np.zeros_like(samples)
         np.put_along_axis(weights, middle, 1.0 / middle.shape[1], axis=1)
-        err = (weights * vals).sum(axis=1) - batch.y_future
-        return ad.fused(np.abs(err).mean(), [samples], lambda g: [np.expand_dims(g / err.size * np.sign(err), 1) * weights])
+        err = (weights * samples).sum(axis=1) - batch.y_future
+
+        def mae_vjp():
+            d_samples = np.expand_dims(1.0 / err.size * np.sign(err), 1) * weights
+            return [d_samples[:, :, k] for k in range(q_steps)], absent, absent
+
+        return np.abs(err).mean(), mae_vjp
     per_window, steps = None, []
-    for k, (mean, std) in enumerate(zip(means, stds)):
-        s = ad.val(std)
-        zsc = (batch.y_future[:, k, None, :] - ad.val(mean)) / s
+    for k, (mean, s) in enumerate(zip(means, stds)):
+        zsc = (batch.y_future[:, k, None, :] - mean) / s
         ll = -(0.5 * (zsc * zsc) + np.log(s)).sum(axis=2) - 0.5 * n * _LOG_2PI  # (B, n_p)
         top = np.max(ll, axis=1, keepdims=True)  # log-sum-exp over the particles, shifted by the largest
         shifted = np.exp(ll - top)
@@ -323,12 +339,12 @@ def _loss(kind: str, batch: BatchArrays, samples, means, stds):
         per_window = lme if per_window is None else per_window + lme
         steps.append((zsc, s, shifted / total))
 
-    def vjp(g):
-        scaled = [(-g / b_sz * share)[:, :, None] for _, _, share in steps]
+    def nll_vjp():
+        scaled = [(-1.0 / b_sz * share)[:, :, None] for _, _, share in steps]
         d_means = [w * zsc / s for w, (zsc, s, _) in zip(scaled, steps)]
-        return d_means + [w * (zsc * zsc - 1.0) / s for w, (zsc, s, _) in zip(scaled, steps)]
+        return absent, d_means, [w * (zsc * zsc - 1.0) / s for w, (zsc, s, _) in zip(scaled, steps)]
 
-    return ad.fused(-per_window.mean(), [*means, *stds], vjp)
+    return -per_window.mean(), nll_vjp
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +359,19 @@ def gradients(
     graph: Optional[ssm_mod.Graph] = None,
     ss_mask: Optional[np.ndarray] = None,
 ):
-    """Loss and named parameter gradients for one minibatch.
+    """Loss and named parameter gradients for one minibatch: one reverse pass over the steps :func:`batch_forward` ran.
 
-    Flow coefficients are computed from parameter *values* and held
-    constant; everything else (transitions, emissions, sampled feedback,
-    the affine flow map, the loss) is differentiated exactly.
+    The decoder runs from step Q down to 1: the loss's gradients, the
+    emissions ``x W_phi^T`` and ``softplus(x C_gamma^T)``, the sampled
+    feedback (where ``ss_mask`` fed the truth instead, nothing flows
+    back), the cells, and ``sigma`` times the draw.  The encoder then runs
+    from step P down to 1: each flow's affine map, with its coefficients
+    (computed from parameter *values*) held constant, then the cells.  Last
+    come ``rho`` times the time-1 draw and the mixing matrix's embedding.
     Returns (loss value, dict of gradients, flow traces).
     """
-    params = {name: ad.Var(arr) for name, arr in model.params.items()}
-    samples, means, stds, trace = batch_forward(
+    params = model.params
+    samples, means, stds, trace, (init, transitions, emissions) = batch_forward(
         params,
         model,
         batch,
@@ -360,12 +380,45 @@ def gradients(
         ss_mask=ss_mask,
         collect_trace=True,
     )
-    loss = _loss(config.loss, batch, samples, means, stds)
-    ad.backward(loss)
-    grads = {}
-    for name, var in params.items():
-        grads[name] = var.grad if var.grad is not None else np.zeros_like(var.value)
-    return float(ad.val(loss)), grads, trace
+    loss, loss_vjp = _loss(config.loss, batch, samples, means, stds)
+    d_samples, d_means, d_stds = loss_vjp()
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    d_mixing = None
+
+    def back_through_transition(g, vjp, dyn_noise):  # the gradients of the previous state and of the value fed in
+        nonlocal d_mixing
+        grads["sigma"] += np.sum(g * dyn_noise)
+        d_x, d_y, d_a, cell_grads = vjp(g)
+        for name, value in cell_grads.items():
+            grads[name] += value
+        d_mixing = d_a if d_mixing is None else d_mixing + d_a
+        return d_x, d_y
+
+    # ---- decoder, step Q down to 1 ----------------------------------------
+    p_steps = len(trace)
+    g_x, d_fed = 0.0, 0.0  # from the later steps: the state's gradient, and that of the sample the next step fed in
+    for k in reversed(range(len(emissions))):
+        x, pre, meas = emissions[k]
+        d_sample = d_samples[k] + d_fed
+        d_mean = d_means[k] + d_sample
+        d_pre = (d_stds[k] + d_sample * meas) * ad._sigmoid_np(pre)
+        grads["W_phi"] += ad._weight_grad(x, d_mean).T
+        grads["C_gamma"] += ad._weight_grad(x, d_pre).T
+        g_x = g_x + ad._rows(d_mean, params["W_phi"]) + ad._rows(d_pre, params["C_gamma"])
+        g_x, d_fed = back_through_transition(g_x, *transitions[p_steps - 1 + k])
+        if ss_mask is not None and k > 0:
+            d_fed = (1.0 - ss_mask[:, k - 1, None, None].astype(np.float64)) * d_fed
+
+    # ---- encoder, step P down to 1 ----------------------------------------
+    for t in range(p_steps, 0, -1):
+        flow_trace = trace[t - 1]
+        g_x = ad.flow_map_vjp(g_x, flow_trace.pht, flow_trace.h_mat, flow_trace.k_mat)
+        if t > 1:
+            g_x, _ = back_through_transition(g_x, *transitions[t - 2])
+    grads["rho"] += np.sum(g_x * init)
+    if "embed" in grads:
+        grads["embed"] += ssm_mod.mixing_vjp(params["embed"], model.hyper["adjacency_mode"], d_mixing)
+    return float(loss), grads, trace
 
 
 def batch_loss(
@@ -377,10 +430,10 @@ def batch_loss(
     ss_mask: Optional[np.ndarray] = None,
     frozen_trace: Optional[list] = None,
 ) -> float:
-    """Plain (un-taped) batch loss, optionally at replaced parameter values."""
+    """The batch loss without gradients, optionally at replaced parameter values."""
     params = model.params if values is None else values
-    samples, means, stds, _ = batch_forward(params, model, batch, config.flow, graph=graph, ss_mask=ss_mask, frozen_trace=frozen_trace)
-    return float(ad.val(_loss(config.loss, batch, samples, means, stds)))
+    samples, means, stds, _, _ = batch_forward(params, model, batch, config.flow, graph=graph, ss_mask=ss_mask, frozen_trace=frozen_trace)
+    return float(_loss(config.loss, batch, samples, means, stds)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +502,8 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
 
     Returns the best-validation checkpoint.  A non-finite loss or a
     ``NumericError``, in a training step or the validation pass, aborts and
-    returns the best checkpoint so far (flagged in the result and the log).
+    returns the best checkpoint so far (flagged in the result and the log;
+    the error's message is the result's ``cause``).
     """
     if not dataset.train_windows:
         raise DataError("the training split has no windows")
@@ -470,6 +524,7 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
     iteration = 0
     stale = 0
     diverged = False
+    cause = None
     stopped_early = False
 
     n_train = len(dataset.train_windows)
@@ -489,11 +544,11 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
                 ss_mask = rng.uniform(size=(len(windows), q_steps - 1)) < p_truth
             try:
                 loss, grads, _ = gradients(model, batch, config, graph=graph, ss_mask=ss_mask)
-            except NumericError:
+            except NumericError as exc:
                 # A singular flow solve or non-finite intermediate means the
                 # parameters have left the numerically stable region; treat it
                 # like a non-finite loss and fall back to the best checkpoint.
-                diverged = True
+                diverged, cause = True, str(exc)
                 break
             if not math.isfinite(loss):
                 diverged = True
@@ -512,8 +567,8 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
             break
         try:
             val_loss = evaluate_loss(model, dataset.val_windows, config, graph=graph)
-        except NumericError:
-            val_loss = math.nan  # handled below like a non-finite validation loss
+        except NumericError as exc:
+            val_loss, cause = math.nan, str(exc)  # handled below like a non-finite validation loss
         seconds = time.perf_counter() - t0
         note = ""
         if math.isfinite(val_loss) and val_loss < best_val:
@@ -549,6 +604,7 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
         best_val=best_val,
         stopped_early=stopped_early,
         diverged=diverged,
+        cause=cause,
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from flowcast import flow as flow_mod
 from flowcast import ssm as ssm_mod
 from flowcast import train as train_mod
-from flowcast.errors import FlowDivergedError
+from flowcast.errors import FlowDivergedError, FlowSolveError
 
 # pytest puts src/ on its own sys.path (pyproject's `pythonpath`); the tests
 # that run `python -m flowcast` in a subprocess need it on the child's path too
@@ -65,3 +65,15 @@ def second_validation_diverges(monkeypatch):
 
     # fit calls evaluate_loss through the module global
     monkeypatch.setattr(train_mod, "evaluate_loss", failing_on_second_call)
+
+
+@pytest.fixture
+def training_step_fails(monkeypatch):
+    """Make every ``train.gradients`` call raise the error a singular first flow solve in window 4 raises."""
+
+    def failing(*args, **kwargs):
+        message = "innovation covariance of window 4 is not positive definite at the closed-form flow (lambda=0) of encoder step 1"
+        raise FlowSolveError(message, 4, 1, 1, 0.0)
+
+    # fit calls gradients through the module global
+    monkeypatch.setattr(train_mod, "gradients", failing)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 # named by the benchmark but deleted from the code; a later benchmark refresh renames them
 STALE = {
+    "autodiff.backward",
     "autodiff.flow_step",
     "ssm.make_window_noise",
     "flow.edh_coefficients",

@@ -1,9 +1,10 @@
-"""The recurrent cells as single tape nodes against their composed reference.
+"""The recurrent cells' hand-derived VJPs against their plain composition.
 
-``ssm._gru_cell`` runs a GRU or graph-GRU layer step on plain arrays and
-records one node with a hand-derived VJP.  ``reference_cells`` holds the same
-cells composed of tape ops, as they ran before; the forward values must be
-bit for bit theirs, and every gradient theirs to rounding.
+``ssm._gru_cell`` runs a GRU or graph-GRU layer step and returns it with its
+VJP: each cell is one node of the reverse pass, whose one VJP call gives
+the gradients of all its inputs.  ``reference_cells`` holds the same cells
+as plain numpy steps: the forward values must be bit for bit theirs, and
+every gradient must match central differences of them.
 """
 
 import itertools
@@ -12,18 +13,17 @@ import numpy as np
 import pytest
 
 import reference_cells
-from gradient_probe import dot
-from flowcast import autodiff as ad
 from flowcast import data as data_mod
 from flowcast import ssm
 from flowcast import train
 from flowcast.flow import FlowConfig
 
-GRAD_RTOL = 1e-12
+FD_STEP = 1e-6
+FD_RTOL = 1e-6  # central differences of these O(1) sums are good to about 1e-9
 
 CASES = [
-    (kind, layers, d_z, mode, n_p, u_taped)
-    for kind, layers, d_z, n_p, u_taped in itertools.product(("gru", "graph_gru"), (1, 2), (0, 2), (1, 3), (False, True))
+    (kind, layers, d_z, mode, n_p, feedback)
+    for kind, layers, d_z, n_p, feedback in itertools.product(("gru", "graph_gru"), (1, 2), (0, 2), (1, 3), (False, True))
     for mode in (("fixed", "adaptive", "mixed") if kind == "graph_gru" else ("mixed",))
 ]
 
@@ -38,52 +38,72 @@ def _model(kind, layers, d_z, mode, seed=0):
     return model, graph
 
 
-def _transition(cell, monkeypatch, model, graph, x0, y0, z, u_taped, g):
-    """``transition_core`` run with ``cell``, taped; its output and every input's gradient of ``sum(out * g)``."""
-    monkeypatch.setattr(ssm, "_gru_cell", cell)
-    params = {name: ad.Var(value) for name, value in model.params.items()}
-    x = ad.Var(x0)
-    y = ad.Var(y0) if u_taped else y0  # decoder feedback is taped, the history is not
-    mixing = ssm.build_mixing(params, model.hyper, graph) if model.hyper["kind"] == "graph_gru" else None
-    out = ssm.transition_core(params, model.hyper, x, y, z, mixing=mixing)
-    ad.backward(dot(out, g))
-    grads = {name: var.grad for name, var in params.items() if var.grad is not None}
-    grads["x"] = x.grad
-    if u_taped:
-        grads["y"] = y.grad
-    return out.value, grads
+def _central_differences(f, inputs, names):
+    """Central differences of the scalar ``f(inputs)`` in every coordinate of each named entry of ``inputs``."""
+    fd = {}
+    for name in names:
+        value = inputs[name]
+        fd[name] = np.zeros_like(value)
+        for idx in np.ndindex(value.shape):
+            hi, lo = value.copy(), value.copy()
+            hi[idx] += FD_STEP
+            lo[idx] -= FD_STEP
+            fd[name][idx] = (f({**inputs, name: hi}) - f({**inputs, name: lo})) / (2 * FD_STEP)
+    return fd
 
 
-@pytest.mark.parametrize("kind, layers, d_z, mode, n_p, u_taped", CASES)
-def test_cell_node_matches_the_composed_cell(monkeypatch, kind, layers, d_z, mode, n_p, u_taped):
+def _assert_matches(got, want):
+    assert got.keys() == want.keys()
+    for name, fd in want.items():
+        scale = np.max(np.abs(fd))
+        assert scale > 0, name
+        assert np.max(np.abs(got[name] - fd)) <= FD_RTOL * scale, name
+
+
+@pytest.mark.parametrize("kind, layers, d_z, mode, n_p, feedback", CASES)
+def test_cell_node_matches_the_composed_cell(monkeypatch, kind, layers, d_z, mode, n_p, feedback):
+    # transition_core's output against the composed cells', bit for bit, and
+    # its VJP against central differences of sum(out * g) through them, in
+    # the state, every weight, the mixing matrix and, where the decoder feeds
+    # its own sample back (``feedback``), the fed-in value
     model, graph = _model(kind, layers, d_z, mode)
     rng = np.random.default_rng(7)
     lead = (2, n_p)
-    x0, y0 = rng.standard_normal(lead + (model.state_dim,)), rng.standard_normal(lead + (4,))
+    inputs = {"x": rng.standard_normal(lead + (model.state_dim,)), "y": rng.standard_normal(lead + (4,)), **model.params}
     z = rng.standard_normal(lead + (d_z,)) if d_z else None
+    if kind == "graph_gru":
+        inputs["mixing"] = ssm.build_mixing(model.params, model.hyper, graph)
     g = rng.standard_normal(lead + (model.state_dim,))
-    got, got_grads = _transition(ssm._gru_cell, monkeypatch, model, graph, x0, y0, z, u_taped, g)
-    want, want_grads = _transition(reference_cells.cell, monkeypatch, model, graph, x0, y0, z, u_taped, g)
-    np.testing.assert_array_equal(got, want)
-    assert got_grads.keys() == want_grads.keys()
-    for name, want_grad in want_grads.items():
-        scale = np.max(np.abs(want_grad))
-        assert scale > 0, name
-        assert np.max(np.abs(got_grads[name] - want_grad)) <= GRAD_RTOL * scale, name
+
+    def transition(values):
+        return ssm.transition_core(values, model.hyper, values["x"], values["y"], z, mixing=values.get("mixing"))
+
+    out, vjp = transition(inputs)
+    d_x, d_y, d_mixing, grads = vjp(g)
+    got = {"x": d_x, **grads}
+    if feedback:
+        got["y"] = d_y
+    if kind == "graph_gru":
+        got["mixing"] = d_mixing
+    else:
+        assert d_mixing is None
+    monkeypatch.setattr(ssm, "_gru_cell", reference_cells.cell)
+    np.testing.assert_array_equal(out, transition(inputs)[0])
+    _assert_matches(got, _central_differences(lambda values: float(np.sum(transition(values)[0] * g)), inputs, got))
 
 
 def test_cell_is_one_node_over_its_inputs(rng):
+    # one call of the cell's VJP gives the gradient of every input: u, h, the mixing matrix and each weight of the layer
     model, graph = _model("graph_gru", 1, 0, "mixed")
-    params = {name: ad.Var(value) for name, value in model.params.items()}
-    mixing = ssm.build_mixing(params, model.hyper, graph)
-    u, h = ad.Var(rng.standard_normal((2, 4, 1))), ad.Var(rng.standard_normal((2, 4, 3)))
-    out = ssm._gru_cell(u, h, params, 0, mixing)
-    parents = [parent for parent, _ in out._parents]
-    weights = [params[name] for name in ssm.param_shapes(model.hyper) if name.startswith("l0.")]
-    assert len(parents) == 3 + len(weights)
-    assert {id(p) for p in parents} == {id(v) for v in [u, h, mixing, *weights]}
-    # plain inputs give a plain array
-    assert isinstance(ssm._gru_cell(u.value, h.value, model.params, 0, ad.val(mixing)), np.ndarray)
+    mixing = ssm.build_mixing(model.params, model.hyper, graph)
+    u, h = rng.standard_normal((2, 4, 1)), rng.standard_normal((2, 4, 3))
+    out, vjp = ssm._gru_cell(u, h, model.params, 0, mixing)
+    d_u, d_h, d_a, grads = vjp(rng.standard_normal(out.shape))
+    assert (d_u.shape, d_h.shape, d_a.shape) == (u.shape, h.shape, mixing.shape)
+    assert sorted(grads) == sorted(name for name in ssm.param_shapes(model.hyper) if name.startswith("l0."))
+    assert all(grads[name].shape == model.params[name].shape for name in grads)
+    gru = _model("gru", 1, 0, "mixed")[0]
+    assert ssm._gru_cell(u, h, gru.params, 0)[1](rng.standard_normal(out.shape))[2] is None  # a GRU has no mixing
 
 
 def test_cell_weight_gradients_match_central_differences(rng):
@@ -94,20 +114,23 @@ def test_cell_weight_gradients_match_central_differences(rng):
     names = [name for name in ssm.param_shapes(model.hyper) if name.startswith("l0.")]
 
     def loss(values):
-        return float(np.sum(ad.val(ssm._gru_cell(u, h, {**model.params, **values}, 0, a_hat)) * g))
+        return float(np.sum(ssm._gru_cell(u, h, values, 0, a_hat)[0] * g))
 
-    params = {name: ad.Var(model.params[name]) for name in names}
-    ad.backward(dot(ssm._gru_cell(u, h, {**model.params, **params}, 0, a_hat), g))
-    eps = 1e-6
-    for name in names:
-        value = model.params[name]
-        want = np.zeros_like(value)
-        for idx in np.ndindex(value.shape):
-            hi, lo = value.copy(), value.copy()
-            hi[idx] += eps
-            lo[idx] -= eps
-            want[idx] = (loss({name: hi}) - loss({name: lo})) / (2 * eps)
-        np.testing.assert_allclose(params[name].grad, want, rtol=1e-6, atol=1e-8, err_msg=name)
+    grads = ssm._gru_cell(u, h, model.params, 0, a_hat)[1](g)[3]
+    _assert_matches(grads, _central_differences(loss, model.params, names))
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "mixed"])
+def test_mixing_vjp_matches_central_differences(rng, mode):
+    model, graph = _model("graph_gru", 1, 0, mode)
+    model.params["embed"] = 0.3 * rng.standard_normal(model.params["embed"].shape)  # off the softmax's saturation
+    g = rng.standard_normal((4, 4))
+
+    def loss(values):
+        return float(np.sum(ssm.build_mixing(values, model.hyper, graph) * g))
+
+    got = {"embed": ssm.mixing_vjp(model.params["embed"], mode, g)}
+    _assert_matches(got, _central_differences(loss, model.params, ["embed"]))
 
 
 @pytest.mark.parametrize("kind, layers", [("gru", 1), ("gru", 2), ("graph_gru", 1), ("graph_gru", 2)])
@@ -120,7 +143,7 @@ def test_batch_forward_on_plain_arrays_is_the_composed_cells_bit_for_bit(monkeyp
     runs = []
     for cell in (ssm._gru_cell, reference_cells.cell):
         monkeypatch.setattr(ssm, "_gru_cell", cell)
-        samples, means, stds, _ = train.batch_forward(model.params, model, batch, FlowConfig(), graph=graph)
+        samples, means, stds, _, _ = train.batch_forward(model.params, model, batch, FlowConfig(), graph=graph)
         runs.append([samples, *means, *stds])
     for got, want in zip(*runs):
         np.testing.assert_array_equal(got, want)

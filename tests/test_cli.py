@@ -236,6 +236,14 @@ def test_train_divergence_is_a_numeric_failure(tmp_path, capsys):
     assert (tmp_path / "run" / "checkpoint.npz").exists()
 
 
+def test_train_divergence_names_its_cause(tmp_path, capsys, training_step_fails):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_base_config(tmp_path / "run")))
+    assert cli.main(["train", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert "training diverged (innovation covariance of window 4" in err and "of encoder step 1)" in err
+
+
 def test_train_flow_failure_in_validation_keeps_the_best_checkpoint(tmp_path, capsys, second_validation_diverges):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(_base_config(tmp_path / "run")))

@@ -40,7 +40,7 @@ def test_defaults_fill_in():
     assert cfg["flow"]["n_lambda"] == 29
     assert cfg["flow"]["ratio"] == 1.2
     assert cfg["train"]["lr"] == 0.01
-    assert cfg["train"]["loss"] == "mae"
+    assert cfg["train"]["loss"] == "nll"
     assert cfg["train"]["milestones"] == [20, 30, 40, 50]
     assert cfg["model"]["d_x"] == 64
     assert cfg["windows"]["history"] == 12

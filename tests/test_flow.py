@@ -355,14 +355,13 @@ def test_coefficients_singular_noise_raises():
         edh_flow(np.zeros((1, 1, 1)), np.array([[1.0]]), np.zeros((1, 1)), np.array([-1.0]), _SCALAR_CONFIG)
 
 
-def test_non_spd_innovation_raises_on_taped_and_plain_calls(rng):
+def test_non_spd_innovation_raises_with_and_without_a_trace(rng):
     # r = -1 makes lam H P H^T + diag(r) indefinite; an LU solve would return
     # an expanding drift instead, so every caller must get the same error
     cfg = FlowConfig(n_lambda=4)
     h = np.eye(2)
-    taped = ad.Var(rng.standard_normal((3, 5, 2)))
     with pytest.raises(FlowSolveError, match=r"at the closed-form flow \(lambda=0\) of encoder step 7$"):
-        edh_flow(taped, h, np.zeros((3, 2)), np.full((3, 2), -1.0), cfg, return_trace=True, encoder_step=7)
+        edh_flow(rng.standard_normal((3, 5, 2)), h, np.zeros((3, 2)), np.full((3, 2), -1.0), cfg, return_trace=True, encoder_step=7)
     with pytest.raises(FlowSolveError, match=r"at the closed-form flow \(lambda=0\)$"):
         edh_flow(rng.standard_normal((1, 5, 2)), h, np.zeros((1, 2)), lambda means: np.full((1, 2), -1.0), cfg)
 

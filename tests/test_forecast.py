@@ -42,7 +42,7 @@ def _config(**kw):
 def _forward(model, graph, windows, cfg, noiseless=False):
     """The stacked batch of ``windows`` and batch_forward's (samples, means, stds) on it."""
     batch = train.stack_batch(windows, model, cfg.n_particles, cfg.seed)
-    samples, means, stds, _ = train.batch_forward(model.params, model, batch, cfg.flow, graph=graph, noiseless=noiseless)
+    samples, means, stds, _, _ = train.batch_forward(model.params, model, batch, cfg.flow, graph=graph, noiseless=noiseless)
     return batch, samples, means, stds
 
 
@@ -71,7 +71,7 @@ def _reference_forecast(model, graph, window, cfg):
     def step(x, y_prev, t):  # the transition into (1-based) time t
         z_rows = None if window.z is None else np.broadcast_to(window.z[t - 1], (n_p, window.z.shape[1]))
         y_rows = np.broadcast_to(y_prev, (n_p, n))
-        return ssm.transition_core(prm, model.hyper, x, y_rows, z_rows, mixing=mixing) + prm["sigma"] * dyn[t - 2, 0]
+        return ssm.transition_core(prm, model.hyper, x, y_rows, z_rows, mixing=mixing)[0] + prm["sigma"] * dyn[t - 2, 0]
 
     def noise_var(means):
         return np.logaddexp(0.0, means @ prm["C_gamma"].T) ** 2

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowcast import autodiff as ad
 from flowcast import data as data_mod
 from flowcast import ssm as ssm_mod
 from flowcast import train
@@ -78,7 +77,7 @@ def _batch_emitting(model, windows, cfg, wanted, target, monkeypatch):
     init, dyn, meas = noise.drawn(batch, model)
     for k in range(wanted.shape[2]):  # step k's mean and std depend only on the draws before it
         noise.serve(monkeypatch, init, dyn, meas)
-        _, means, stds, _ = train.batch_forward(model.params, model, batch, cfg.flow)
+        _, means, stds, _, _ = train.batch_forward(model.params, model, batch, cfg.flow)
         meas[k] = (wanted[:, :, k] - means[k]) / stds[k]
     noise.serve(monkeypatch, init, dyn, meas)
     batch.y_future = np.asarray(target, dtype=np.float64)
@@ -99,18 +98,15 @@ def test_mae_loss_uses_particle_median(rng, monkeypatch):
     wanted = np.array([[[[0.0]], [[10.0]], [[1.0]]]])  # (B=1, 3 particles, Q=1, N=1)
     batch = _batch_emitting(model, _windows(rng, q=1)[:1], cfg, wanted, [[[2.0]]], monkeypatch)
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), 1.0)  # median 1.0 vs target 2.0
-    samples = ad.Var(wanted)
-    ad.backward(train._loss("mae", batch, samples, None, None))
-    np.testing.assert_array_equal(samples.grad.ravel(), [0.0, 0.0, -1.0])  # all of it to the middle sample
+    d_samples, _, _ = train._loss("mae", batch, wanted, None, None)[1]()
+    np.testing.assert_array_equal(d_samples[0].ravel(), [0.0, 0.0, -1.0])  # all of it to the middle sample
     # an even count: the mean of the two middle samples, and half the gradient to each
     wanted = np.array([[[[0.0]], [[10.0]], [[1.0]], [[4.0]]]])
     batch = _batch_emitting(model, _windows(rng, q=1)[:1], cfg, wanted, [[[5.0]]], monkeypatch)
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), 2.5)  # median 2.5 vs target 5.0
-    samples = ad.Var(wanted)
-    loss = train._loss("mae", batch, samples, None, None)
-    assert loss.value == 2.5
-    ad.backward(loss)
-    np.testing.assert_array_equal(samples.grad.ravel(), [0.0, 0.0, -0.5, -0.5])
+    loss, vjp = train._loss("mae", batch, wanted, None, None)
+    assert loss == 2.5
+    np.testing.assert_array_equal(vjp()[0][0].ravel(), [0.0, 0.0, -0.5, -0.5])
 
 
 def test_nll_loss_single_gaussian_closed_form(rng):
@@ -119,7 +115,7 @@ def test_nll_loss_single_gaussian_closed_form(rng):
     cfg = _config(loss="nll")
     batch = train.stack_batch(_windows(rng, q=1)[:1], model, 1, cfg.seed)
     batch.y_future = np.array([[[0.9]]])
-    _, means, stds, _ = train.batch_forward(model.params, model, batch, cfg.flow)
+    _, means, stds, _, _ = train.batch_forward(model.params, model, batch, cfg.flow)
     mean, std, y = means[0][0, 0, 0], stds[0][0, 0, 0], 0.9
     want = 0.5 * np.log(2 * np.pi * std**2) + (y - mean) ** 2 / (2 * std**2)
     np.testing.assert_allclose(train.batch_loss(model, batch, cfg), want, rtol=1e-10)
@@ -131,7 +127,7 @@ def test_nll_loss_multiple_particles_mixes_before_log(rng):
     cfg = _config(loss="nll")
     batch = train.stack_batch(_windows(rng, q=2)[:1], model, 4, cfg.seed)
     y = batch.y_future[0]
-    _, means, stds, _ = train.batch_forward(model.params, model, batch, cfg.flow)
+    _, means, stds, _, _ = train.batch_forward(model.params, model, batch, cfg.flow)
 
     total = 0.0
     for t in range(2):
@@ -153,8 +149,8 @@ def _loss_batch(y_future, n_p):
 def test_nll_loss_is_stable_with_particle_likelihoods_far_apart(rng):
     # every particle's log-likelihood is below -745, where exp underflows, and
     # particle 2's sits about 1e3 below the others: the shifted log-sum-exp
-    # keeps the loss finite, and the node's gradient matches central
-    # differences of the loss
+    # keeps the loss finite, and its VJP matches central differences of the
+    # loss
     y = rng.standard_normal((2, 2, 3))  # (B, Q, N)
     offsets = np.array([[40.0, 0.2, -0.3], [40.01, -0.1, 0.25], [65.0, 0.1, 0.0]])  # (3 particles, N)
     means0 = [y[:, k, None, :] + offsets for k in range(2)]
@@ -163,7 +159,7 @@ def test_nll_loss_is_stable_with_particle_likelihoods_far_apart(rng):
 
     def loss_at(flat):
         parts = [p.reshape(2, 3, 3) for p in np.split(flat, 4)]
-        return float(train._loss("nll", batch, None, parts[:2], parts[2:]))
+        return float(train._loss("nll", batch, None, parts[:2], parts[2:])[0])
 
     x0 = np.concatenate([a.ravel() for a in means0 + stds0])
     lls = [-(0.5 * ((y[:, k, None, :] - means0[k]) / stds0[k]) ** 2 + np.log(stds0[k])).sum(axis=2) - 1.5 * np.log(2 * np.pi) for k in range(2)]
@@ -174,9 +170,8 @@ def test_nll_loss_is_stable_with_particle_likelihoods_far_apart(rng):
     want = -np.mean(sum(np.logaddexp.reduce(ll, axis=1) - np.log(3) for ll in lls))
     np.testing.assert_allclose(loss_at(x0), want, rtol=1e-13)
 
-    means, stds = [ad.Var(m) for m in means0], [ad.Var(s) for s in stds0]
-    ad.backward(train._loss("nll", batch, None, means, stds))
-    got = np.concatenate([v.grad.ravel() for v in means + stds])
+    _, d_means, d_stds = train._loss("nll", batch, None, means0, stds0)[1]()
+    got = np.concatenate([d.ravel() for d in d_means + d_stds])
     fd = np.empty_like(x0)
     for i in range(x0.size):
         hi, lo = x0.copy(), x0.copy()
@@ -184,7 +179,7 @@ def test_nll_loss_is_stable_with_particle_likelihoods_far_apart(rng):
         lo[i] -= 1e-6
         fd[i] = (loss_at(hi) - loss_at(lo)) / 2e-6
     np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-6)
-    assert np.all(means[0].grad[:, 2] == 0.0) and np.abs(means[0].grad[:, :2, 0]).min() > 1.0  # the far particle gets no share
+    assert np.all(d_means[0][:, 2] == 0.0) and np.abs(d_means[0][:, :2, 0]).min() > 1.0  # the far particle gets no share
 
 
 def test_nll_loss_survives_log_likelihoods_that_overflow_exp():
@@ -195,20 +190,19 @@ def test_nll_loss_survives_log_likelihoods_that_overflow_exp():
     ll = -(0.5 * ((y[:, 0, None, :] - means[0]) / stds[0]) ** 2 + np.log(stds[0])).sum(axis=2) - np.log(2 * np.pi)
     assert ll.min() > 1e3
     want = -(np.logaddexp.reduce(ll, axis=1) - np.log(2))[0]
-    np.testing.assert_allclose(train._loss("nll", _loss_batch(y, 2), None, means, stds), want, rtol=1e-15)
+    np.testing.assert_allclose(train._loss("nll", _loss_batch(y, 2), None, means, stds)[0], want, rtol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["mae", "nll"])
 def test_losses_on_nan_inputs_are_nan(kind):
     # a NaN reaching the loss is reported as a NaN loss (fit's divergence check), not raised
     y = np.zeros((2, 1, 2))
-    samples = ad.Var(np.full((2, 3, 1, 2), np.nan))
-    means, stds = [ad.Var(np.full((2, 3, 2), np.nan))], [ad.Var(np.ones((2, 3, 2)))]
-    loss = train._loss(kind, _loss_batch(y, 3), samples, means, stds)
-    assert math.isnan(float(loss.value))
-    ad.backward(loss)
-    assert np.isnan(samples.grad if kind == "mae" else means[0].grad).all()
-    assert math.isnan(train._loss(kind, _loss_batch(y, 3), samples.value, [means[0].value], [stds[0].value]))
+    samples = np.full((2, 3, 1, 2), np.nan)
+    means, stds = [np.full((2, 3, 2), np.nan)], [np.ones((2, 3, 2))]
+    loss, vjp = train._loss(kind, _loss_batch(y, 3), samples, means, stds)
+    assert math.isnan(loss)
+    d_samples, d_means, _ = vjp()
+    assert np.isnan(d_samples[0] if kind == "mae" else d_means[0]).all()
 
 
 def test_losses_need_target_rows(rng):
@@ -243,15 +237,20 @@ def test_batch_forward_mae_equals_quantile_loss_at_half(rng):
 # ---------------------------------------------------------------------------
 
 
-def _fd_check(model, windows, cfg, graph=None, rel_tol=1e-4, n_coords=12, seed=0):
+def _fd_check(model, windows, cfg, graph=None, rel_tol=1e-4, n_coords=12, seed=0, ss_mask=None, floor=0.0):
+    """Relative errors of ``n_coords`` gradient coordinates against central differences of the frozen-trace loss.
+
+    An error is ``|fd - g| / max(|fd|, |g|, 1e-8, floor * max|g|)``.
+    """
     batch = train.stack_batch(windows, model, cfg.n_particles_train, cfg.seed)
-    loss0, grads, trace = train.gradients(model, batch, cfg, graph=graph)
+    loss0, grads, trace = train.gradients(model, batch, cfg, graph=graph, ss_mask=ss_mask)
     flat_grad = train.flatten_params(model, grads)
     x0 = train.flatten_params(model)
+    floor = max(1e-8, floor * np.abs(flat_grad).max())
 
     def f(vec):
         values = train.unflatten_params(model, vec)
-        return train.batch_loss(model, batch, cfg, graph=graph, values=values, frozen_trace=trace)
+        return train.batch_loss(model, batch, cfg, graph=graph, values=values, ss_mask=ss_mask, frozen_trace=trace)
 
     rng = np.random.default_rng(seed)
     idx = rng.choice(x0.size, size=min(n_coords, x0.size), replace=False)
@@ -263,7 +262,7 @@ def _fd_check(model, windows, cfg, graph=None, rel_tol=1e-4, n_coords=12, seed=0
         xm = x0.copy()
         xm[i] -= eps
         fd = (f(xp) - f(xm)) / (2 * eps)
-        denom = max(abs(fd), abs(flat_grad[i]), 1e-8)
+        denom = max(abs(fd), abs(flat_grad[i]), floor)
         errs.append(abs(fd - flat_grad[i]) / denom)
     return np.array(errs), loss0
 
@@ -303,9 +302,30 @@ def test_gradients_match_finite_differences_nll_state_dependent_std(rng):
     assert errs.max() < 1e-4
 
 
+# every branch of the reverse pass: two layers, covariates, several
+# particles, teacher forcing on some decoder steps, and each adjacency mode
+GUARD_CASES = [("gru", "mixed", "mae"), ("graph_gru", "fixed", "nll"), ("graph_gru", "adaptive", "mae"), ("graph_gru", "mixed", "nll")]
+
+
+@pytest.mark.parametrize("kind, mode, loss", GUARD_CASES)
+def test_gradients_match_finite_differences_on_every_branch(rng, kind, mode, loss):
+    model = ssm_mod.init_model(kind=kind, n_series=3, d_x=2, layers=2, d_z=2, d_e=2, adjacency_mode=mode, rho=0.8, sigma=0.05, init_scale=0.5, seed=5)
+    # at unit scale the embedding saturates the softmax, and its gradients fall below rounding
+    for name in ("C_gamma", "embed"):
+        if name in model.params:
+            model.params[name] = 0.3 * rng.standard_normal(model.params[name].shape)
+    graph = ssm_mod.Graph.from_weights(np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    windows = _windows(rng, n=3, p=3, q=3, period=12)[:2]
+    cfg = _config(loss=loss, n_particles_train=3)
+    ss_mask = np.array([[True, False], [False, True]])  # (B, Q - 1): truth feeds window 0's step 2 and window 1's step 3
+    errs, _ = _fd_check(model, windows, cfg, graph=graph, n_coords=10**6, ss_mask=ss_mask, floor=1e-3)
+    assert errs.size == train.flatten_params(model).size
+    assert errs.max() <= 1e-4
+
+
 def test_batch_forward_replays_the_same_noise(rng):
     # every pass over a batch seeds its windows' generators afresh: two
-    # passes, and the taped pass and its replays, see the same draws
+    # passes, and the gradient pass and its replays, see the same draws
     model = _tiny_model(n_series=3, kind="graph_gru", d_z=2, seed=7)
     graph = ssm_mod.Graph.from_weights(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
     cfg = _config(loss="nll", n_particles_train=3)
@@ -329,7 +349,7 @@ def test_gradients_graph_model_and_covariates(rng):
 
 def test_graph_gradients_run_without_einsum(monkeypatch, rng):
     # node mixing is a stacked matmul forward and backward; with the mixed
-    # adjacency the learned embedding is taped, so the cell's VJP runs its
+    # adjacency the learned embedding is trained, so the cell's VJP runs its
     # gradients into both the mixing matrix and the mixed states
     model = _tiny_model(n_series=3, kind="graph_gru", seed=7)
     assert model.hyper.get("adjacency_mode", "mixed") == "mixed"
@@ -554,6 +574,7 @@ def test_fit_flow_failure_in_validation_returns_the_best_epoch(rng, request):
     assert result.best_epoch == 1 and result.best_val == one_epoch.best_val
     assert [row["note"] for row in result.log] == ["", "diverged"]
     assert math.isnan(result.log[1]["val_loss"]) and math.isfinite(result.log[1]["train_loss"])
+    assert result.cause == "particles became non-finite"  # the validation pass's error
     for name in train.param_names(model):
         np.testing.assert_array_equal(train.get_param(result.model, name), train.get_param(one_epoch.model, name))
 
@@ -581,6 +602,21 @@ def test_fit_nan_loss_in_a_later_minibatch_returns_the_best_epoch(rng, monkeypat
     assert math.isnan(result.log[1]["train_loss"]) and math.isnan(result.log[1]["val_loss"])
     for name, value in one_epoch.model.params.items():
         np.testing.assert_array_equal(result.model.params[name], value)
+
+
+def test_fit_keeps_the_error_that_ended_it(rng, training_step_fails):
+    model = _tiny_model()
+    windows = _windows(rng)
+    result = train.fit(train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=None), model, _config())
+    assert result.diverged and result.best_epoch == 0
+    assert "window 4" in result.cause and "encoder step 1" in result.cause
+    assert [row["note"] for row in result.log] == ["diverged"]
+
+
+def test_fit_that_ends_cleanly_has_no_cause(rng):
+    windows = _windows(rng)
+    result = train.fit(train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=None), _tiny_model(), _config(max_epochs=1))
+    assert not result.diverged and result.cause is None
 
 
 def test_evaluate_loss_uses_eval_particle_count(rng):
