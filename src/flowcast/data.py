@@ -154,7 +154,7 @@ def save_series(path, series: SeriesSet) -> None:
 
 
 def load_graph(path, n_nodes: int) -> Graph:
-    """Read a ``src,dst,weight`` edge list; duplicate edges accumulate."""
+    """Read a ``src,dst,weight`` edge list under that header row; duplicate edges accumulate."""
     try:
         with open(path, "r", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -162,6 +162,8 @@ def load_graph(path, n_nodes: int) -> Graph:
         raise DataError(f"cannot read graph file {path}: {exc}")
     if not rows:
         raise DataError(f"empty graph file: {path}")
+    if rows[0] != ["src", "dst", "weight"]:
+        raise DataError(f"graph row 1 must be the header src,dst,weight, got {','.join(rows[0])!r}")
     weights = np.zeros((n_nodes, n_nodes))
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 3:

@@ -199,13 +199,12 @@ def bpf_filter_linear(
     observations: np.ndarray,
     n_particles: int,
     rng: np.random.Generator,
-    ess_threshold: float = 0.5,
 ):
     """Run the bootstrap particle filter over a sequence (diagonal R).
 
     Every step draws its transition noise; at t = 0 the draw is made and not
     applied, so the prior draw is only weighted.  The ensemble is resampled
-    systematically when the ESS falls below ``ess_threshold * n_particles``.
+    systematically when the ESS falls below half the particle count.
     Returns (weighted means (T, D), pre-resampling ESS (T,)); raises
     ``DegenerateWeightsError``, naming the 0-based time index, when every
     weight vanishes.
@@ -228,7 +227,7 @@ def bpf_filter_linear(
             raise DegenerateWeightsError(f"all particle weights vanished at time index {t}")
         w = _normalized(log_w)
         ess[t] = 1.0 / np.sum(w * w)
-        if ess[t] < ess_threshold * n_particles:
+        if ess[t] < 0.5 * n_particles:
             particles, log_w = particles[systematic_resample(w, float(rng.uniform()))], uniform
         else:
             log_w = np.log(w)

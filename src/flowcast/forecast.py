@@ -1,9 +1,9 @@
 """Sample-based forecasting: assimilate a history window, then roll out.
 
 Forecasts run the same batched pipeline as training and validation,
-:func:`train.batch_forward`, on plain parameter arrays: windows are
-stacked into chunks, and every window draws its own noise from (seed,
-window id), so its forecast does not depend on the chunk it ran in.
+:func:`train.batch_forward`, on plain parameter arrays, in the stacks
+:func:`train.stacks` cuts; every window draws its own noise from (seed,
+window id), so its forecast does not depend on the stack it ran in.
 The forecast file format lives here too: the three long-format writers and
 :func:`read_forecast_files`, the one reader.
 """
@@ -64,19 +64,16 @@ def predict_windows(
 ):
     """Forecast every window: the samples (M, n_p, Q, N) and their point summaries (M, Q, N).
 
-    Windows run in stacked batches of at most ``train.CHUNK_ROWS`` particle
-    rows, which bounds a batch's memory whatever the particle count (six
-    windows at 100 particles).  Validation, at fewer particles, stacks by
-    window count (``train.CHUNK_WINDOWS``).
+    Windows run in the stacks :func:`train.stacks` cuts, at most
+    ``train.CHUNK_ROWS`` particle rows each, which bounds a stack's memory
+    whatever the particle count (six windows at 100 particles).
     """
     if not windows:
         raise DataError("no windows to forecast")
-    size = max(1, train_mod.CHUNK_ROWS // config.n_particles)
     q = 0 if windows[0].y_future is None else len(windows[0].y_future)
     samples = np.empty((len(windows), config.n_particles, q, model.n_series))
-    for lo in range(0, len(windows), size):
-        batch = train_mod.stack_batch(windows[lo : lo + size], model, config.n_particles, config.seed)
-        samples[lo : lo + size] = train_mod.batch_forward(model.params, model, batch, config.flow, graph=graph, noiseless=config.noiseless)[0]
+    for span, batch in train_mod.stacks(windows, model, config.n_particles, config.seed):
+        samples[span] = train_mod.batch_forward(model.params, model, batch, config.flow, graph=graph, noiseless=config.noiseless)[0]
     points = np.median(samples, axis=1) if config.point == "median" else samples.mean(axis=1)
     return samples, points
 
@@ -128,11 +125,10 @@ def write_forecast_samples(path, window_ids, samples: np.ndarray) -> None:
     _write_rows(path, ["window", "horizon", "series", "sample", "value"], window_ids, samples.transpose(0, 2, 3, 1)[..., None])
 
 
-def write_forecast_summary(path, window_ids, samples: np.ndarray, points: np.ndarray, quantiles=(0.1, 0.5, 0.9)) -> None:
-    """Point + quantile summary of the (M, n_p, Q, N) samples and (M, Q, N) points: window,horizon,series,point,q…"""
-    q_names = [f"q{int(round(100 * a)):02d}" for a in quantiles]
-    stack = np.stack([points, *np.quantile(samples, list(quantiles), axis=1)], axis=-1)
-    _write_rows(path, ["window", "horizon", "series", "point"] + q_names, window_ids, stack)
+def write_forecast_summary(path, window_ids, samples: np.ndarray, points: np.ndarray) -> None:
+    """Point + quantile summary of the (M, n_p, Q, N) samples and (M, Q, N) points: window,horizon,series,point,q10,q50,q90."""
+    stack = np.stack([points, *np.quantile(samples, [0.1, 0.5, 0.9], axis=1)], axis=-1)
+    _write_rows(path, ["window", "horizon", "series", "point", "q10", "q50", "q90"], window_ids, stack)
 
 
 def write_truth(path, window_ids, targets: np.ndarray) -> None:

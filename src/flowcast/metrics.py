@@ -124,10 +124,9 @@ def evaluate_forecasts(
     points: np.ndarray,
     targets: np.ndarray,
     horizons: Sequence[int],
-    ql_levels: Sequence[float] = (0.5, 0.9),
 ):
-    """Rows (metric, horizon, value) for the standard report."""
-    q_forecasts = [(alpha, np.quantile(samples, alpha, axis=1)) for alpha in ql_levels]
+    """Rows (metric, horizon, value) for the standard report, with the quantile losses at 0.5 and 0.9."""
+    q_forecasts = [(alpha, np.quantile(samples, alpha, axis=1)) for alpha in (0.5, 0.9)]
     rows = []
     for h in horizons:
         h = int(h)

@@ -30,13 +30,10 @@ from .errors import DataError, NumericError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# windows per stacked batch when evaluating a whole split
-CHUNK_WINDOWS = 256
-
-# particle rows (windows x particles) per stacked forecast batch, and the
-# rows x steps of one block of encoder transition draws: a batch's
+# particle rows (windows x particles) per stack of a validation or forecast
+# pass, and rows x steps per block of encoder transition draws: a stack's
 # temporaries grow with its rows, so the budget bounds its memory whatever
-# the particle count (six windows at 100 particles)
+# the particle count (6 windows at 100 particles, 60 at 10)
 CHUNK_ROWS = 600
 
 
@@ -164,6 +161,14 @@ def stack_batch(windows: Sequence[Window], model: ssm_mod.ModelTheta, n_particle
         n_particles=n_particles,
         seed_key=tuple(int(s) for s in np.atleast_1d(seed_key)),
     )
+
+
+def stacks(windows: Sequence[Window], model: ssm_mod.ModelTheta, n_particles: int, seed_key):
+    """``windows`` in order, in stacks of at most ``CHUNK_ROWS`` particle rows, one window at least: (slice, batch) pairs."""
+    size = max(1, CHUNK_ROWS // n_particles)
+    for lo in range(0, len(windows), size):
+        span = slice(lo, lo + size)
+        yield span, stack_batch(windows[span], model, n_particles, seed_key)
 
 
 def _draw(rngs, shape) -> np.ndarray:
@@ -481,19 +486,13 @@ def evaluate_loss(
     windows: Sequence[Window],
     config: TrainConfig,
     graph: Optional[ssm_mod.Graph] = None,
-    n_particles: Optional[int] = None,
-    seed_key=None,
 ) -> float:
-    """Dataset loss without gradients (eval particle count, no teacher forcing)."""
+    """Dataset loss without gradients (eval particle count, no teacher forcing): the :func:`stacks`' losses, weighed by window count."""
     if not windows:
         raise DataError("no windows to evaluate")
-    n_p = config.n_particles_eval if n_particles is None else n_particles
-    seed_key = seed_key if seed_key is not None else (config.seed, 9)
     total = 0.0
-    for lo in range(0, len(windows), CHUNK_WINDOWS):
-        chunk = windows[lo : lo + CHUNK_WINDOWS]
-        batch = stack_batch(chunk, model, n_p, seed_key)
-        total += batch_loss(model, batch, config, graph=graph) * len(chunk)
+    for _, batch in stacks(windows, model, config.n_particles_eval, (config.seed, 9)):
+        total += batch_loss(model, batch, config, graph=graph) * len(batch.window_ids)
     return total / len(windows)
 
 

@@ -102,6 +102,18 @@ def test_thread_cap_sets_environment():
                 os.environ[var] = value
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["evaluate", "--samples", "s.csv", "--summary", "m.csv", "--truth", "t.csv", "--out", "x.csv"], ["train", "--config", "c.json"]],
+    ids=["evaluate", "train"],
+)
+def test_abbreviated_options_are_usage_errors(capsys, argv):
+    # the thread cap reads the full --threads spelling before argparse runs,
+    # so an accepted --thread would leave BLAS uncapped
+    assert cli.main(argv + ["--thread", "1"]) == 1
+    assert "unrecognized arguments: --thread 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------

@@ -317,6 +317,14 @@ def test_graph_csv_structural_faults_raise_naming_the_row(tmp_path, text, messag
         data.load_graph(path, n_nodes=2)
 
 
+def test_graph_csv_without_its_header_row_is_refused(tmp_path):
+    # read as a header, the first edge would be dropped without a word
+    path = tmp_path / "graph.csv"
+    path.write_text("0,1,1.0\n1,2,0.5\n")
+    with pytest.raises(DataError, match=r"^graph row 1 must be the header src,dst,weight, got '0,1,1.0'$"):
+        data.load_graph(path, n_nodes=3)
+
+
 @pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
 def test_graph_csv_non_finite_weight_names_the_row(tmp_path, weight):
     path = tmp_path / "graph.csv"

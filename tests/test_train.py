@@ -629,13 +629,47 @@ def test_evaluate_loss_uses_eval_particle_count(rng):
     assert np.isfinite(v1)
 
 
+def _spy_on_stacks(monkeypatch):
+    """Record (windows, particles) of every ``train.stack_batch`` call, which must pass its four arguments by position."""
+    calls, stack = [], train.stack_batch
+
+    def spy(*args):
+        calls.append((len(args[0]), args[2]))
+        return stack(*args)
+
+    monkeypatch.setattr(train, "stack_batch", spy)
+    return calls
+
+
 def test_evaluate_loss_weighs_chunks_by_window_count(rng, monkeypatch):
     model = _tiny_model()
     windows = _windows(rng)[:5]
     cfg = _config(n_particles_eval=3)
     whole = train.evaluate_loss(model, windows, cfg, None)
-    monkeypatch.setattr(train, "CHUNK_WINDOWS", 2)  # chunks of 2, 2 and 1 windows
+    calls = _spy_on_stacks(monkeypatch)
+    monkeypatch.setattr(train, "CHUNK_ROWS", 6)  # 3 particles: chunks of 2, 2 and 1 windows
     np.testing.assert_allclose(train.evaluate_loss(model, windows, cfg, None), whole, rtol=1e-12)
+    assert calls == [(2, 3), (2, 3), (1, 3)]
+
+
+def test_evaluate_loss_stacks_at_most_chunk_rows(rng, monkeypatch):
+    # 70 windows x 10 particles is 700 rows: over the budget, so two stacks
+    calls = _spy_on_stacks(monkeypatch)
+    loss = train.evaluate_loss(_tiny_model(), _windows(rng, t=80)[:70], _config(n_particles_eval=10), None)
+    assert np.isfinite(loss)
+    assert calls == [(60, 10), (10, 10)]
+    assert all(n_windows * n_particles <= train.CHUNK_ROWS for n_windows, n_particles in calls)
+
+
+def test_fit_stacks_each_training_minibatch_through_the_module_attribute(rng, monkeypatch):
+    # a benchmark that wraps train.stack_batch times one training minibatch
+    # from one call at n_particles_train to the next
+    calls = _spy_on_stacks(monkeypatch)
+    windows = _windows(rng)
+    cfg = _config(max_epochs=2, patience=5, batch_size=4, n_particles_train=2, n_particles_eval=3)
+    result = train.fit(train.TrainData(train_windows=windows[:10], val_windows=windows[10:14], graph=None), _tiny_model(), cfg)
+    assert len(result.log) == 2
+    assert calls == [(4, 2), (4, 2), (2, 2), (4, 3)] * 2  # three minibatches, then one validation stack, each epoch
 
 
 def test_training_log_csv_format(tmp_path, rng):
