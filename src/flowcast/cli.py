@@ -223,8 +223,7 @@ def cmd_train(args) -> int:
     print(f"trained {len(result.log)} epochs; best val loss {result.best_val:.6g} at epoch {result.best_epoch}")
     print(f"artifacts in {out_dir}: checkpoint.npz, training_log.csv, resolved_config.json")
     if result.diverged:
-        cause = "" if result.cause is None else f" ({result.cause})"
-        print(f"training diverged{cause}; checkpoint holds the last good parameters", file=sys.stderr)
+        print(f"training diverged ({result.cause}); checkpoint holds the last good parameters", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -256,9 +255,8 @@ def cmd_forecast(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     forecast_mod.write_forecast_samples(os.path.join(args.out, "samples.csv"), ids, samples)
     forecast_mod.write_forecast_summary(os.path.join(args.out, "summary.csv"), ids, samples, points)
-    if chosen[0].y_future is not None:
-        targets = data_mod.destandardize(np.stack([w.y_future for w in chosen]), stats)
-        forecast_mod.write_truth(os.path.join(args.out, "truth.csv"), ids, targets)
+    targets = data_mod.destandardize(np.stack([w.y_future for w in chosen]), stats)
+    forecast_mod.write_truth(os.path.join(args.out, "truth.csv"), ids, targets)
     print(f"wrote forecasts for {len(chosen)} windows ({args.particles} particles) to {args.out}")
     return EXIT_OK
 

@@ -62,7 +62,7 @@ SCHEMA: dict = {
     },
     "windows": {
         "history": Field(int, default=12, **_POSITIVE),
-        "horizon": Field(int, default=12, **_NON_NEGATIVE),
+        "horizon": Field(int, default=12, **_POSITIVE),
     },
     "split": {
         "train": Field((int, float), default=0.7, **_FRACTION),

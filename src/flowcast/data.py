@@ -3,6 +3,7 @@
 Series CSVs have a header row, an optional leading ISO-8601 timestamp
 column, and one numeric column per series; blank and ``nan`` cells are
 missing values, held as NaN.  Graph CSVs are ``src,dst,weight`` edge lists.
+Either may end with blank lines.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Window:
 
     window_id: int
     y_past: np.ndarray
-    y_future: Optional[np.ndarray]
+    y_future: np.ndarray
     z: Optional[np.ndarray]
 
 
@@ -86,15 +87,27 @@ def _is_iso_timestamp(text: str) -> bool:
         return False
 
 
-def load_series(path) -> SeriesSet:
-    """Read a series CSV (header required, optional timestamp first column)."""
+def _read_rows(path, what: str) -> List[List[str]]:
+    """The rows of a CSV file, less the empty rows that end it: a file may end with a blank line.
+
+    A blank line between rows stays, and the readers refuse it by its row
+    number: skipping it would shift every later row.
+    """
     try:
         with open(path, "r", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
-        raise DataError(f"cannot read series file {path}: {exc}")
+        raise DataError(f"cannot read {what} file {path}: {exc}")
+    while rows and not rows[-1]:
+        rows.pop()
     if not rows:
-        raise DataError(f"empty series file: {path}")
+        raise DataError(f"empty {what} file: {path}")
+    return rows
+
+
+def load_series(path) -> SeriesSet:
+    """Read a series CSV (header required, optional timestamp first column)."""
+    rows = _read_rows(path, "series")
     header, data_rows = rows[0], rows[1:]
     if not data_rows:
         raise DataError(f"series file has no data rows: {path}")
@@ -155,13 +168,7 @@ def save_series(path, series: SeriesSet) -> None:
 
 def load_graph(path, n_nodes: int) -> Graph:
     """Read a ``src,dst,weight`` edge list under that header row; duplicate edges accumulate."""
-    try:
-        with open(path, "r", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read graph file {path}: {exc}")
-    if not rows:
-        raise DataError(f"empty graph file: {path}")
+    rows = _read_rows(path, "graph")
     if rows[0] != ["src", "dst", "weight"]:
         raise DataError(f"graph row 1 must be the header src,dst,weight, got {','.join(rows[0])!r}")
     weights = np.zeros((n_nodes, n_nodes))
@@ -278,8 +285,8 @@ def make_windows(
     ``start_offset`` shifts window ids and covariate phases so windows cut
     from different split segments keep globally consistent indexing.
     """
-    if p_steps < 1 or q_steps < 0:
-        raise DataError("window sizes must satisfy P >= 1, Q >= 0")
+    if p_steps < 1 or q_steps < 1:
+        raise DataError("window sizes must satisfy P >= 1, Q >= 1")
     if np.any(np.isnan(series.values)):
         raise DataError("windows require a series with no missing values (forward fill first)")
     t = series.n_steps
@@ -294,7 +301,7 @@ def make_windows(
             Window(
                 window_id=start,
                 y_past=series.values[k : k + p_steps],
-                y_future=series.values[k + p_steps : k + p_steps + q_steps] if q_steps else None,
+                y_future=series.values[k + p_steps : k + p_steps + q_steps],
                 z=z,
             )
         )

@@ -70,8 +70,7 @@ def predict_windows(
     """
     if not windows:
         raise DataError("no windows to forecast")
-    q = 0 if windows[0].y_future is None else len(windows[0].y_future)
-    samples = np.empty((len(windows), config.n_particles, q, model.n_series))
+    samples = np.empty((len(windows), config.n_particles, len(windows[0].y_future), model.n_series))
     for span, batch in train_mod.stacks(windows, model, config.n_particles, config.seed):
         samples[span] = train_mod.batch_forward(model.params, model, batch, config.flow, graph=graph, noiseless=config.noiseless)[0]
     points = np.median(samples, axis=1) if config.point == "median" else samples.mean(axis=1)
@@ -113,11 +112,10 @@ def _write_rows(path, header, window_ids, stack) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for window_id, block in zip(window_ids, stack):
-            if block.size:  # no cells, no rows
-                values = map(repr, block.reshape(-1).tolist())
-                texts = map(",".join, zip(*[values] * n_values))  # the row's C values, in C order as the cells
-                key = "%d" % window_id
-                fh.write(key + ("\r\n" + key).join(map(str.__add__, cells, texts)) + "\r\n")
+            values = map(repr, block.reshape(-1).tolist())
+            texts = map(",".join, zip(*[values] * n_values))  # the row's C values, in C order as the cells
+            key = "%d" % window_id
+            fh.write(key + ("\r\n" + key).join(map(str.__add__, cells, texts)) + "\r\n")
 
 
 def write_forecast_samples(path, window_ids, samples: np.ndarray) -> None:

@@ -84,7 +84,7 @@ class TrainResult:
     best_val: float
     stopped_early: bool = False
     diverged: bool = False
-    cause: Optional[str] = None  # the message of the NumericError that ended a diverged fit
+    cause: Optional[str] = None  # what ended a diverged fit: a NumericError's message, or the loss that became non-finite
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +143,11 @@ def stack_batch(windows: Sequence[Window], model: ssm_mod.ModelTheta, n_particle
     The noise is not drawn here: :func:`batch_forward` draws each window's
     from its own generator, seeded with ``(*seed_key, window_id)``, as the
     pass reaches it, so a window's noise does not depend on the batch it is
-    stacked in, and a stack holds no transition draws.  Q is read from the
-    windows; windows without target rows give Q = 0.  ``model`` is not read
-    (callers pass it).
+    stacked in, and a stack holds no transition draws.  ``model`` is not
+    read (callers pass it).
     """
     y_hist = np.stack([np.asarray(w.y_past, dtype=np.float64) for w in windows])
-    n = y_hist.shape[2]
-    y_future = np.stack([np.zeros((0, n)) if w.y_future is None else np.asarray(w.y_future, dtype=np.float64) for w in windows])
+    y_future = np.stack([np.asarray(w.y_future, dtype=np.float64) for w in windows])
     z = None
     if windows[0].z is not None:
         z = np.stack([np.asarray(w.z, dtype=np.float64) for w in windows])
@@ -300,8 +298,7 @@ def batch_forward(
         if collect_trace:
             emissions.append((x, pre, meas[k - 1]))
 
-    samples = np.stack(sample_steps, axis=2) if q_steps else np.zeros((b_sz, n_p, 0, n))
-    return samples, mean_steps, std_steps, trace, (init, transitions, emissions) if collect_trace else None
+    return np.stack(sample_steps, axis=2), mean_steps, std_steps, trace, (init, transitions, emissions) if collect_trace else None
 
 
 def _loss(kind: str, batch: BatchArrays, samples, means, stds):
@@ -318,8 +315,6 @@ def _loss(kind: str, batch: BatchArrays, samples, means, stds):
     and ``(z^2 - 1) / s``, times ``-1 / B``.
     """
     b_sz, _, q_steps, n = batch.sizes
-    if q_steps == 0:
-        raise DataError("training windows need target rows")
     n_p = batch.n_particles
     absent = [0.0] * q_steps
     if kind == "mae":
@@ -500,9 +495,10 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
     """Minibatch Adam with milestone lr decay, clipping, early stopping.
 
     Returns the best-validation checkpoint.  A non-finite loss or a
-    ``NumericError``, in a training step or the validation pass, aborts and
-    returns the best checkpoint so far (flagged in the result and the log;
-    the error's message is the result's ``cause``).
+    ``NumericError``, in a training step or the validation pass, ends the
+    epoch as diverged (NaN losses from where it stopped, a "diverged" note)
+    and the fit, which returns the best checkpoint so far; the result's
+    ``cause`` says what diverged, or holds the error's message.
     """
     if not dataset.train_windows:
         raise DataError("the training split has no windows")
@@ -522,9 +518,7 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
     log: List[dict] = []
     iteration = 0
     stale = 0
-    diverged = False
     cause = None
-    stopped_early = False
 
     n_train = len(dataset.train_windows)
     for epoch in range(1, config.max_epochs + 1):
@@ -532,68 +526,53 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
         lr = config.lr * config.lr_factor ** sum(1 for m in config.milestones if m < epoch)
         order = rng.permutation(n_train)
         epoch_losses = []
-        for lo in range(0, n_train, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            windows = [dataset.train_windows[i] for i in idx]
-            batch = stack_batch(windows, model, config.n_particles_train, (config.seed, 3, iteration))
-            q_steps = batch.y_future.shape[1]
-            p_truth = truth_probability(iteration, config.scheduled_sampling_tau)
-            ss_mask = None
-            if q_steps > 1:
-                ss_mask = rng.uniform(size=(len(windows), q_steps - 1)) < p_truth
-            try:
-                loss, grads, _ = gradients(model, batch, config, graph=graph, ss_mask=ss_mask)
-            except NumericError as exc:
-                # A singular flow solve or non-finite intermediate means the
-                # parameters have left the numerically stable region; treat it
-                # like a non-finite loss and fall back to the best checkpoint.
-                diverged, cause = True, str(exc)
-                break
-            if not math.isfinite(loss):
-                diverged = True
-                break
-            grads = clip_global_norm({n: grads[n] for n in trainable}, config.clip_norm)
-            values = adam.step(values, grads, lr)
-            for name in ("rho", "sigma"):  # a step can leave [0, inf), which the model rejects (sigma starts at 0)
-                values[name] = np.maximum(values[name], 0.0)
-            model = ssm_mod.ModelTheta(model.hyper, values)
-            epoch_losses.append(loss)
-            iteration += 1
-        if diverged:
-            log.append(
-                {"epoch": epoch, "train_loss": math.nan, "val_loss": math.nan, "lr": lr, "seconds": time.perf_counter() - t0, "note": "diverged"}
-            )
-            break
+        train_loss = val_loss = math.nan
         try:
-            val_loss = evaluate_loss(model, dataset.val_windows, config, graph=graph)
+            for lo in range(0, n_train, config.batch_size):
+                windows = [dataset.train_windows[i] for i in order[lo : lo + config.batch_size]]
+                batch = stack_batch(windows, model, config.n_particles_train, (config.seed, 3, iteration))
+                p_truth = truth_probability(iteration, config.scheduled_sampling_tau)
+                ss_mask = rng.uniform(size=(len(windows), batch.y_future.shape[1] - 1)) < p_truth
+                loss, grads, _ = gradients(model, batch, config, graph=graph, ss_mask=ss_mask)
+                if not math.isfinite(loss):
+                    cause = f"training loss became non-finite at epoch {epoch}, minibatch {lo // config.batch_size + 1}"
+                    break
+                grads = clip_global_norm({n: grads[n] for n in trainable}, config.clip_norm)
+                values = adam.step(values, grads, lr)
+                for name in ("rho", "sigma"):  # a step can leave [0, inf), which the model rejects (sigma starts at 0)
+                    values[name] = np.maximum(values[name], 0.0)
+                model = ssm_mod.ModelTheta(model.hyper, values)
+                epoch_losses.append(loss)
+                iteration += 1
+            else:
+                train_loss = float(np.mean(epoch_losses))
+                val_loss = evaluate_loss(model, dataset.val_windows, config, graph=graph)
+                if not math.isfinite(val_loss):
+                    cause = f"validation loss became non-finite at epoch {epoch}"
         except NumericError as exc:
-            val_loss, cause = math.nan, str(exc)  # handled below like a non-finite validation loss
-        seconds = time.perf_counter() - t0
-        note = ""
-        if math.isfinite(val_loss) and val_loss < best_val:
+            # A singular flow solve or non-finite intermediate means the
+            # parameters have left the numerically stable region; treat it
+            # like a non-finite loss and fall back to the best checkpoint.
+            cause = str(exc)
+        diverged = not math.isfinite(val_loss)
+        if not diverged and val_loss < best_val:
             best_val = val_loss
             best_values = dict(values)
             best_epoch = epoch
             stale = 0
         else:
             stale += 1
-        if not math.isfinite(val_loss):
-            diverged = True
-            note = "diverged"
         log.append(
             {
                 "epoch": epoch,
-                "train_loss": float(np.mean(epoch_losses)) if epoch_losses else math.nan,
+                "train_loss": train_loss,
                 "val_loss": val_loss,
                 "lr": lr,
-                "seconds": seconds,
-                "note": note,
+                "seconds": time.perf_counter() - t0,
+                "note": "diverged" if diverged else "",
             }
         )
-        if diverged:
-            break
-        if stale >= config.patience:
-            stopped_early = True
+        if diverged or stale >= config.patience:
             break
 
     return TrainResult(
@@ -601,7 +580,7 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
         log=log,
         best_epoch=best_epoch,
         best_val=best_val,
-        stopped_early=stopped_early,
+        stopped_early=not diverged and stale >= config.patience,
         diverged=diverged,
         cause=cause,
     )

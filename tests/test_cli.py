@@ -231,7 +231,18 @@ def test_train_zero_horizon_is_a_data_error(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(_base_config(tmp_path / "run")))
     assert cli.main(["train", "--config", str(config_path), "--set", "windows.horizon=0"]) == 2
-    assert "target rows" in capsys.readouterr().err
+    assert "config key 'windows.horizon' must be positive" in capsys.readouterr().err
+
+
+def test_train_that_stops_early_marks_its_log(tmp_path, capsys):
+    # at this rate epoch 2's validation loss is worse than epoch 1's, and patience 1 stops there
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_base_config(tmp_path / "run")))
+    overrides = ["--set", "train.lr=0.05", "--set", "train.patience=1", "--set", "train.max_epochs=5"]
+    assert cli.main(["train", "--config", str(config_path), *overrides]) == 0
+    assert "trained 2 epochs" in capsys.readouterr().out
+    lines = (tmp_path / "run" / "training_log.csv").read_text().splitlines()
+    assert len(lines) == 4 and lines[-1] == "# early_stop best_epoch=1"
 
 
 def test_train_divergence_is_a_numeric_failure(tmp_path, capsys):
@@ -354,9 +365,8 @@ def test_forecast_bad_split_is_a_usage_error(trained_run, tmp_path):
     assert code == 1
 
 
-def test_forecast_zero_horizon_writes_header_only_files(trained_run, tmp_path):
-    # the config allows windows.horizon = 0: the forecast files then hold no
-    # rows, and with no realized values there is no truth.csv
+def test_forecast_zero_horizon_is_a_data_error(trained_run, tmp_path, capsys):
+    # a window needs a target row: a zero horizon is refused before anything is written
     cfg = json.loads((trained_run["run"] / "resolved_config.json").read_text())
     cfg["windows"]["horizon"] = 0
     config_path = tmp_path / "config.json"
@@ -371,10 +381,9 @@ def test_forecast_zero_horizon_writes_header_only_files(trained_run, tmp_path):
             "--out", str(fc),
         ]
     )
-    assert code == 0
-    assert (fc / "samples.csv").read_text().splitlines() == ["window,horizon,series,sample,value"]
-    assert (fc / "summary.csv").read_text().splitlines() == ["window,horizon,series,point,q10,q50,q90"]
-    assert not (fc / "truth.csv").exists()
+    assert code == 2
+    assert "config key 'windows.horizon' must be positive" in capsys.readouterr().err
+    assert not fc.exists()
 
 
 def _forecast(run, config, out, *extra):

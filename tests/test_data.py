@@ -92,6 +92,12 @@ def test_series_csv_ragged_row_raises_with_row_number(tmp_path):
         data.load_series(path)
 
 
+def test_series_csv_may_end_with_a_blank_line(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("a,b\n1,2\n3,4\n\n")
+    np.testing.assert_array_equal(data.load_series(path).values, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_series_csv_non_numeric_cell_raises(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("a,b\n1.0,2.0\n3.0,oops\n")
@@ -106,8 +112,10 @@ def test_series_csv_non_numeric_cell_raises(tmp_path):
         ("a,b\n", r"^series file has no data rows: .*series\.csv$"),
         ("when,a\nMonday,1.0\n", r"^cell at row 2, column 'when' is neither numeric nor an ISO-8601 timestamp: 'Monday'$"),
         ("when,a\n2024-01-01,1.0\n2024-01-02,2.0\n2024-13-01,3.0\n", r"^bad timestamp at row 4: '2024-13-01'$"),
+        # only blank lines that end the file are dropped: skipping this one would shift every later row in time
+        ("a,b\n1,2\n\n3,4\n", r"^ragged row 3 in .*series\.csv: expected 2 cells, got 0$"),
     ],
-    ids=["empty", "header_only", "first_cell", "later_timestamp"],
+    ids=["empty", "header_only", "first_cell", "later_timestamp", "blank_line_between_rows"],
 )
 def test_series_csv_structural_faults_raise_naming_the_row(tmp_path, text, message):
     path = tmp_path / "series.csv"
@@ -242,6 +250,12 @@ def test_window_ids_respect_global_offset(rng):
     assert [w.window_id for w in wins] == [100, 101, 102]
 
 
+def test_windows_need_a_target_row(rng):
+    s = _series(rng.standard_normal((20, 1)))
+    with pytest.raises(DataError, match=r"Q >= 1"):
+        data.make_windows(s, 12, 0)
+
+
 def test_windows_need_complete_data():
     s = _series([[1.0], [np.nan], [3.0]] * 10)
     with pytest.raises(DataError):
@@ -287,6 +301,12 @@ def test_graph_csv_duplicate_edges_accumulate(tmp_path):
     path.write_text("src,dst,weight\n0,1,1.0\n0,1,0.5\n")
     g = data.load_graph(path, n_nodes=2)
     assert g.weights[0, 1] == 1.5
+
+
+def test_graph_csv_may_end_with_a_blank_line(tmp_path):
+    path = tmp_path / "graph.csv"
+    path.write_text("src,dst,weight\n0,1,1.0\n\n")
+    np.testing.assert_array_equal(data.load_graph(path, n_nodes=2).weights, [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_graph_csv_bad_rows_raise(tmp_path):

@@ -65,6 +65,22 @@ def test_ssm_simulation_shapes_and_determinism():
     np.testing.assert_array_equal(o1, o2)
 
 
+def test_ssm_simulation_with_zero_state_noise_is_deterministic():
+    ssm = LinearGaussianSSM(F=0.9 * np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2), R=np.eye(2), init_mean=np.zeros(2), init_cov=np.eye(2))
+    states, _ = ssm.simulate(10, np.random.default_rng(5))
+    assert np.all(states[0] != 0.0)
+    np.testing.assert_array_equal(states[1:], 0.9 * states[:-1])
+
+
+def test_ssm_simulation_with_singular_state_noise_jitters_the_factor():
+    # diag(1, 0) has no Cholesky factor; diag(1, 0) + 1e-12 I does, so the second coordinate moves by about 1e-6
+    ssm = LinearGaussianSSM(F=np.eye(2), Q=np.diag([1.0, 0.0]), H=np.eye(2), R=np.eye(2), init_mean=np.zeros(2), init_cov=np.eye(2))
+    states, _ = ssm.simulate(200, np.random.default_rng(5))
+    steps = np.diff(states, axis=0)
+    assert 0.8 < steps[:, 0].std() < 1.2
+    assert 0.0 < np.abs(steps[:, 1]).max() < 1e-5
+
+
 def test_ssm_round_trip(tmp_path, rng):
     d = 3
     a = rng.standard_normal((d, d)) * 0.3

@@ -160,16 +160,6 @@ def test_predict_windows_needs_a_window(tiny_gru_model):
         forecast.predict_windows(tiny_gru_model, None, [], _config())
 
 
-def test_predict_zero_horizon_gives_empty_samples(tiny_gru_model, rng):
-    vals = rng.standard_normal((14, 1)) * 0.5
-    s = data_mod.SeriesSet(values=vals, names=["a"])
-    w = data_mod.make_windows(s, 12, 0)[0]
-    assert w.y_future is None
-    dist = predict(tiny_gru_model, None, w, _config(n_particles=3))
-    assert dist.samples.shape == (3, 0, 1)
-    assert dist.point.shape == (0, 1)
-
-
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------

@@ -126,6 +126,11 @@ def test_crps_sum_zero_denominator_is_nan():
     assert np.isnan(metrics.crps_sum(samples, targets))
 
 
+def test_ql_avg_zero_denominator_is_nan():
+    targets = np.zeros((1, 2, 1))
+    assert np.isnan(metrics.ql_avg(np.ones((1, 2, 1)), targets, 0.5, 1))
+
+
 # ---------------------------------------------------------------------------
 # quantile loss
 # ---------------------------------------------------------------------------
@@ -134,6 +139,8 @@ def test_crps_sum_zero_denominator_is_nan():
 def test_quantile_loss_hand_cases():
     # y=1, prediction 0, alpha=0.9: 2 * 0.9 * 1 = 1.8
     np.testing.assert_allclose(metrics.quantile_loss(np.array([1.0]), np.array([0.0]), 0.9), [1.8])
+    loss = metrics.quantile_loss(1.0, 0.0, 0.9)  # the same case on scalars gives a float
+    assert type(loss) is float and loss == 1.8
     # y=0, prediction 1, alpha=0.9: 2 * 0.1 * 1 = 0.2
     np.testing.assert_allclose(metrics.quantile_loss(np.array([0.0]), np.array([1.0]), 0.9), [0.2])
 

@@ -205,18 +205,6 @@ def test_losses_on_nan_inputs_are_nan(kind):
     assert np.isnan(d_samples[0] if kind == "mae" else d_means[0]).all()
 
 
-def test_losses_need_target_rows(rng):
-    model = _tiny_model()
-    windows = _windows(rng, q=0)[:2]
-    batch = train.stack_batch(windows, model, 1, 0)
-    assert batch.y_future.shape == (2, 0, 1)
-    for loss in ("mae", "nll"):
-        with pytest.raises(DataError, match="target rows"):
-            train.batch_loss(model, batch, _config(loss=loss))
-        with pytest.raises(DataError, match="target rows"):
-            train.gradients(model, batch, _config(loss=loss))
-
-
 def test_batch_forward_mae_equals_quantile_loss_at_half(rng):
     # scoring the particle median with pinball loss at alpha = 0.5 gives
     # 2 * 0.5 * |err| = |err|, so the MAE objective matches it exactly
@@ -600,6 +588,31 @@ def test_fit_nan_loss_in_a_later_minibatch_returns_the_best_epoch(rng, monkeypat
     assert result.best_epoch == 1 and result.best_val == one_epoch.best_val
     assert [row["note"] for row in result.log] == ["", "diverged"]
     assert math.isnan(result.log[1]["train_loss"]) and math.isnan(result.log[1]["val_loss"])
+    assert result.cause == "training loss became non-finite at epoch 2, minibatch 2"
+    for name, value in one_epoch.model.params.items():
+        np.testing.assert_array_equal(result.model.params[name], value)
+
+
+def test_fit_nan_validation_loss_returns_the_best_epoch_and_names_it(rng, monkeypatch):
+    # a NaN validation loss that no NumericError announces
+    model = _tiny_model()
+    windows = _windows(rng)
+    ds = train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=None)
+    one_epoch = train.fit(ds, model, _config(max_epochs=1))
+    evaluate_loss, calls = train.evaluate_loss, []
+
+    def nan_on_the_second_call(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else evaluate_loss(*args, **kwargs)
+
+    monkeypatch.setattr(train, "evaluate_loss", nan_on_the_second_call)
+    result = train.fit(ds, model, _config(max_epochs=4, patience=10))
+    assert len(calls) == 2
+    assert result.diverged and not result.stopped_early
+    assert result.cause == "validation loss became non-finite at epoch 2"
+    assert result.best_epoch == 1 and result.best_val == one_epoch.best_val
+    assert [row["note"] for row in result.log] == ["", "diverged"]
+    assert math.isfinite(result.log[1]["train_loss"]) and math.isnan(result.log[1]["val_loss"])
     for name, value in one_epoch.model.params.items():
         np.testing.assert_array_equal(result.model.params[name], value)
 
