@@ -32,8 +32,19 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """``exp(min(x, 0)) / (1 + exp(-|x|))``, which never overflows, in two buffers; ``x`` is left as it is.
+
+    Where ``x >= 0`` the numerator is ``exp(0)``, exactly 1, and elsewhere
+    ``exp(x)`` is the denominator's ``exp(-|x|)``.
+    """
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out /= den
+    return out
 
 
 def flow_map(x: np.ndarray, pht: np.ndarray, h_mat: np.ndarray, k_mat: np.ndarray, k_vec: np.ndarray) -> np.ndarray:

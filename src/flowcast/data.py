@@ -132,26 +132,32 @@ def load_series(path) -> SeriesSet:
     t_steps, n = len(data_rows), len(names)
     if n == 0:
         raise DataError(f"no series columns in {path}")
-    values = np.full((t_steps, n), np.nan)
-    for i, row in enumerate(data_rows):
-        cells = row
-        if has_timestamps:
-            stamp = cells[0].strip()
+    cells = data_rows
+    if has_timestamps:
+        for i, row in enumerate(data_rows):
+            stamp = row[0].strip()
             if not _is_iso_timestamp(stamp):
                 raise DataError(f"bad timestamp at row {i + 2}: '{stamp}'")
             timestamps.append(stamp)
-            cells = cells[1:]
-        for j, cell in enumerate(cells):
-            text = cell.strip()
-            if text == "":
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise DataError(f"non-numeric value '{text}' at row {i + 2}, column '{names[j]}'")
-            if math.isinf(value):
-                raise DataError(f"infinite value '{text}' at row {i + 2}, column '{names[j]}'")
-            values[i, j] = value
+        cells = [row[1:] for row in data_rows]
+    try:
+        values = np.array(cells, dtype=np.float64)  # float() of every cell in one conversion
+    except ValueError:  # a blank or a malformed cell: the loop below reads it
+        values = None
+    if values is None or np.isinf(values).any():  # cell by cell: a blank is NaN, and a fault names its row and column
+        values = np.full((t_steps, n), np.nan)
+        for i, row in enumerate(cells):
+            for j, cell in enumerate(row):
+                text = cell.strip()
+                if text == "":
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise DataError(f"non-numeric value '{text}' at row {i + 2}, column '{names[j]}'")
+                if math.isinf(value):
+                    raise DataError(f"infinite value '{text}' at row {i + 2}, column '{names[j]}'")
+                values[i, j] = value
     return SeriesSet(values=values, names=names, timestamps=timestamps)
 
 

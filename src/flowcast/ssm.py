@@ -182,11 +182,11 @@ def _conv(sources, weights) -> np.ndarray:
     """``sources[0] @ weights[0] + sources[1] @ weights[1] + ...``: one side of a gate."""
     out = ad._rows(sources[0], weights[0])
     for x, w in zip(sources[1:], weights[1:]):
-        out = out + ad._rows(x, w)
+        out += ad._rows(x, w)
     return out
 
 
-def _gru_cell(u, h, params, layer: int, a_hat=None):
+def _gru_cell(u, h, params, layer: int, a_hat=None, with_vjp: bool = True):
     """One GRU layer step on the (..., N, F) node layout: the new state and its VJP.
 
     Gate g's pre-activation is ``(conv_u + conv_h) + b_g``.  In a GRU,
@@ -197,7 +197,10 @@ def _gru_cell(u, h, params, layer: int, a_hat=None):
 
     ``vjp(g)`` gives, from the new state's ``g``, the gradients of ``u``,
     ``h`` and ``a_hat`` (None without one) and a dict of every gate weight
-    and bias of the layer, by name.
+    and bias of the layer, by name.  Without ``with_vjp`` the VJP is None:
+    the cell keeps nothing for it, computing each gate in its own buffer and
+    dropping each as it is read, with the same products in the same order,
+    so the new state is bit for bit the same.
     """
     if a_hat is None:
         names = {gate: ((f"l{layer}.W_{gate}",), (f"l{layer}.U_{gate}",)) for gate in GATES}
@@ -209,14 +212,29 @@ def _gru_cell(u, h, params, layer: int, a_hat=None):
     def sources(x):  # what one side's weights multiply: (A x, x) in a graph GRU, x alone in a GRU
         return (x,) if a_hat is None else (np.matmul(a_hat, x), x)
 
-    def pre(gate, states):
-        return (_conv(src_u, w_u[gate]) + _conv(states, w_h[gate])) + params[f"l{layer}.b_{gate}"]
+    def pre(gate, states):  # (conv_u + conv_h) + b, in conv_u's buffer
+        out = _conv(src_u, w_u[gate])
+        out += _conv(states, w_h[gate])
+        out += params[f"l{layer}.b_{gate}"]
+        return out
 
     src_u, src_h = sources(u), sources(h)
-    r, z = ad._sigmoid_np(pre("r", src_h)), ad._sigmoid_np(pre("z", src_h))
+    z = ad._sigmoid_np(pre("z", src_h))
+    r = ad._sigmoid_np(pre("r", src_h))
+    if not with_vjp:  # out = (1 - z) h + z c by the VJP path's sums and products, in the buffers of r, c and z
+        del src_h
+        r *= h  # r ⊙ h
+        c = pre("c", sources(r))
+        np.tanh(c, out=c)
+        c *= z
+        np.subtract(1.0, z, out=z)
+        z *= h
+        c += z
+        return c, None
     hr = r * h
     src_hr = sources(hr)
-    c = np.tanh(pre("c", src_hr))
+    c = pre("c", src_hr)
+    np.tanh(c, out=c)
     keep = 1.0 - z  # the share of h kept, reused by the VJP
     out = keep * h + z * c
 
@@ -295,7 +313,7 @@ def mixing_vjp(embed: np.ndarray, mode: str, g: np.ndarray) -> np.ndarray:
     return d_scores @ embed + d_scores.T @ embed
 
 
-def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None):
+def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None, with_vjp: bool = True):
     """Deterministic part of the state transition, and its VJP.
 
     ``x_prev``: (..., D) states; ``y_prev``: (..., N) previous observations;
@@ -303,7 +321,8 @@ def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None):
     (..., N, d_x) node layout.  Returns the (..., D) pre-noise next state and
     ``vjp``: from the next state's ``g``, ``vjp(g)`` gives the gradients of
     ``x_prev``, ``y_prev`` and ``mixing`` (None for a GRU) and a dict of
-    every layer's weights by name.
+    every layer's weights by name.  Without ``with_vjp`` the cells keep
+    nothing for a VJP and ``vjp`` is None; the next state is the same bits.
     """
     n = int(hyper["n_series"])
     d_x = int(hyper["d_x"])
@@ -321,8 +340,10 @@ def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None):
     a_hat = mixing if hyper["kind"] == "graph_gru" else None
     cells = []
     for layer in range(int(hyper["layers"])):
-        u, cell_vjp = _gru_cell(u, h, params, layer, a_hat)
+        u, cell_vjp = _gru_cell(u, h, params, layer, a_hat, with_vjp)
         cells.append(cell_vjp)
+    if not with_vjp:
+        return u.reshape(lead + (n * d_x,)), None
 
     def vjp(g):
         d_u, d_h, d_a, grads = g.reshape(lead + (n, d_x)), None, None, {}

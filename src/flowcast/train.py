@@ -241,10 +241,11 @@ def batch_forward(
     transitions, emissions = [], []
 
     def step_transition(x, y_prev, t_index, dyn_noise):  # the transition into (1-based) time t
-        out, vjp = ssm_mod.transition_core(params, hyper, x, y_prev, None if z is None else z[:, :, t_index - 1], mixing=mixing)
+        out, vjp = ssm_mod.transition_core(params, hyper, x, y_prev, None if z is None else z[:, :, t_index - 1], mixing=mixing, with_vjp=collect_trace)
         if collect_trace:
             transitions.append((vjp, dyn_noise))
-        return out + params["sigma"] * dyn_noise
+        out += params["sigma"] * dyn_noise  # out is the last cell's fresh buffer
+        return out
 
     # ---- encoder: assimilate the history -------------------------------
     def noise_var(means):  # emission variances at the running particle means

@@ -34,7 +34,7 @@ def graph_gru_cell(u, h, a_hat, params, layer: int):
     return (1.0 - z) * h + z * c
 
 
-def cell(u, h, params, layer: int, a_hat=None):
-    """The composed cell with ``ssm._gru_cell``'s signature (a graph GRU when ``a_hat`` is given); it has no VJP."""
+def cell(u, h, params, layer: int, a_hat=None, with_vjp=True):
+    """The composed cell with ``ssm._gru_cell``'s signature (a graph GRU when ``a_hat`` is given); it has no VJP either way."""
     out = gru_cell(u, h, params, layer) if a_hat is None else graph_gru_cell(u, h, a_hat, params, layer)
     return out, None

@@ -75,6 +75,24 @@ def test_sigmoid_matches_two_branch_formula_at_extremes():
     assert got[0] == 1.0 and got[1] == 0.0 and got[4] == got[5] == 0.5
 
 
+def _where_sigmoid(x):
+    """The sigmoid as one ``np.where`` over ``exp(-|x|)``: the reference ``_sigmoid_np`` must equal bit for bit."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def test_sigmoid_is_the_where_formula_bit_for_bit(rng):
+    edges = np.array([0.0, 5e-324, 1e-300, 1.0, 36.0, 709.0, 745.0, np.inf])
+    x = np.concatenate([edges, -edges, [np.nan], 30.0 * rng.standard_normal(2000)])
+    got = ad._sigmoid_np(x)
+    want = _where_sigmoid(x)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+    kept = x.copy()
+    ad._sigmoid_np(x)
+    assert x.tobytes() == kept.tobytes()  # the input is left as it is
+
+
 def _flow_map_coefficients(rng, b_sz=2, d=5, n=3):
     """Random (PHt, H, K, k) with N < D; K is not symmetric, as a flow with varying r composes it."""
     pht = rng.standard_normal((b_sz, d, n))

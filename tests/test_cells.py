@@ -2,9 +2,11 @@
 
 ``ssm._gru_cell`` runs a GRU or graph-GRU layer step and returns it with its
 VJP: each cell is one node of the reverse pass, whose one VJP call gives
-the gradients of all its inputs.  ``reference_cells`` holds the same cells
-as plain numpy steps: the forward values must be bit for bit theirs, and
-every gradient must match central differences of them.
+the gradients of all its inputs.  Without a VJP (validation and
+forecasting) it computes in place and keeps nothing.  ``reference_cells``
+holds the same cells as plain numpy steps: the forward values, with a VJP
+and without, must be bit for bit theirs, and every gradient must match
+central differences of them.
 """
 
 import itertools
@@ -62,7 +64,8 @@ def _assert_matches(got, want):
 
 @pytest.mark.parametrize("kind, layers, d_z, mode, n_p, feedback", CASES)
 def test_cell_node_matches_the_composed_cell(monkeypatch, kind, layers, d_z, mode, n_p, feedback):
-    # transition_core's output against the composed cells', bit for bit, and
+    # transition_core's output, with its VJP and without one (as validation
+    # and forecasting run it), against the composed cells', bit for bit, and
     # its VJP against central differences of sum(out * g) through them, in
     # the state, every weight, the mixing matrix and, where the decoder feeds
     # its own sample back (``feedback``), the fed-in value
@@ -75,10 +78,13 @@ def test_cell_node_matches_the_composed_cell(monkeypatch, kind, layers, d_z, mod
         inputs["mixing"] = ssm.build_mixing(model.params, model.hyper, graph)
     g = rng.standard_normal(lead + (model.state_dim,))
 
-    def transition(values):
-        return ssm.transition_core(values, model.hyper, values["x"], values["y"], z, mixing=values.get("mixing"))
+    def transition(values, with_vjp=True):
+        return ssm.transition_core(values, model.hyper, values["x"], values["y"], z, mixing=values.get("mixing"), with_vjp=with_vjp)
 
     out, vjp = transition(inputs)
+    plain, no_vjp = transition(inputs, with_vjp=False)
+    assert no_vjp is None
+    assert plain.tobytes() == out.tobytes()
     d_x, d_y, d_mixing, grads = vjp(g)
     got = {"x": d_x, **grads}
     if feedback:
@@ -89,6 +95,7 @@ def test_cell_node_matches_the_composed_cell(monkeypatch, kind, layers, d_z, mod
         assert d_mixing is None
     monkeypatch.setattr(ssm, "_gru_cell", reference_cells.cell)
     np.testing.assert_array_equal(out, transition(inputs)[0])
+    np.testing.assert_array_equal(plain, transition(inputs, with_vjp=False)[0])
     _assert_matches(got, _central_differences(lambda values: float(np.sum(transition(values)[0] * g)), inputs, got))
 
 
@@ -135,15 +142,17 @@ def test_mixing_vjp_matches_central_differences(rng, mode):
 
 @pytest.mark.parametrize("kind, layers", [("gru", 1), ("gru", 2), ("graph_gru", 1), ("graph_gru", 2)])
 def test_batch_forward_on_plain_arrays_is_the_composed_cells_bit_for_bit(monkeypatch, kind, layers):
-    # the forward pass is kept product for product, so validation and forecasts do not move
+    # the forward pass is kept product for product, so validation and forecasts
+    # do not move; a pass that keeps its trace for the reverse pass gives the same bits
     model, graph = _model(kind, layers, 2, "mixed", seed=3)
     rng = np.random.default_rng(5)
     series = data_mod.SeriesSet(values=rng.standard_normal((40, 4)), names=[f"s{i}" for i in range(4)])
     batch = train.stack_batch(data_mod.make_windows(series, 6, 3, period=12)[:5], model, 3, 0)
     runs = []
-    for cell in (ssm._gru_cell, reference_cells.cell):
+    for cell, collect_trace in ((ssm._gru_cell, False), (reference_cells.cell, False), (ssm._gru_cell, True)):
         monkeypatch.setattr(ssm, "_gru_cell", cell)
-        samples, means, stds, _, _ = train.batch_forward(model.params, model, batch, FlowConfig(), graph=graph)
+        samples, means, stds, _, _ = train.batch_forward(model.params, model, batch, FlowConfig(), graph=graph, collect_trace=collect_trace)
         runs.append([samples, *means, *stds])
-    for got, want in zip(*runs):
-        np.testing.assert_array_equal(got, want)
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert got.tobytes() == want.tobytes()

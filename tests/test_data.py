@@ -63,6 +63,19 @@ def test_series_csv_infinite_cell_raises_with_row_and_column(tmp_path, cell):
         data.load_series(path)
 
 
+def test_series_csv_odd_but_valid_cells_read_the_same_cell_by_cell(tmp_path):
+    # a file without blanks is read in one conversion; a blank cell sends the
+    # whole file through the cell-by-cell loop, which must read the other cells alike
+    rows = "a,b,c\n 1.5 ,1_000,nan\n-0.0,+3,1e-320\n\t2\t,.5,-NaN\n1E2,  -7.25e+1,0\n"
+    whole, blanks = tmp_path / "whole.csv", tmp_path / "blanks.csv"
+    whole.write_text(rows)
+    blanks.write_text(rows + "1,,2\n")
+    fast, slow = data.load_series(whole).values, data.load_series(blanks).values
+    assert np.isnan(slow[-1, 1])
+    assert fast.tobytes() == slow[:-1].tobytes()
+    np.testing.assert_array_equal(fast, [[1.5, 1000.0, np.nan], [-0.0, 3.0, 1e-320], [2.0, 0.5, np.nan], [100.0, -72.5, 0.0]])
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -155,6 +155,25 @@ def test_predict_windows_memory_does_not_grow_with_the_history():
     assert peaks[48] < 1.1 * peaks[12], peaks
 
 
+def test_forward_pass_without_a_trace_peaks_under_5_kb_a_particle_row():
+    # the forecast stack of the benchmark's shape: 6 windows x 100 particles,
+    # graph_gru, D = 40, P = 12, Q = 4; cells that keep nothing for a VJP
+    # hold it near 4.5 KB a row (5.8 KB when every cell kept its VJP's arrays)
+    n, n_p = 5, 100
+    model = ssm.init_model(kind="graph_gru", n_series=n, d_x=8, layers=1, rho=0.8, sigma=0.05, init_scale=0.5, seed=5)
+    graph = ssm.Graph.from_weights(np.random.default_rng(1).uniform(0.0, 1.0, (n, n)))
+    s = data_mod.SeriesSet(values=0.5 * np.random.default_rng(0).standard_normal((40, n)), names=[f"s{i}" for i in range(n)])
+    batch = train.stack_batch(data_mod.make_windows(s, 12, 4)[:6], model, n_p, (0,))
+    train.batch_forward(model.params, model, batch, FlowConfig(), graph=graph)  # warm up
+    tracemalloc.start()
+    try:
+        train.batch_forward(model.params, model, batch, FlowConfig(), graph=graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e3 * 6 * n_p, peak / (6 * n_p)
+
+
 def test_predict_windows_needs_a_window(tiny_gru_model):
     with pytest.raises(DataError, match="no windows"):
         forecast.predict_windows(tiny_gru_model, None, [], _config())
