@@ -146,7 +146,6 @@ def build_parser() -> _Parser:
 def _prepare_dataset(cfg: dict, splits):
     """Config -> (window lists of the named splits, graph, stats, series names)."""
     from . import data as data_mod
-    from .errors import DataError
 
     d = cfg["data"]
     p_steps, q_steps = cfg["windows"]["history"], cfg["windows"]["horizon"]
@@ -163,8 +162,6 @@ def _prepare_dataset(cfg: dict, splits):
     segments = data_mod.chronological_split(series, (fr["train"], fr["val"], fr["test"]), min_length=p_steps + q_steps)
     _, stats = data_mod.standardize(segments[0], per_series=d["per_series_norm"])
     period = d["period"] if d["covariates"] else None
-    if d["covariates"] and d["period"] is None:
-        raise DataError("config key 'data.period' is required when covariates are enabled")
     windows, offset = {}, 0
     for name, segment in zip(("train", "val", "test"), segments):
         if name in splits:  # windows are cut only where they are used
@@ -361,7 +358,3 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -150,6 +150,8 @@ def validate_config(raw: dict) -> dict:
     has_synth = cfg["data"]["synth"]["kind"] is not None
     if has_path == has_synth:
         raise DataError("exactly one of 'data.path' and 'data.synth.kind' must be set")
+    if cfg["data"]["covariates"] and cfg["data"]["period"] is None:
+        raise DataError("config key 'data.period' is required when covariates are enabled")
     return cfg
 
 

@@ -130,8 +130,6 @@ def load_series(path) -> SeriesSet:
     names = header[1:] if has_timestamps else header[:]
     timestamps: Optional[List[str]] = [] if has_timestamps else None
     t_steps, n = len(data_rows), len(names)
-    if n == 0:
-        raise DataError(f"no series columns in {path}")
     cells = data_rows
     if has_timestamps:
         for i, row in enumerate(data_rows):
@@ -220,7 +218,7 @@ def forward_fill(series: SeriesSet) -> SeriesSet:
 
 def chronological_split(
     series: SeriesSet,
-    fractions: Sequence[float] = (0.7, 0.1, 0.2),
+    fractions: Sequence[float],
     min_length: Optional[int] = None,
 ):
     """Contiguous train/val/test split with floored cumulative boundaries."""
@@ -281,8 +279,8 @@ def time_covariates(t_indices: np.ndarray, period: int) -> np.ndarray:
 
 def make_windows(
     series: SeriesSet,
-    p_steps: int = 12,
-    q_steps: int = 12,
+    p_steps: int,
+    q_steps: int,
     period: Optional[int] = None,
     start_offset: int = 0,
 ) -> List[Window]:

@@ -326,7 +326,7 @@ def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None, with_
     """
     n = int(hyper["n_series"])
     d_x = int(hyper["d_x"])
-    d_z = int(hyper.get("d_z", 0))
+    d_z = int(hyper["d_z"])
     lead = x_prev.shape[:-1]
     h = x_prev.reshape(lead + (n, d_x))
     u = y_prev.reshape(lead + (n, 1))
@@ -337,6 +337,8 @@ def transition_core(params, hyper: dict, x_prev, y_prev, z_t, mixing=None, with_
         if z.shape != lead + (d_z,):
             raise DataError(f"z_t must have shape {lead + (d_z,)}")
         u = np.concatenate([u, np.broadcast_to(z[..., None, :], lead + (n, d_z))], axis=-1)
+    elif z_t is not None:
+        raise DataError("the model takes no covariates (d_z = 0) but z_t is given")
     a_hat = mixing if hyper["kind"] == "graph_gru" else None
     cells = []
     for layer in range(int(hyper["layers"])):

@@ -497,7 +497,7 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
 
     Returns the best-validation checkpoint.  A non-finite loss or a
     ``NumericError``, in a training step or the validation pass, ends the
-    epoch as diverged (NaN losses from where it stopped, a "diverged" note)
+    epoch as diverged (NaN losses from where it stopped: its log row's ``val_loss`` is NaN)
     and the fit, which returns the best checkpoint so far; the result's
     ``cause`` says what diverged, or holds the error's message.
     """
@@ -570,7 +570,6 @@ def fit(dataset: TrainData, model_init: ssm_mod.ModelTheta, config: TrainConfig)
                 "val_loss": val_loss,
                 "lr": lr,
                 "seconds": time.perf_counter() - t0,
-                "note": "diverged" if diverged else "",
             }
         )
         if diverged or stale >= config.patience:

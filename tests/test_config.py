@@ -149,6 +149,12 @@ def test_period_must_be_positive(period):
     assert config_mod.validate_config(_minimal(data__period=1))["data"]["period"] == 1
 
 
+def test_covariates_need_a_period():
+    with pytest.raises(DataError, match=r"^config key 'data\.period' is required when covariates are enabled$"):
+        config_mod.validate_config(_minimal(data__covariates=True))
+    assert config_mod.validate_config(_minimal(data__covariates=True, data__period=24))["data"]["period"] == 24
+
+
 @pytest.mark.parametrize("state_dim", [0, -3])
 def test_state_dim_must_be_null_or_positive(state_dim):
     with pytest.raises(DataError, match=r"^config key 'data\.synth\.state_dim' must be positive$"):

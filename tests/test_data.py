@@ -1,6 +1,8 @@
 """Data layer: CSV round trips, missing-value handling, splits, windows,
 normalization, graphs, and the synthetic generators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -172,7 +174,7 @@ def test_forward_fill_leading_missing_raises_with_series_name():
 
 def test_split_100_steps_is_70_10_20(rng):
     s = _series(rng.standard_normal((100, 2)))
-    tr, va, te = data.chronological_split(s)
+    tr, va, te = data.chronological_split(s, (0.7, 0.1, 0.2))
     assert (tr.n_steps, va.n_steps, te.n_steps) == (70, 10, 20)
     # order preserved, no overlap
     np.testing.assert_array_equal(np.vstack([tr.values, va.values, te.values]), s.values)
@@ -180,7 +182,7 @@ def test_split_100_steps_is_70_10_20(rng):
 
 def test_split_small_lengths_floor_the_boundaries(rng):
     s = _series(rng.standard_normal((10, 1)))
-    tr, va, te = data.chronological_split(s)
+    tr, va, te = data.chronological_split(s, (0.7, 0.1, 0.2))
     assert (tr.n_steps, va.n_steps, te.n_steps) == (7, 1, 2)
 
 
@@ -193,7 +195,7 @@ def test_split_rejects_fractions_not_summing_to_one(rng):
 def test_split_enforces_minimum_segment_length(rng):
     s = _series(rng.standard_normal((50, 1)))
     with pytest.raises(DataError):
-        data.chronological_split(s, min_length=20)
+        data.chronological_split(s, (0.7, 0.1, 0.2), min_length=20)
 
 
 # ---------------------------------------------------------------------------
@@ -420,3 +422,23 @@ def test_synth_states_match_oracle_dimensions():
     # configured observation noise scale
     resid = r.series.values - r.states @ r.oracle.H.T
     assert 0.01 < resid.std() < 0.3
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: data.SeriesSet(values=np.zeros(3), names=["a"]), "series values must be (T, N)"),
+        (lambda: data.SeriesSet(values=np.zeros((3, 2)), names=["a"]), "need one name per series"),
+        (lambda: data.SeriesSet(values=np.zeros((3, 1)), names=["a"], timestamps=["2020-01-01"]), "need one timestamp per row"),
+        (lambda: data.chronological_split(_series(np.zeros((10, 1))), (0.8, 0.2)), "fractions must be three positive numbers"),
+    ],
+    ids=["values_not_2d", "name_count", "timestamp_count", "two_fractions"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call()

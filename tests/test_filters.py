@@ -1,6 +1,8 @@
 """Kalman filter, bootstrap particle filter, and the linear-Gaussian
 benchmark harness: conjugate hand cases plus Monte Carlo agreement."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,37 @@ def test_flow_filter_beats_bpf_in_high_dimensions():
     bpf_rmse = np.sqrt(np.mean((bpf_means - kf_means) ** 2))
     assert flow_rmse < bpf_rmse
     assert ess.mean() < 20  # weight degeneracy
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+def _ssm_with(**override):
+    fields = dict(F=np.eye(2), Q=np.eye(2), H=np.eye(1, 2), R=np.eye(1), init_mean=np.zeros(2), init_cov=np.eye(2))
+    return LinearGaussianSSM(**{**fields, **override})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _ssm_with(F=np.ones((2, 3))), DataError, "F must be square"),
+        (lambda: _ssm_with(H=np.ones((1, 3))), DataError, "H must be (N, D)"),
+        (lambda: _ssm_with(Q=np.eye(3)), DataError, "Q must be (D, D) and R must be (N, N)"),
+        (lambda: _ssm_with(R=np.eye(2)), DataError, "Q must be (D, D) and R must be (N, N)"),
+        (lambda: _ssm_with(init_mean=np.zeros(3)), DataError, "initial moments have inconsistent shapes"),
+        (lambda: _ssm_with(init_cov=np.eye(3)), DataError, "initial moments have inconsistent shapes"),
+        (lambda: _ssm_with(Q=np.array([[1.0, 0.5], [0.0, 1.0]])), DataError, "Q must be symmetric"),
+        (  # H = 0 and R = 0 make S = 0
+            lambda: filters.kalman_update(np.zeros(2), np.eye(2), np.zeros(1), _ssm_with(H=np.zeros((1, 2)), R=np.zeros((1, 1)))),
+            NumericError,
+            "Kalman innovation covariance is singular: ",
+        ),
+        (lambda: filters.systematic_resample(np.full((2, 2), 0.25), 0.5), DataError, "weights must be a vector"),
+    ],
+    ids=["F_not_square", "H_width", "Q_shape", "R_shape", "init_mean_shape", "init_cov_shape", "Q_asymmetric", "singular_S", "weights_2d"],
+)
+def test_input_checks(call, error, message):  # a message ending ": " goes on with numpy's own error
+    with pytest.raises(error, match=f"^{re.escape(message)}" + ("" if message.endswith(": ") else "$")):
+        call()

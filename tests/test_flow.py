@@ -5,6 +5,7 @@ fixed-noise map against the exact Gaussian posterior and against Euler
 steps, and convergence of the Euler integration to that posterior."""
 
 import decimal
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import scipy.linalg
 
 from flowcast import autodiff as ad, filters
 from flowcast import flow as flow_mod
-from flowcast.errors import FlowDivergedError, FlowSolveError
+from flowcast.errors import DataError, FlowDivergedError, FlowSolveError
 from flowcast.flow import FlowConfig, edh_flow, step_schedule
 
 
@@ -769,3 +770,22 @@ def test_flow_config_validation():
         FlowConfig(ratio=-1.0)
     with pytest.raises(ValueError):
         FlowConfig(jitter=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "particles, h_mat, y, message",
+    [
+        (np.zeros((3, 2)), np.eye(2), np.zeros((1, 2)), "particles must be a (B, n_particles, D) array"),
+        (np.zeros((1, 3, 2)), np.eye(3), np.zeros((1, 3)), "need h_mat of shape (N, 2) and y of shape (1, N)"),
+        (np.zeros((1, 3, 2)), np.eye(2), np.zeros((2, 2)), "need h_mat of shape (N, 2) and y of shape (1, N)"),
+    ],
+    ids=["particles_2d", "h_mat_width", "y_rows"],
+)
+def test_input_checks(particles, h_mat, y, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        edh_flow(particles, h_mat, y, np.ones(h_mat.shape[0]))

@@ -3,6 +3,7 @@ sample-based distributions, quantiles, and CSV artifacts."""
 
 import csv
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -439,3 +440,18 @@ def test_read_forecast_files_rejects_malformed_files(tmp_path, rng, name, edit, 
             path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(DataError, match=match):
         forecast.read_forecast_files(paths["samples"], paths["summary"], paths["truth"])
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [({"n_particles": 0}, "n_particles must be >= 1"), ({"point": "mode"}, "point must be 'median' or 'mean'")],
+    ids=["no_particles", "unknown_point"],
+)
+def test_input_checks(settings, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        PredictConfig(**settings)

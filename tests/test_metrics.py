@@ -1,6 +1,8 @@
 """Scoring: point metrics, CRPS (against numerical integration of its
 CDF definition), quantile loss, and the report layout."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,21 @@ def test_metrics_report_csv_layout(tmp_path, rng):
     text = path.read_text().splitlines()
     assert text[0] == "metric,horizon,value"
     assert len(text) == len(rows) + 1
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: metrics.point_metrics(np.zeros((2, 3, 1)), np.zeros((2, 4, 1)), 1), "points and targets must have identical shapes"),
+        (lambda: metrics.crps_empirical(np.array([]), 0.0), "crps needs at least one sample"),
+    ],
+    ids=["shape_mismatch", "no_samples"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call()

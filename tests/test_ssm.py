@@ -276,6 +276,9 @@ def test_covariates_shift_the_transition(rng):
         ssm.transition_core(model.params, model.hyper, x_prev, y_prev, None)
     with pytest.raises(DataError, match=r"shape \(1, 2\)"):  # covariates come one row per state row
         ssm.transition_core(model.params, model.hyper, x_prev, y_prev, np.array([1.0, -1.0]))
+    plain = ssm.init_model(kind="gru", n_series=2, d_x=2, layers=1, d_z=0, seed=1, sigma=0.0)
+    with pytest.raises(DataError, match=r"^the model takes no covariates \(d_z = 0\) but z_t is given$"):
+        ssm.transition_core(plain.params, plain.hyper, x_prev, y_prev, np.array([[0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("kind", ["gru", "graph_gru"])
@@ -510,3 +513,40 @@ def test_checkpoint_with_a_malformed_meta_entry_is_a_data_error(tmp_path, meta):
     np.savez(path, **data)
     with pytest.raises(DataError, match=f"checkpoint {re.escape(str(path))} has a malformed meta entry"):
         ssm.load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+def _mixing_of_two_series(graph):
+    model = ssm.init_model(kind="graph_gru", n_series=2, d_x=2, layers=1)
+    return ssm.build_mixing(model.params, model.hyper, graph)
+
+
+def _save_npz(path, **arrays):
+    np.savez(path, **arrays)
+    return path
+
+
+def _save_text(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: ssm.init_model(n_series=0), "n_series must be positive and d_z non-negative"),
+        (lambda tmp: _mixing_of_two_series(ssm.Graph.from_weights(np.ones((3, 3)))), "graph size does not match the number of series"),
+        (lambda tmp: ssm.load_checkpoint(tmp / "missing.npz"), "cannot read checkpoint {tmp}/missing.npz: "),
+        (lambda tmp: ssm.load_checkpoint(_save_text(tmp / "text.npz", "not a checkpoint\n")), "not a model checkpoint: {tmp}/text.npz: "),
+        (lambda tmp: ssm.load_checkpoint(_save_npz(tmp / "bare.npz", a=np.zeros(1))), "not a model checkpoint: {tmp}/bare.npz"),
+    ],
+    ids=["no_series", "graph_size", "missing_file", "not_npz", "no_meta"],
+)
+def test_input_checks(tmp_path, call, message):
+    message = message.format(tmp=tmp_path)  # a message ending ": " goes on with the reader's own error
+    with pytest.raises(DataError, match=f"^{re.escape(message)}" + ("" if message.endswith(": ") else "$")):
+        call(tmp_path)

@@ -2,6 +2,7 @@
 the optimizer, the schedule knobs, and the fit loop."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -560,7 +561,7 @@ def test_fit_flow_failure_in_validation_returns_the_best_epoch(rng, request):
     result = train.fit(ds, model, _config(max_epochs=4, patience=10))
     assert result.diverged and not result.stopped_early
     assert result.best_epoch == 1 and result.best_val == one_epoch.best_val
-    assert [row["note"] for row in result.log] == ["", "diverged"]
+    assert [math.isfinite(row["val_loss"]) for row in result.log] == [True, False]
     assert math.isnan(result.log[1]["val_loss"]) and math.isfinite(result.log[1]["train_loss"])
     assert result.cause == "particles became non-finite"  # the validation pass's error
     for name in train.param_names(model):
@@ -586,7 +587,7 @@ def test_fit_nan_loss_in_a_later_minibatch_returns_the_best_epoch(rng, monkeypat
     assert len(calls) == 4
     assert result.diverged and not result.stopped_early
     assert result.best_epoch == 1 and result.best_val == one_epoch.best_val
-    assert [row["note"] for row in result.log] == ["", "diverged"]
+    assert [math.isfinite(row["val_loss"]) for row in result.log] == [True, False]
     assert math.isnan(result.log[1]["train_loss"]) and math.isnan(result.log[1]["val_loss"])
     assert result.cause == "training loss became non-finite at epoch 2, minibatch 2"
     for name, value in one_epoch.model.params.items():
@@ -611,7 +612,7 @@ def test_fit_nan_validation_loss_returns_the_best_epoch_and_names_it(rng, monkey
     assert result.diverged and not result.stopped_early
     assert result.cause == "validation loss became non-finite at epoch 2"
     assert result.best_epoch == 1 and result.best_val == one_epoch.best_val
-    assert [row["note"] for row in result.log] == ["", "diverged"]
+    assert [math.isfinite(row["val_loss"]) for row in result.log] == [True, False]
     assert math.isfinite(result.log[1]["train_loss"]) and math.isnan(result.log[1]["val_loss"])
     for name, value in one_epoch.model.params.items():
         np.testing.assert_array_equal(result.model.params[name], value)
@@ -623,7 +624,7 @@ def test_fit_keeps_the_error_that_ended_it(rng, training_step_fails):
     result = train.fit(train.TrainData(train_windows=windows[:8], val_windows=windows[8:12], graph=None), model, _config())
     assert result.diverged and result.best_epoch == 0
     assert "window 4" in result.cause and "encoder step 1" in result.cause
-    assert [row["note"] for row in result.log] == ["diverged"]
+    assert [math.isfinite(row["val_loss"]) for row in result.log] == [False]
 
 
 def test_fit_that_ends_cleanly_has_no_cause(rng):
@@ -698,3 +699,22 @@ def test_training_log_csv_format(tmp_path, rng):
     assert len(body) == len(result.log)
     cells = body[0].split(",")
     assert float(cells[1]) == result.log[0]["train_loss"]  # repr round trip
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda model, windows: train.evaluate_loss(model, [], _config()), "no windows to evaluate"),
+        (lambda model, windows: train.fit(train.TrainData([], windows), model, _config()), "the training split has no windows"),
+        (lambda model, windows: train.fit(train.TrainData(windows, []), model, _config()), "the validation split has no windows"),
+    ],
+    ids=["evaluate_nothing", "empty_train_split", "empty_validation_split"],
+)
+def test_input_checks(rng, call, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call(_tiny_model(), _windows(rng)[:4])

@@ -11,6 +11,9 @@ compiled code objects) that no frame reached.  Code run in a subprocess is
 not traced: ``__main__.py`` always shows as unreached, and the perfbench
 smoke tests, which start ``perfbench/run.py``, add nothing.  The standard
 library only; tracing makes the suite a few times slower.
+
+Exits with pytest's status when a test fails, else 1 when a line outside
+``__main__.py`` is unreached, else 0.
 """
 
 import os
@@ -52,13 +55,14 @@ def main(argv) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    total = 0
+    total = outside_main = 0
     for name, lines in sorted(reached.items()):
         missed = sorted(executable_lines(Path(name)) - lines)
         total += len(missed)
+        outside_main += 0 if Path(name).name == "__main__.py" else len(missed)
         print(f"{Path(name).relative_to(ROOT)}: {len(missed)} unreached" + (f": lines {', '.join(map(str, missed))}" if missed else ""))
     print(f"{total} unreached lines in src/flowcast")
-    return int(status)
+    return int(status) or int(outside_main > 0)
 
 
 if __name__ == "__main__":
