@@ -253,6 +253,6 @@ def flow_filter_linear(
     for t in range(t_steps):
         if t > 0:
             particles = particles @ ssm.F.T + rng.standard_normal(particles.shape) @ lq.T
-        particles = flow_mod.edh_flow(particles, ssm.H, obs[None, t], r_diag, config)
+        particles, _ = flow_mod.edh_flow(particles, ssm.H, obs[None, t], r_diag, config)
         means[t] = particles[0].mean(axis=0)
     return means

@@ -90,9 +90,8 @@ def step_schedule(n_lambda: int, ratio: float) -> np.ndarray:
 
 
 class FlowTrace(NamedTuple):
-    """What a flow froze, and the affine map ``x + (x H^T K + k) PHt^T`` it composed."""
+    """The affine map ``x + (x H^T K + k) PHt^T`` a flow composed: ``autodiff.flow_map(x, *trace)`` applies it."""
 
-    mean: np.ndarray  # (B, D) ensemble means the flow started from
     pht: np.ndarray  # (B, D, N) P H^T of the starting ensembles
     h_mat: np.ndarray  # (N, D) observation matrix
     k_mat: np.ndarray  # (B, N, N) K, the map's gain on the observed starting point x H^T
@@ -105,7 +104,6 @@ def edh_flow(
     y: np.ndarray,
     r: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
     config: FlowConfig = FlowConfig(),
-    return_trace: bool = False,
     encoder_step: Optional[int] = None,
     window_ids: Optional[Sequence] = None,
 ):
@@ -124,13 +122,14 @@ def edh_flow(
     in closed form, which reads neither ``n_lambda`` nor ``ratio``.
     Relinearized ones take Euler steps, each inverting its ``S``.
 
-    Returns the moved particles, plus a :class:`FlowTrace` when
-    ``return_trace`` is true: the map a training pass differentiates through
-    with :func:`autodiff.flow_map_vjp`.  ``encoder_step`` and ``window_ids``
-    (one per ensemble) only label the errors: ``FlowSolveError`` when an
+    Returns the moved particles and the :class:`FlowTrace` that moved them:
+    the map a training pass differentiates through with
+    :func:`autodiff.flow_map_vjp`.  ``encoder_step`` and ``window_ids`` (one
+    per ensemble) only label the errors: ``FlowSolveError`` when an
     innovation covariance ``S`` is not positive definite (some noise
-    variance is not positive, or a relinearized ``S`` is not finite),
-    ``FlowDivergedError`` when the flow map or a particle becomes non-finite.
+    variance is not positive, which the message names, or a relinearized
+    ``S`` is not finite), ``FlowDivergedError`` when the flow map or a
+    particle becomes non-finite.
     """
     particles = np.asarray(particles, dtype=np.float64)
     if particles.ndim != 3:
@@ -154,11 +153,11 @@ def edh_flow(
     relinearized = callable(r) and config.relinearize_every_step
     where = "" if encoder_step is None else f" of encoder step {encoder_step}"
 
-    def fail(cls, what, verb, row, m=0, lam=0.0):
+    def fail(cls, what, verb, row, m=0, lam=0.0, cause=""):
         window_id = None if window_ids is None else window_ids[row]
         who = f"ensemble {row}" if window_ids is None else f"window {window_id}"
         when = f"pseudo-time step {m + 1}/{config.n_lambda}" if relinearized else "the closed-form flow"
-        return cls(f"{what} of {who} {verb} {when} (lambda={lam:.6g}){where}", window_id, encoder_step, m + 1, float(lam))
+        return cls(f"{what} of {who} {verb} {when} (lambda={lam:.6g}){where}{cause}", window_id, encoder_step, m + 1, float(lam))
 
     if relinearized:
         eps = step_schedule(config.n_lambda, config.ratio)
@@ -169,19 +168,24 @@ def edh_flow(
         r_fixed = np.broadcast_to(np.asarray(r(mean0) if callable(r) else r, dtype=np.float64), (b_sz, n))
         k_mat, k_vec = _fixed_noise_map(r_fixed, hph, half_y, half_innov, fail)
         moved = (0, 1.0)  # the one map takes them to lambda = 1
-    x = ad.flow_map(particles, pht, h_mat, k_mat, k_vec)
+    trace = FlowTrace(pht, h_mat, k_mat, k_vec)
+    x = ad.flow_map(particles, *trace)
     if not np.isfinite(x).all():
         row, particle = np.argwhere(~np.isfinite(x))[0][:2]
         raise fail(FlowDivergedError, f"particle {particle}", "became non-finite after", row, *moved)
-    if return_trace:
-        return x, FlowTrace(mean0, pht, h_mat, k_mat, k_vec)
-    return x
+    return x, trace
 
 
-def _not_spd(fail, ok_rows, *at):
-    """The FlowSolveError for the first ensemble whose ``S`` fails ``ok_rows`` (at Euler step and pseudo-time ``at``)."""
+def _not_spd(fail, r, ok_rows, *at):
+    """The FlowSolveError for the first ensemble whose ``S`` fails ``ok_rows`` (at Euler step and pseudo-time ``at``).
+
+    The message ends with that ensemble's first noise variance in the (B, N)
+    ``r`` that is not positive, when one is.
+    """
     row = np.flatnonzero(~ok_rows)[0]
-    return fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, *at)
+    bad = np.flatnonzero(~(r[row] > 0))
+    cause = f": noise variance of series {bad[0]} is {r[row, bad[0]]:.6g}" if bad.size else ""
+    return fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, *at, cause=cause)
 
 
 def _fixed_noise_map(r, hph, half_y, half_innov, fail):
@@ -193,7 +197,7 @@ def _fixed_noise_map(r, hph, half_y, half_innov, fail):
     """
     positive = (r > 0).all(axis=1)  # G is PSD, so S is SPD exactly when every r is positive
     if not positive.all():
-        raise _not_spd(fail, positive)
+        raise _not_spd(fail, r, positive)
     sqrt_r = np.sqrt(r)
     g = (hph + np.swapaxes(hph, 1, 2)) / (2.0 * sqrt_r[:, :, None] * sqrt_r[:, None, :])
     finite = np.isfinite(g).all(axis=(1, 2))
@@ -228,7 +232,7 @@ def _relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, eps, lams, 
         s = lams[m] * hph
         s.reshape(b_sz, n * n)[:, :: n + 1] += r_now  # the diagonal of each S
         if not ((r_now > 0).all() and np.isfinite(s).all()):  # G is PSD: no factorization needed
-            raise _not_spd(fail, (r_now > 0).all(axis=1) & np.isfinite(s).all(axis=(1, 2)), m, lams[m])
+            raise _not_spd(fail, r_now, (r_now > 0).all(axis=1) & np.isfinite(s).all(axis=(1, 2)), m, lams[m])
         s_inv = np.linalg.inv(s)
         beta = s_inv @ (half_y + r_now[:, :, None] * (s_inv @ half_innov))  # (B, N, 1)
         # K <- K - eps/2 (I + K G^T) S^-1 and k <- k + eps beta - eps/2 k G^T S^-1, with G = H PHt

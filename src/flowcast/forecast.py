@@ -53,7 +53,6 @@ class ForecastDistribution:
 
     samples: np.ndarray
     point: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def predict_windows(
@@ -85,8 +84,7 @@ def predict(
 ) -> ForecastDistribution:
     """Forecast one window: :func:`predict_windows` on a batch of one."""
     samples, points = predict_windows(model, graph, [window], config)
-    meta = {"window_id": window.window_id, "seed": config.seed, "point": config.point, "noiseless": config.noiseless}
-    return ForecastDistribution(samples=samples[0], point=points[0], meta=meta)
+    return ForecastDistribution(samples=samples[0], point=points[0])
 
 
 # ---------------------------------------------------------------------------

@@ -45,17 +45,6 @@ def point_metrics(points: np.ndarray, targets: np.ndarray, horizon: int) -> dict
     return {"mae": mae, "mape": mape, "rmse": rmse}
 
 
-def crps_empirical(samples: np.ndarray, y: float) -> float:
-    """CRPS of an empirical sample set against a scalar outcome.
-
-    mean |x_i - y| - (1 / 2n^2) * sum_ij |x_i - x_j|.
-    """
-    s = np.asarray(samples, dtype=np.float64).reshape(1, -1)
-    if s.shape[1] < 1:
-        raise DataError("crps needs at least one sample")
-    return float(crps_batch(s, np.asarray([float(y)]))[0])
-
-
 def crps_avg(samples: np.ndarray, targets: np.ndarray, horizon: int) -> float:
     """Mean marginal CRPS over windows and series at one horizon.
 
@@ -95,10 +84,7 @@ def quantile_loss(y, y_hat, alpha: float):
     y_hat = np.asarray(y_hat, dtype=np.float64)
     under = np.maximum(y - y_hat, 0.0)
     over = np.maximum(y_hat - y, 0.0)
-    out = 2.0 * (alpha * under + (1.0 - alpha) * over)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return 2.0 * (alpha * under + (1.0 - alpha) * over)
 
 
 def ql_avg(quantile_forecasts: np.ndarray, targets: np.ndarray, alpha: float, horizon: int) -> float:

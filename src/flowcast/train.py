@@ -220,11 +220,11 @@ def batch_forward(
     stds, trace, steps)``: the (B, n_p, Q, N) samples, the per-step (B, n_p,
     N) emission means and stds, the flow traces (one
     :class:`flow.FlowTrace` per encoder step, kept when ``collect_trace``
-    is set or a ``frozen_trace`` is replayed), and, when ``collect_trace``
-    is set, what :func:`gradients` reads to run the steps in reverse
-    (None otherwise): ``(init, transitions, emissions)``, the time-1 draw,
-    each transition's VJP and draw from time 2 on, and each decoder step's
-    state, emission-std pre-activation and measurement draw.
+    is set and no ``frozen_trace`` is replayed; empty otherwise), and,
+    when ``collect_trace`` is set, what :func:`gradients` reads to run the
+    steps in reverse (None otherwise): ``(init, transitions, emissions)``,
+    the time-1 draw, each transition's VJP and draw from time 2 on, and each
+    decoder step's state, emission-std pre-activation and measurement draw.
     """
     hyper = model.hyper
     b_sz, p_steps, q_steps, n = batch.sizes
@@ -262,17 +262,15 @@ def batch_forward(
                 dyn = _draw(rngs, (min(block, p_steps + 1 - t), n_p, d))
             x = step_transition(x, y_hist[:, :, t - 2], t, dyn[j])
         if frozen_trace is None:
-            y_t = batch.y_hist[:, t - 1, :]
-            x, flow_trace = flow_mod.edh_flow(x, w_phi, y_t, noise_var, flow_config, return_trace=True, encoder_step=t, window_ids=batch.window_ids)
+            x, flow_trace = flow_mod.edh_flow(x, w_phi, batch.y_hist[:, t - 1, :], noise_var, flow_config, encoder_step=t, window_ids=batch.window_ids)
+            if collect_trace:
+                trace.append(flow_trace)
         else:  # replay the map the flow composed, with everything it froze, H included
-            flow_trace = frozen_trace[t - 1]
-            x = ad.flow_map(x, flow_trace.pht, flow_trace.h_mat, flow_trace.k_mat, flow_trace.k_vec)
+            x = ad.flow_map(x, *frozen_trace[t - 1])
             if not np.isfinite(x).all():
                 row, particle = np.argwhere(~np.isfinite(x))[0][:2]
                 where = f"window {batch.window_ids[row]} became non-finite during the frozen flow replay of encoder step {t}"
                 raise flow_mod.FlowDivergedError(f"particle {particle} of {where}", batch.window_ids[row], t)
-        if collect_trace or frozen_trace is not None:
-            trace.append(flow_trace)
 
     # ---- decoder: sampled roll-out --------------------------------------
     sample_steps = []
@@ -412,8 +410,7 @@ def gradients(
 
     # ---- encoder, step P down to 1 ----------------------------------------
     for t in range(p_steps, 0, -1):
-        flow_trace = trace[t - 1]
-        g_x = ad.flow_map_vjp(g_x, flow_trace.pht, flow_trace.h_mat, flow_trace.k_mat)
+        g_x = ad.flow_map_vjp(g_x, *trace[t - 1][:3])
         if t > 1:
             g_x, _ = back_through_transition(g_x, *transitions[t - 2])
     grads["rho"] += np.sum(g_x * init)
@@ -443,21 +440,20 @@ def batch_loss(
 
 
 class _Adam:
-    def __init__(self, shapes: Dict[str, tuple], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shapes: Dict[str, tuple]):
         self.m = {k: np.zeros(s) for k, s in shapes.items()}
         self.v = {k: np.zeros(s) for k, s in shapes.items()}
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
     def step(self, values: Dict[str, np.ndarray], grads: Dict[str, np.ndarray], lr: float):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
         correction = math.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)
         for k in self.m:
             g = grads[k]
             self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
             self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            values[k] = values[k] - lr * correction * self.m[k] / (np.sqrt(self.v[k]) + self.eps)
+            values[k] = values[k] - lr * correction * self.m[k] / (np.sqrt(self.v[k]) + eps)
         return values
 
 

@@ -72,7 +72,7 @@ def training_step_fails(monkeypatch):
     """Make every ``train.gradients`` call raise the error a singular first flow solve in window 4 raises."""
 
     def failing(*args, **kwargs):
-        message = "innovation covariance of window 4 is not positive definite at the closed-form flow (lambda=0) of encoder step 1"
+        message = "innovation covariance of window 4 is not positive definite at the closed-form flow (lambda=0) of encoder step 1: noise variance of series 0 is 0"
         raise FlowSolveError(message, 4, 1, 1, 0.0)
 
     # fit calls gradients through the module global

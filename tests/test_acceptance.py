@@ -22,6 +22,7 @@ from flowcast import metrics as metrics_mod
 from flowcast import ssm as ssm_mod
 from flowcast import train as train_mod
 from flowcast.flow import FlowConfig
+from flowcast.kernels import crps_batch
 
 
 def _report(name, ok, detail):
@@ -56,7 +57,7 @@ def test_flow_update_matches_kalman_posterior_across_dimensions():
             post_mean, post_cov = filters_mod.kalman_update(m0, p0, y, ssm)
 
             particles = rng.multivariate_normal(m0, p0, size=2000)
-            out = flow_mod.edh_flow(particles[None], h, y[None], r_diag, FlowConfig(n_lambda=29))[0]
+            out = flow_mod.edh_flow(particles[None], h, y[None], r_diag, FlowConfig(n_lambda=29))[0][0]
             m_flow = out.mean(axis=0)
             v_flow = out.var(axis=0)
             worst_mean = max(worst_mean, np.linalg.norm(m_flow - post_mean) / np.linalg.norm(post_mean))
@@ -139,7 +140,7 @@ def test_probability_metrics_match_independent_oracles():
     for _ in range(50):
         samples = rng.standard_normal(int(rng.integers(2, 40))) * rng.uniform(0.5, 2.0)
         y = float(rng.standard_normal() * 1.5)
-        got = metrics_mod.crps_empirical(samples, y)
+        got = crps_batch(samples[None], np.array([y]))[0]
         want = _crps_by_integration(samples, y)
         worst_crps = max(worst_crps, abs(got - want))
 
@@ -460,7 +461,7 @@ def test_invariant_properties_hold():
 
     # an uninformative measurement (zero Jacobian) leaves particles untouched
     particles = rng.standard_normal((60, 3))
-    out = flow_mod.edh_flow(particles[None], np.zeros((2, 3)), np.zeros((1, 2)), np.ones(2), FlowConfig(n_lambda=12))[0]
+    out = flow_mod.edh_flow(particles[None], np.zeros((2, 3)), np.zeros((1, 2)), np.ones(2), FlowConfig(n_lambda=12))[0][0]
     if not np.allclose(out, particles, atol=1e-12):
         failures.append("zero-information flow moved particles")
 

@@ -264,7 +264,7 @@ def test_train_divergence_names_its_cause(tmp_path, capsys, training_step_fails)
     config_path.write_text(json.dumps(_base_config(tmp_path / "run")))
     assert cli.main(["train", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
-    assert "training diverged (innovation covariance of window 4" in err and "of encoder step 1)" in err
+    assert "training diverged (innovation covariance of window 4" in err and "of encoder step 1: noise variance of series 0 is 0)" in err
 
 
 def test_train_flow_failure_in_validation_keeps_the_best_checkpoint(tmp_path, capsys, second_validation_diverges):
@@ -402,7 +402,7 @@ def test_forecast_numeric_failure_exits_3_naming_the_window_and_encoder_step(tra
     capsys.readouterr()
     assert _forecast(tmp_path / "run", trained_run["run"] / "resolved_config.json", tmp_path / "fc") == 3
     err = capsys.readouterr().err
-    assert re.fullmatch(r"numeric failure: innovation covariance of window \d+ is not positive definite at .* of encoder step \d+\n", err), err
+    assert re.fullmatch(r"numeric failure: innovation covariance of window \d+ is not positive definite at .* of encoder step \d+: noise variance of series \d+ is 0\n", err), err
     assert not (tmp_path / "fc").exists()
 
 

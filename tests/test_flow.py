@@ -65,39 +65,37 @@ def test_schedule_rejects_bad_arguments():
 # ---------------------------------------------------------------------------
 
 
-def _frozen_moments(ens, h, jitter=1e-2, scale=1.0):
-    """The (B, D) mean and (B, D, N) P H^T a flow froze for the ensembles ``ens``."""
+def _frozen_pht(ens, h, jitter=1e-2, scale=1.0):
+    """The (B, D, N) P H^T a flow froze for the ensembles ``ens``."""
     cfg = FlowConfig(n_lambda=1, jitter=jitter, single_particle_prior_scale=scale)
     n = h.shape[0]
-    _, trace = edh_flow(ens, h, np.zeros((ens.shape[0], n)), np.ones(n), cfg, return_trace=True)
-    return trace.mean, trace.pht
+    _, trace = edh_flow(ens, h, np.zeros((ens.shape[0], n)), np.ones(n), cfg)
+    return trace.pht
 
 
 def test_moments_two_point_ensemble():
     ens = np.array([[[0.0], [2.0]]])
-    mean, pht = _frozen_moments(ens, np.eye(1), jitter=0.0)
-    np.testing.assert_allclose(mean, [[1.0]])
+    pht = _frozen_pht(ens, np.eye(1), jitter=0.0)
     np.testing.assert_allclose(pht, [[[1.0]]])  # population covariance
 
 
 def test_moments_jitter_inflates_diagonal():
     ens = np.array([[[0.0, 0.0], [2.0, 0.0]]])
-    _, pht = _frozen_moments(ens, np.eye(2), jitter=0.01)
+    pht = _frozen_pht(ens, np.eye(2), jitter=0.01)
     np.testing.assert_allclose(np.diag(pht[0]), [1.01, 0.01], rtol=1e-12)
 
 
 def test_moments_single_particle_uses_prior_scale():
     ens = np.array([[[3.0, -1.0]], [[0.5, 4.0]]])
     h = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 3.0]])
-    mean, pht = _frozen_moments(ens, h, jitter=0.5, scale=2.0)
-    np.testing.assert_allclose(mean, [[3.0, -1.0], [0.5, 4.0]])
+    pht = _frozen_pht(ens, h, jitter=0.5, scale=2.0)
     np.testing.assert_allclose(pht, np.broadcast_to(2.0 * h.T, (2, 2, 3)))  # no jitter on top
 
 
 def test_moments_covariance_is_symmetric(rng):
     # with H = I the frozen P H^T is the covariance itself
     ens = rng.standard_normal((3, 40, 6))
-    _, pht = _frozen_moments(ens, np.eye(6))
+    pht = _frozen_pht(ens, np.eye(6))
     np.testing.assert_array_equal(pht, np.swapaxes(pht, 1, 2))
 
 
@@ -105,9 +103,8 @@ def test_moments_match_numpy_population_covariance(rng):
     ens = rng.standard_normal((3, 25, 4))
     h = rng.standard_normal((3, 4))
     for jitter in (0.0, 0.3):
-        mean, pht = _frozen_moments(ens, h, jitter=jitter)
+        pht = _frozen_pht(ens, h, jitter=jitter)
         for i in range(3):
-            np.testing.assert_allclose(mean[i], ens[i].mean(axis=0), rtol=1e-12)
             want = np.cov(ens[i], rowvar=False, bias=True) @ h.T + jitter * h.T
             np.testing.assert_allclose(pht[i], want, rtol=1e-10, atol=1e-12)
 
@@ -188,9 +185,8 @@ def test_composed_flow_matches_stepwise_reference(rng, b_sz, n_p, d, n, noise, j
     else:
         r = rng.uniform(0.5, 1.5, size=(b_sz, n))
     cfg = FlowConfig(n_lambda=29, jitter=jitter, relinearize_every_step=noise is True)
-    got, trace = edh_flow(particles, h, y, r, cfg, return_trace=True)
+    got, trace = edh_flow(particles, h, y, r, cfg)
     want, mean0, pht, _ = _stepwise_flow(particles, h, y, r, cfg)
-    np.testing.assert_array_equal(trace.mean, mean0)
     assert _relative_difference(trace.pht, pht) <= 1e-12
     assert trace.k_mat.shape == (b_sz, n, n) and trace.k_vec.shape == (b_sz, 1, n)
     if noise is True:
@@ -226,7 +222,7 @@ def test_fixed_noise_map_is_exact_at_extreme_eigenvalues(mu):
     h = np.array([[np.sqrt(mu)]])
     x0, y = 0.5, 1.25
     a, b = y / 2.0, (y - h[0, 0] * x0) / 2.0
-    moved, trace = edh_flow(np.array([[[x0]]]), h, np.array([[y]]), np.ones(1), FlowConfig(), return_trace=True)
+    moved, trace = edh_flow(np.array([[[x0]]]), h, np.array([[y]]), np.ones(1), FlowConfig())
     kappa, c = _exact_mode(mu, a, b)
     assert np.isfinite(moved).all()
     assert abs(trace.k_mat[0, 0, 0] - kappa) <= 1e-15 * abs(kappa)
@@ -247,10 +243,10 @@ def test_fixed_callable_noise_is_read_once_at_the_starting_mean(rng):
         return 0.5 + np.logaddexp(0.0, means @ c.T) ** 2
 
     cfg = FlowConfig(n_lambda=29, relinearize_every_step=False)
-    got, trace = edh_flow(particles, h, y, r, cfg, return_trace=True)
+    got, trace = edh_flow(particles, h, y, r, cfg)
     assert len(reads) == 1
     np.testing.assert_array_equal(reads[0], particles.mean(axis=1))
-    want, want_trace = edh_flow(particles, h, y, r(particles.mean(axis=1)), cfg, return_trace=True)
+    want, want_trace = edh_flow(particles, h, y, r(particles.mean(axis=1)), cfg)
     np.testing.assert_array_equal(got, want)
     for got_field, want_field in zip(trace, want_trace):
         np.testing.assert_array_equal(got_field, want_field)
@@ -280,7 +276,7 @@ def test_fixed_noise_flows_factorize_nothing(monkeypatch, rng):
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     c = rng.standard_normal((d, d)) * 0.3
-    relinearized = edh_flow(rng.standard_normal((2, 20, d)), ssm.H, obs[:2], lambda m: 0.5 + np.logaddexp(0.0, m @ c.T) ** 2, FlowConfig(relinearize_every_step=True))
+    relinearized, _ = edh_flow(rng.standard_normal((2, 20, d)), ssm.H, obs[:2], lambda m: 0.5 + np.logaddexp(0.0, m @ c.T) ** 2, FlowConfig(relinearize_every_step=True))
     assert np.isfinite(relinearized).all()
     assert inverted == [(2, d, d)] * FlowConfig().n_lambda
     monkeypatch.setattr(np.linalg, "inv", forbidden)
@@ -292,7 +288,7 @@ def test_composed_map_is_not_symmetric_once_r_varies(rng):
     # gradient must use its transpose
     c = rng.standard_normal((3, 5)) * 0.5
     particles = rng.standard_normal((1, 20, 5))
-    _, trace = edh_flow(particles, rng.standard_normal((3, 5)), rng.standard_normal((1, 3)), lambda m: np.logaddexp(0.0, m @ c.T) ** 2, FlowConfig(relinearize_every_step=True), return_trace=True)
+    _, trace = edh_flow(particles, rng.standard_normal((3, 5)), rng.standard_normal((1, 3)), lambda m: np.logaddexp(0.0, m @ c.T) ** 2, FlowConfig(relinearize_every_step=True))
     assert np.max(np.abs(trace.k_mat - np.swapaxes(trace.k_mat, 1, 2))) > 1e-6
 
 
@@ -352,26 +348,24 @@ def test_coefficients_informative_observation_pulls_towards_it():
 
 
 def test_coefficients_singular_noise_raises():
-    with pytest.raises(FlowSolveError, match=r"at the closed-form flow \(lambda=0\)$"):
+    with pytest.raises(FlowSolveError, match=r"at the closed-form flow \(lambda=0\): noise variance of series 0 is -1$"):
         edh_flow(np.zeros((1, 1, 1)), np.array([[1.0]]), np.zeros((1, 1)), np.array([-1.0]), _SCALAR_CONFIG)
 
 
-def test_non_spd_innovation_raises_with_and_without_a_trace(rng):
+def test_non_spd_innovation_names_the_encoder_step_and_the_variance(rng):
     # r = -1 makes lam H P H^T + diag(r) indefinite; an LU solve would return
-    # an expanding drift instead, so every caller must get the same error
-    cfg = FlowConfig(n_lambda=4)
-    h = np.eye(2)
-    with pytest.raises(FlowSolveError, match=r"at the closed-form flow \(lambda=0\) of encoder step 7$"):
-        edh_flow(rng.standard_normal((3, 5, 2)), h, np.zeros((3, 2)), np.full((3, 2), -1.0), cfg, return_trace=True, encoder_step=7)
-    with pytest.raises(FlowSolveError, match=r"at the closed-form flow \(lambda=0\)$"):
-        edh_flow(rng.standard_normal((1, 5, 2)), h, np.zeros((1, 2)), lambda means: np.full((1, 2), -1.0), cfg)
+    # an expanding drift instead
+    r = np.ones((3, 2))
+    r[0, 1] = -1.0
+    with pytest.raises(FlowSolveError, match=r"at the closed-form flow \(lambda=0\) of encoder step 7: noise variance of series 1 is -1$"):
+        edh_flow(rng.standard_normal((3, 5, 2)), np.eye(2), np.zeros((3, 2)), r, FlowConfig(n_lambda=4), encoder_step=7)
 
 
 def test_non_spd_innovation_names_the_failing_window(rng):
     # only the middle ensemble gets a non-positive noise variance
     r = np.ones((3, 2))
     r[1, 0] = -0.5
-    with pytest.raises(FlowSolveError, match=r"^innovation covariance of window 17 is not positive definite at the closed-form flow \(lambda=0\)$") as info:
+    with pytest.raises(FlowSolveError, match=r"^innovation covariance of window 17 is not positive definite at the closed-form flow \(lambda=0\): noise variance of series 0 is -0.5$") as info:
         edh_flow(rng.standard_normal((3, 5, 2)), np.eye(2), np.zeros((3, 2)), r, FlowConfig(n_lambda=4), window_ids=[5, 17, 9])
     assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (17, None, 1, 0.0)
 
@@ -390,7 +384,7 @@ def test_solve_error_attributes_name_a_later_step(rng):
     lams = np.cumsum(step_schedule(5, 1.2))
     assert (info.value.window_id, info.value.encoder_step, info.value.step) == (40, 6, 3)
     assert info.value.lam == lams[1]
-    assert str(info.value).endswith(f"pseudo-time step 3/5 (lambda={lams[1]:.6g}) of encoder step 6")
+    assert str(info.value).endswith(f"pseudo-time step 3/5 (lambda={lams[1]:.6g}) of encoder step 6: noise variance of series 0 is -1")
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +405,9 @@ def _stepwise_relinearized_map(r, mean0, pht, h_mat, hph, half_y, half_innov, ep
         spd = (r_now > 0).all(axis=1) & np.isfinite(s).all(axis=(1, 2))
         if not spd.all():
             row = np.flatnonzero(~spd)[0]
-            raise fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, m, lams[m])
+            bad = [i for i, v in enumerate(r_now[row]) if not v > 0]
+            cause = f": noise variance of series {bad[0]} is {r_now[row, bad[0]]:.6g}" if bad else ""
+            raise fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, m, lams[m], cause)
         s_inv = np.linalg.inv(s)
         beta = s_inv @ (half_y + r_now[:, :, None] * (s_inv @ half_innov))
         pull = coef @ np.swapaxes(hph, 1, 2)
@@ -448,7 +444,7 @@ def test_relinearized_map_is_bitwise_the_stepwise_loop(monkeypatch, rng, b_sz, n
     h = rng.standard_normal((n, d)) * 0.5
     y = rng.standard_normal((b_sz, n))
     c = rng.standard_normal((n, d)) * 0.3
-    got, want = _flow_both_ways(monkeypatch, particles, h, y, lambda: _softplus_noise(c), config=FlowConfig(n_lambda=29, relinearize_every_step=True), return_trace=True)
+    got, want = _flow_both_ways(monkeypatch, particles, h, y, lambda: _softplus_noise(c), config=FlowConfig(n_lambda=29, relinearize_every_step=True))
     assert np.array_equal(got[0], want[0])
     for got_field, want_field in zip(got[1], want[1]):
         assert np.array_equal(got_field, want_field)
@@ -568,7 +564,7 @@ def test_flow_matches_dense_drift_reference(rng, b_sz, n_p, d, n, relinearized):
     else:
         r = rng.uniform(0.5, 1.5, size=(b_sz, n))
     cfg = FlowConfig(n_lambda=29, relinearize_every_step=relinearized)
-    got = edh_flow(particles, h, y, r, cfg)
+    got, _ = edh_flow(particles, h, y, r, cfg)
     want = _dense_reference_flow(particles, h, y, r, cfg)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -580,7 +576,7 @@ def test_flow_matches_dense_drift_reference(rng, b_sz, n_p, d, n, relinearized):
 
 def _flow_one(particles, y, h, r_diag, cfg):
     """The flow on a single (n_p, D) ensemble."""
-    return edh_flow(particles[None], h, y[None], r_diag, cfg)[0]
+    return edh_flow(particles[None], h, y[None], r_diag, cfg)[0][0]
 
 
 def _kalman_posterior(mean0, cov0, h, r_diag, y):
@@ -682,8 +678,8 @@ def test_flow_trace_records_full_schedule(rng):
     def r(means):
         return np.ones((1, 1))
 
-    moved, trace = edh_flow(particles, h, np.array([[0.5]]), r, cfg, return_trace=True)
-    assert trace.mean.shape == (1, 2) and trace.pht.shape == (1, 2, 1)
+    moved, trace = edh_flow(particles, h, np.array([[0.5]]), r, cfg)
+    assert trace.pht.shape == (1, 2, 1)
     assert trace.k_mat.shape == (1, 1, 1) and trace.k_vec.shape == (1, 1, 1)
     np.testing.assert_array_equal(trace.h_mat, h)
     want, _, _, steps = _stepwise_flow(particles, h, np.array([[0.5]]), r, cfg)
@@ -695,9 +691,19 @@ def test_flow_trace_records_full_schedule(rng):
         np.testing.assert_allclose(rec_eps, eps[k], rtol=1e-12)
         assert s_inv.shape == (1, 1, 1) and beta.shape == (1, 1)
         lam += eps[k]
-    replayed = ad.flow_map(particles, trace.pht, trace.h_mat, trace.k_mat, trace.k_vec)
+    replayed = ad.flow_map(particles, *trace)
     np.testing.assert_array_equal(replayed, moved)
     assert _relative_difference(moved, want) <= 1e-12
+
+
+@pytest.mark.parametrize("n_p", [1, 20])
+def test_closed_form_trace_replays_bit_for_bit(rng, n_p):
+    # a fixed-noise flow's trace is the exact map that moved its particles:
+    # replaying it on the starting ensembles gives the flow's output bit for bit
+    particles = rng.standard_normal((3, n_p, 5))
+    h = rng.standard_normal((2, 5))
+    moved, trace = edh_flow(particles, h, rng.standard_normal((3, 2)), rng.uniform(0.5, 1.5, size=(3, 2)), FlowConfig())
+    np.testing.assert_array_equal(ad.flow_map(particles, *trace), moved)
 
 
 def test_flow_batch_slices_match_each_ensemble_flowed_alone(rng):
@@ -711,9 +717,9 @@ def test_flow_batch_slices_match_each_ensemble_flowed_alone(rng):
         return np.logaddexp(0.0, means @ c.T) ** 2
 
     cfg = FlowConfig(n_lambda=12, relinearize_every_step=True)
-    batched = edh_flow(particles, h, y, noise_var, cfg)
+    batched, _ = edh_flow(particles, h, y, noise_var, cfg)
     for i in range(4):
-        alone = edh_flow(particles[i : i + 1], h, y[i : i + 1], noise_var, cfg)
+        alone, _ = edh_flow(particles[i : i + 1], h, y[i : i + 1], noise_var, cfg)
         np.testing.assert_allclose(batched[i], alone[0], rtol=1e-12, atol=1e-12)
 
 
@@ -751,7 +757,7 @@ def test_divergence_error_attributes_locate_the_map_and_the_particles(rng):
     # a finite closed-form map whose exact answer is out of range: with H = 1e-10
     # the posterior mean is about y / H = 1e310 (at y = 1e290 it is finite)
     wide, h_tiny = np.array([[[-1e15], [1e15]]]), np.array([[1e-10]])
-    assert np.isfinite(edh_flow(wide, h_tiny, np.array([[1e290]]), np.ones(1), cfg)).all()
+    assert np.isfinite(edh_flow(wide, h_tiny, np.array([[1e290]]), np.ones(1), cfg)[0]).all()
     with pytest.raises(FlowDivergedError, match=r"^particle 0 of ensemble 0 became non-finite after the closed-form flow \(lambda=1\)$") as info:
         edh_flow(wide, h_tiny, np.array([[1e300]]), np.ones(1), cfg)
     assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (None, None, 1, 1.0)

