@@ -23,13 +23,17 @@ formed, neither ``A`` nor ``P``.  :func:`edh_flow` moves a stack of
 ensembles at once; training, forecasting and the linear reference filter
 call it.
 
-The map is composed on one of two paths.  When ``r`` stays fixed across
-pseudo-time, every ``S(l)`` is diagonal in one basis: with ``G = H PHt``
-(symmetric PSD) and ``g = diag(r)^-1/2 G diag(r)^-1/2 = U diag(mu) U^T``,
-``V = diag(r)^-1/2 U`` gives ``V^T diag(r) V = I``, ``V^T G V = diag(mu)``
-and ``S(l)^-1 = V diag(1 / (1 + l mu)) V^T``.  There ``K = V diag(kappa)
-V^T`` and ``k = c V^T``, and each mode solves, from zero, with ``a = V^T y
-/ 2`` and ``b = V^T (y - H eta_bar) / 2``:
+The map is composed on one of three paths.  A single particle with ``r``
+fixed across pseudo-time has the prior ``P = p I`` (``p`` the
+``single_particle_prior_scale``), so ``PHt = p H^T``, and its exact map is
+the Kalman update ``x_1 = x_0 + p H^T S^-1 (y - H x_0)`` with ``S = H PHt +
+diag(r)``: one inverse gives ``K = -S^-1`` and ``k = y S^-1``.  A larger
+ensemble with fixed ``r`` has every ``S(l)`` diagonal in one basis: with
+``G = H PHt`` (symmetric PSD) and ``g = diag(r)^-1/2 G diag(r)^-1/2 = U
+diag(mu) U^T``, ``V = diag(r)^-1/2 U`` gives ``V^T diag(r) V = I``, ``V^T G
+V = diag(mu)`` and ``S(l)^-1 = V diag(1 / (1 + l mu)) V^T``.  There ``K = V
+diag(kappa) V^T`` and ``k = c V^T``, and each mode solves, from zero, with
+``a = V^T y / 2`` and ``b = V^T (y - H eta_bar) / 2``:
 
     dkappa/dl = -1/2 (kappa mu + 1) / (1 + l mu)
     dc/dl = -1/2 mu c / (1 + l mu) + a / (1 + l mu) + b / (1 + l mu)^2
@@ -117,19 +121,20 @@ def edh_flow(
     before every step.
 
     Noise variances that stay fixed across pseudo-time (an array, or a
-    callable read once at the starting means) take the diagonal path: one
-    eigendecomposition of the whitened ``G`` per ensemble, then the exact map
-    in closed form, which reads neither ``n_lambda`` nor ``ratio``.
-    Relinearized ones take Euler steps, each inverting its ``S``.
+    callable read once at the starting means) give the exact map in closed
+    form, which reads neither ``n_lambda`` nor ``ratio``: for one particle
+    the Kalman update, from one batched inverse of ``S``; for more, one
+    eigendecomposition of the whitened ``G`` per ensemble.  Relinearized
+    ones take Euler steps, each inverting its ``S``.
 
     Returns the moved particles and the :class:`FlowTrace` that moved them:
     the map a training pass differentiates through with
     :func:`autodiff.flow_map_vjp`.  ``encoder_step`` and ``window_ids`` (one
     per ensemble) only label the errors: ``FlowSolveError`` when an
     innovation covariance ``S`` is not positive definite (some noise
-    variance is not positive, which the message names, or a relinearized
-    ``S`` is not finite), ``FlowDivergedError`` when the flow map or a
-    particle becomes non-finite.
+    variance is not positive, which the message names, a relinearized ``S``
+    is not finite, or a one-particle ``S`` is numerically singular),
+    ``FlowDivergedError`` when the flow map or a particle becomes non-finite.
     """
     particles = np.asarray(particles, dtype=np.float64)
     if particles.ndim != 3:
@@ -141,13 +146,14 @@ def edh_flow(
     if h_mat.shape != (n, d) or y.shape != (b_sz, n):
         raise DataError(f"need h_mat of shape (N, {d}) and y of shape ({b_sz}, N)")
     mean0 = particles.mean(axis=1)
-    if n_p == 1:  # a single particle falls back to the prior P = scale * I, without jitter
+    if n_p == 1:  # a single particle falls back to the prior P = scale * I, without jitter: one PHt for every window
         pht = np.broadcast_to(config.single_particle_prior_scale * h_mat.T, (b_sz, d, n))
+        hph = np.broadcast_to(h_mat @ pht[0], (b_sz, n, n))  # one (N, N) product: the numbers a product per window gives
     else:  # P = C^T C / n_p + jitter * I, applied to H^T without forming it
         centered = particles - mean0[:, None, :]
         # built as the contiguous (B, N, D) array H P, which the map multiplies by
         pht = np.swapaxes(np.swapaxes(centered @ h_mat.T, 1, 2) @ centered / n_p + config.jitter * h_mat, 1, 2)
-    hph = h_mat @ pht  # (B, N, N)
+        hph = h_mat @ pht  # (B, N, N)
     half_y = 0.5 * y[:, :, None]
     half_innov = half_y - 0.5 * (h_mat @ mean0[:, :, None])  # (y - H eta_bar) / 2, (B, N, 1)
     relinearized = callable(r) and config.relinearize_every_step
@@ -166,7 +172,10 @@ def edh_flow(
         moved = (config.n_lambda - 1, lams[-1])  # particles are checked after the last step
     else:
         r_fixed = np.broadcast_to(np.asarray(r(mean0) if callable(r) else r, dtype=np.float64), (b_sz, n))
-        k_mat, k_vec = _fixed_noise_map(r_fixed, hph, half_y, half_innov, fail)
+        if n_p == 1:
+            k_mat, k_vec = _kalman_map(r_fixed, hph[0], y, fail)
+        else:
+            k_mat, k_vec = _fixed_noise_map(r_fixed, hph, half_y, half_innov, fail)
         moved = (0, 1.0)  # the one map takes them to lambda = 1
     trace = FlowTrace(pht, h_mat, k_mat, k_vec)
     x = ad.flow_map(particles, *trace)
@@ -186,6 +195,35 @@ def _not_spd(fail, r, ok_rows, *at):
     bad = np.flatnonzero(~(r[row] > 0))
     cause = f": noise variance of series {bad[0]} is {r[row, bad[0]]:.6g}" if bad.size else ""
     return fail(FlowSolveError, "innovation covariance", "is not positive definite at", row, *at, cause=cause)
+
+
+def _kalman_map(r, hph, y, fail):
+    """(K, k) = (-S^-1, y S^-1) of one-particle flows whose noise variances ``r`` (B, N) stay fixed: the Kalman update.
+
+    ``hph`` is the (N, N) ``H PHt`` every window shares, and ``S =
+    sym(hph) + diag(r)``: ``flow_map`` then moves ``x0`` to ``x0 + (y - x0
+    H^T) S^-1 PHt^T``.  One batched inverse serves every window.
+    """
+    positive = (r > 0).all(axis=1)  # G is PSD, so S is SPD exactly when every r is positive
+    if not positive.all():
+        raise _not_spd(fail, r, positive)
+    b_sz, n = r.shape
+    s = np.empty((b_sz, n, n))
+    s[:] = 0.5 * (hph + hph.T)
+    s.reshape(b_sz, n * n)[:, :: n + 1] += r
+    finite = np.isfinite(s).all(axis=(1, 2))
+    if not finite.all():
+        raise fail(FlowDivergedError, "the flow map", "became non-finite at", np.flatnonzero(~finite)[0])
+    try:
+        s_inv = np.linalg.inv(s)
+    except np.linalg.LinAlgError:  # a zero pivot in some window's LU, the one slogdet gives sign 0
+        row = np.flatnonzero(np.linalg.slogdet(s)[0] == 0)[0]
+        raise fail(FlowSolveError, "innovation covariance", "is singular at", row) from None
+    k_vec = y[:, None, :] @ s_inv
+    finite = np.isfinite(s_inv).all(axis=(1, 2)) & np.isfinite(k_vec).all(axis=(1, 2))
+    if not finite.all():
+        raise fail(FlowDivergedError, "the flow map", "became non-finite at", np.flatnonzero(~finite)[0])
+    return np.negative(s_inv, out=s_inv), k_vec
 
 
 def _fixed_noise_map(r, hph, half_y, half_innov, fail):

@@ -8,8 +8,10 @@ flow's affine map.  The flow *coefficients* (the frozen ensemble moments,
 H, and the map K, k composed from S^-1, beta and the noise variances) are
 treated as constants: gradients do not flow into them, and the recorded
 trace can be replayed so finite-difference checks differentiate exactly the
-same function.  Validation and forecasting run the same
-:func:`batch_forward`, keeping nothing for a reverse pass.
+same function.  At one particle the map is the Kalman update, so its VJP is
+the update's Jacobian with H and the noise variances held.  Validation and
+forecasting run the same :func:`batch_forward`, keeping nothing for a
+reverse pass.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 coefficients (hand-derived affine cases, read from a stepwise reference
 flow), the relinearized map against that reference, the closed-form
 fixed-noise map against the exact Gaussian posterior and against Euler
-steps, and convergence of the Euler integration to that posterior."""
+steps, the one-particle Kalman update, and convergence of the Euler
+integration to that posterior."""
 
 import decimal
 import re
@@ -12,7 +13,10 @@ import pytest
 import scipy.linalg
 
 from flowcast import autodiff as ad, filters
+from flowcast import data as data_mod
 from flowcast import flow as flow_mod
+from flowcast import ssm as ssm_mod
+from flowcast import train as train_mod
 from flowcast.errors import DataError, FlowDivergedError, FlowSolveError
 from flowcast.flow import FlowConfig, edh_flow, step_schedule
 
@@ -215,6 +219,19 @@ def _exact_mode(mu, a, b):
         return float(kappa), float(c)
 
 
+def _eigenbasis_flow(particles, h, y, r):
+    """``edh_flow``'s one-particle set-up (``P = I``), its map composed by ``_fixed_noise_map`` instead of the Kalman update."""
+    pht = h.T[None]
+    half_y = 0.5 * y[:, :, None]
+    half_innov = half_y - 0.5 * (h @ particles.mean(axis=1)[:, :, None])
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the eigenbasis map failed")
+
+    trace = flow_mod.FlowTrace(pht, h, *flow_mod._fixed_noise_map(np.broadcast_to(r, y.shape), h @ pht, half_y, half_innov, fail))
+    return ad.flow_map(particles, *trace), trace
+
+
 @pytest.mark.parametrize("mu", [0.0, 1e-300, 1e-8, 1.0, 1e12])
 def test_fixed_noise_map_is_exact_at_extreme_eigenvalues(mu):
     # one particle of one state with H = sqrt(mu) and r = 1, so G = mu and
@@ -222,7 +239,7 @@ def test_fixed_noise_map_is_exact_at_extreme_eigenvalues(mu):
     h = np.array([[np.sqrt(mu)]])
     x0, y = 0.5, 1.25
     a, b = y / 2.0, (y - h[0, 0] * x0) / 2.0
-    moved, trace = edh_flow(np.array([[[x0]]]), h, np.array([[y]]), np.ones(1), FlowConfig())
+    moved, trace = _eigenbasis_flow(np.array([[[x0]]]), h, np.array([[y]]), np.ones(1))
     kappa, c = _exact_mode(mu, a, b)
     assert np.isfinite(moved).all()
     assert abs(trace.k_mat[0, 0, 0] - kappa) <= 1e-15 * abs(kappa)
@@ -290,6 +307,128 @@ def test_composed_map_is_not_symmetric_once_r_varies(rng):
     particles = rng.standard_normal((1, 20, 5))
     _, trace = edh_flow(particles, rng.standard_normal((3, 5)), rng.standard_normal((1, 3)), lambda m: np.logaddexp(0.0, m @ c.T) ** 2, FlowConfig(relinearize_every_step=True))
     assert np.max(np.abs(trace.k_mat - np.swapaxes(trace.k_mat, 1, 2))) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# one particle: the Kalman update
+# ---------------------------------------------------------------------------
+
+
+_ONE_PARTICLE = FlowConfig(single_particle_prior_scale=0.7)
+
+
+def _one_particle_problem(rng, d, n, b_sz=6):
+    """One particle in each of ``b_sz`` windows, an (N, D) H and per-window noise variances, and their (B, N, N) S."""
+    particles = rng.standard_normal((b_sz, 1, d))
+    h = rng.standard_normal((n, d)) * 0.5
+    r = rng.uniform(0.2, 2.0, size=(b_sz, n))
+    s = _ONE_PARTICLE.single_particle_prior_scale * h @ h.T + r[:, :, None] * np.eye(n)
+    return particles, h, rng.standard_normal((b_sz, n)), r, s
+
+
+@pytest.mark.parametrize("d, n", [(7, 4), (3, 5)], ids=["N<D", "N>D"])
+def test_one_particle_flow_is_the_kalman_update(rng, d, n):
+    particles, h, y, r, s = _one_particle_problem(rng, d, n)
+    moved, trace = edh_flow(particles, h, y, r, _ONE_PARTICLE)
+    x0 = particles[:, 0]
+    gain_innov = np.linalg.solve(s, (y - x0 @ h.T)[:, :, None])[:, :, 0]
+    want = x0 + _ONE_PARTICLE.single_particle_prior_scale * gain_innov @ h  # x0 + s H^T S^-1 (y - H x0), in rows
+    assert _relative_difference(moved[:, 0], want) <= 1e-13
+    np.testing.assert_array_equal(ad.flow_map(particles, *trace), moved)
+
+
+@pytest.mark.parametrize("d, n", [(7, 4), (3, 5)], ids=["N<D", "N>D"])
+def test_one_particle_flow_vjp_is_the_kalman_jacobian(rng, d, n):
+    # with H and r held, the update's Jacobian is I - s H^T S^-1 H: a row
+    # gradient g goes back as g - s (g H^T) S^-1 H
+    particles, h, y, r, s = _one_particle_problem(rng, d, n)
+    _, trace = edh_flow(particles, h, y, r, _ONE_PARTICLE)
+    g = rng.standard_normal(particles.shape)
+    want = g - _ONE_PARTICLE.single_particle_prior_scale * (g @ h.T) @ np.linalg.inv(s) @ h
+    assert _relative_difference(ad.flow_map_vjp(g, *trace[:3]), want) <= 1e-13
+
+
+def test_one_particle_training_step_runs_no_eigh(monkeypatch):
+    model = ssm_mod.init_model(kind="graph_gru", n_series=3, d_x=2, rho=0.8, sigma=0.05, init_scale=0.5, seed=4)
+    graph = ssm_mod.Graph.from_weights(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.0, 0.0, 0.0]]))
+    series = data_mod.SeriesSet(values=0.5 * np.random.default_rng(3).standard_normal((30, 3)), names=["a", "b", "c"])
+    windows = data_mod.make_windows(series, 4, 2)[:5]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eigendecomposition")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    cfg = train_mod.TrainConfig(loss="nll", n_particles_train=1)
+    loss, grads, _ = train_mod.gradients(model, train_mod.stack_batch(windows, model, 1, 0), cfg, graph=graph)
+    assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
+    with pytest.raises(AssertionError, match="an eigendecomposition"):  # an ensemble still diagonalizes
+        train_mod.gradients(model, train_mod.stack_batch(windows, model, 2, 0), cfg, graph=graph)
+
+
+def _singular_in_window(rng, r, y):
+    # two equal rows of H make two equal rows of S wherever r is negligible
+    h = rng.standard_normal((3, 4))
+    h[1] = h[0]
+    r[2] = 1e-300
+    return h, r, y
+
+
+def _infinite_observation(rng, r, y):
+    y[2, 0] = np.inf
+    return rng.standard_normal((3, 4)), r, y
+
+
+def _zero_noise_variance(rng, r, y):
+    r[2, 1] = 0.0
+    return rng.standard_normal((3, 4)), r, y
+
+
+def _overflowing_h_pht(rng, r, y):
+    # every window shares H PHt, so every S overflows and the first window is named
+    return rng.standard_normal((3, 4)) * 1e200, r, y
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "make, error, window, message",
+    [
+        (_zero_noise_variance, FlowSolveError, 12, "innovation covariance of window 12 is not positive definite at the closed-form flow (lambda=0) of encoder step 3: noise variance of series 1 is 0"),
+        (_singular_in_window, FlowSolveError, 12, "innovation covariance of window 12 is singular at the closed-form flow (lambda=0) of encoder step 3"),
+        (_infinite_observation, FlowDivergedError, 12, "the flow map of window 12 became non-finite at the closed-form flow (lambda=0) of encoder step 3"),
+        (_overflowing_h_pht, FlowDivergedError, 10, "the flow map of window 10 became non-finite at the closed-form flow (lambda=0) of encoder step 3"),
+    ],
+    ids=["non-positive-r", "singular-S", "non-finite-map", "non-finite-S"],
+)
+def test_one_particle_flow_fails_like_an_ensemble(rng, make, error, window, message):
+    # the third of four windows fails (or, where S overflows, all of them), and
+    # the error names the first failing window and the encoder step
+    h, r, y = make(rng, rng.uniform(0.5, 1.5, size=(4, 3)), rng.standard_normal((4, 3)))
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        edh_flow(rng.standard_normal((4, 1, 4)), h, y, r, FlowConfig(), encoder_step=3, window_ids=[10, 11, 12, 13])
+    assert (info.value.window_id, info.value.encoder_step, info.value.step, info.value.lam) == (window, 3, 1, 0.0)
+
+
+@pytest.mark.parametrize("relinearized", [False, True])
+def test_one_particle_flows_form_h_pht_once(monkeypatch, rng, relinearized):
+    # at one particle every window's PHt is s H^T: the flow forms H PHt once,
+    # and it is bit for bit each window's own product
+    target = "_relinearized_map" if relinearized else "_kalman_map"
+    composed, seen = getattr(flow_mod, target), []
+
+    def spy(*args):
+        seen.append(args[4] if relinearized else args[1])
+        return composed(*args)
+
+    monkeypatch.setattr(flow_mod, target, spy)
+    particles, h, y, _, _ = _one_particle_problem(rng, 9, 4, b_sz=5)
+    c = rng.standard_normal((4, 9)) * 0.3
+    _, trace = edh_flow(particles, h, y, _softplus_noise(c), FlowConfig(relinearize_every_step=relinearized))
+    per_window = h @ trace.pht
+    assert per_window.shape == (5, 4, 4) and not np.shares_memory(per_window, seen[0])
+    assert seen[0].shape == ((5, 4, 4) if relinearized else (4, 4))
+    assert np.array_equal(np.broadcast_to(seen[0], per_window.shape), per_window)
+    if relinearized:
+        assert seen[0].strides[0] == 0  # one (N, N) product, broadcast
 
 
 # ---------------------------------------------------------------------------
