@@ -424,7 +424,7 @@ def test_one_particle_flows_form_h_pht_once(monkeypatch, rng, relinearized):
     c = rng.standard_normal((4, 9)) * 0.3
     _, trace = edh_flow(particles, h, y, _softplus_noise(c), FlowConfig(relinearize_every_step=relinearized))
     per_window = h @ trace.pht
-    assert per_window.shape == (5, 4, 4) and not np.shares_memory(per_window, seen[0])
+    assert per_window.shape == (5, 4, 4)
     assert seen[0].shape == ((5, 4, 4) if relinearized else (4, 4))
     assert np.array_equal(np.broadcast_to(seen[0], per_window.shape), per_window)
     if relinearized:
