@@ -154,9 +154,10 @@ def edh_flow(
         # built as the contiguous (B, N, D) array H P, which the map multiplies by
         pht = np.swapaxes(np.swapaxes(centered @ h_mat.T, 1, 2) @ centered / n_p + config.jitter * h_mat, 1, 2)
         hph = h_mat @ pht  # (B, N, N)
-    half_y = 0.5 * y[:, :, None]
-    half_innov = half_y - 0.5 * (h_mat @ mean0[:, :, None])  # (y - H eta_bar) / 2, (B, N, 1)
     relinearized = callable(r) and config.relinearize_every_step
+    if relinearized or n_p > 1:  # the one-particle Kalman map reads neither
+        half_y = 0.5 * y[:, :, None]
+        half_innov = half_y - 0.5 * (h_mat @ mean0[:, :, None])  # (y - H eta_bar) / 2, (B, N, 1)
     where = "" if encoder_step is None else f" of encoder step {encoder_step}"
 
     def fail(cls, what, verb, row, m=0, lam=0.0, cause=""):

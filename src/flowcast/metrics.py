@@ -19,46 +19,6 @@ from .kernels import crps_batch
 MAPE_FLOOR = 1e-3
 
 
-def _at_horizon(arr: np.ndarray, horizon: int) -> np.ndarray:
-    q = arr.shape[-2]
-    if not 1 <= horizon <= q:
-        raise DataError(f"horizon {horizon} outside 1..{q}")
-    return arr[..., horizon - 1, :]
-
-
-def point_metrics(points: np.ndarray, targets: np.ndarray, horizon: int) -> dict:
-    """MAE / MAPE(%) / RMSE of a point forecast at one horizon."""
-    points = np.asarray(points, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if points.shape != targets.shape:
-        raise DataError("points and targets must have identical shapes")
-    p = _at_horizon(points, horizon)
-    y = _at_horizon(targets, horizon)
-    err = p - y
-    mae = float(np.mean(np.abs(err)))
-    rmse = float(np.sqrt(np.mean(err * err)))
-    mask = np.abs(y) > MAPE_FLOOR
-    if np.any(mask):
-        mape = float(100.0 * np.sum(np.abs(err[mask] / y[mask])) / np.count_nonzero(mask))
-    else:
-        mape = math.nan
-    return {"mae": mae, "mape": mape, "rmse": rmse}
-
-
-def crps_avg(samples: np.ndarray, targets: np.ndarray, horizon: int) -> float:
-    """Mean marginal CRPS over windows and series at one horizon.
-
-    ``samples``: (M, n_particles, Q, N); ``targets``: (M, Q, N).
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    s = _at_horizon(samples, horizon)  # (M, P, N)
-    y = _at_horizon(targets, horizon)  # (M, N)
-    m, n_p, n = s.shape
-    flat = np.ascontiguousarray(s.transpose(0, 2, 1).reshape(m * n, n_p))
-    return float(np.mean(crps_batch(flat, y.reshape(m * n))))
-
-
 def crps_sum(samples: np.ndarray, targets: np.ndarray) -> float:
     """CRPS of the series-summed paths, normalized by the summed truth scale.
 
@@ -87,42 +47,43 @@ def quantile_loss(y, y_hat, alpha: float):
     return 2.0 * (alpha * under + (1.0 - alpha) * over)
 
 
-def ql_avg(quantile_forecasts: np.ndarray, targets: np.ndarray, alpha: float, horizon: int) -> float:
-    """Quantile loss at one horizon, normalized by the truth scale.
-
-    sum QL(y, q_alpha) over windows and series divided by sum |y|.
-    """
-    qf = _at_horizon(np.asarray(quantile_forecasts, dtype=np.float64), horizon)
-    y = _at_horizon(np.asarray(targets, dtype=np.float64), horizon)
-    denom = float(np.sum(np.abs(y)))
-    if denom == 0.0:
-        return math.nan
-    return float(np.sum(quantile_loss(y, qf, alpha)) / denom)
-
-
 # ---------------------------------------------------------------------------
 # evaluation report
 # ---------------------------------------------------------------------------
 
 
-def evaluate_forecasts(
-    samples: np.ndarray,
-    points: np.ndarray,
-    targets: np.ndarray,
-    horizons: Sequence[int],
-):
-    """Rows (metric, horizon, value) for the standard report, with the quantile losses at 0.5 and 0.9."""
-    q_forecasts = [(alpha, np.quantile(samples, alpha, axis=1)) for alpha in (0.5, 0.9)]
+def evaluate_forecasts(samples: np.ndarray, points: np.ndarray, targets: np.ndarray, horizons: Sequence[int]):
+    """Rows (metric, horizon, value) of the report: ``samples`` (M, n_p, Q, N), ``points`` and ``targets`` (M, Q, N).
+
+    Per horizon: MAE, MAPE(%), RMSE, the mean CRPS over windows and series, and the quantile losses of
+    the sample 0.5 and 0.9 quantiles over the truth scale (NaN when it is 0); then ``crps_sum``.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim != 3 or points.shape != targets.shape or samples.shape[:1] + samples.shape[2:] != targets.shape:
+        raise DataError("samples must be (M, n_particles, Q, N) and points and targets (M, Q, N)")
+    m, n_p, q, n = samples.shape
+    bad = [h for h in horizons if not 1 <= h <= q]
+    if bad:
+        raise DataError(f"requested horizons {bad} exceed the forecast horizon {q}")
+    quantiles = np.quantile(samples, (0.5, 0.9), axis=1)  # (2, M, Q, N)
     rows = []
     for h in horizons:
         h = int(h)
-        pm = point_metrics(points, targets, h)
-        rows.append(("mae", h, pm["mae"]))
-        rows.append(("mape", h, pm["mape"]))
-        rows.append(("rmse", h, pm["rmse"]))
-        rows.append(("crps_avg", h, crps_avg(samples, targets, h)))
-        for alpha, q_forecast in q_forecasts:
-            rows.append((f"ql{int(round(100 * alpha)):02d}_avg", h, ql_avg(q_forecast, targets, alpha, h)))
+        y = targets[:, h - 1]
+        err = points[:, h - 1] - y
+        mask = np.abs(y) > MAPE_FLOOR
+        mape = float(100.0 * np.sum(np.abs(err[mask] / y[mask])) / np.count_nonzero(mask)) if np.any(mask) else math.nan
+        cells = np.ascontiguousarray(samples[:, :, h - 1].transpose(0, 2, 1).reshape(m * n, n_p))
+        rows.append(("mae", h, float(np.mean(np.abs(err)))))
+        rows.append(("mape", h, mape))
+        rows.append(("rmse", h, float(np.sqrt(np.mean(err * err)))))
+        rows.append(("crps_avg", h, float(np.mean(crps_batch(cells, y.reshape(m * n))))))
+        denom = float(np.sum(np.abs(y)))
+        for alpha, q_forecast in zip((0.5, 0.9), quantiles):
+            loss = math.nan if denom == 0.0 else float(np.sum(quantile_loss(y, q_forecast[:, h - 1], alpha)) / denom)
+            rows.append((f"ql{int(round(100 * alpha)):02d}_avg", h, loss))
     rows.append(("crps_sum", "all", crps_sum(samples, targets)))
     return rows
 

@@ -1,5 +1,6 @@
-"""Scoring: point metrics, CRPS (against numerical integration of its
-CDF definition), quantile loss, and the report layout."""
+"""Scoring: the rows of ``evaluate_forecasts`` (point metrics, CRPS,
+quantile losses) against hand cases and an independent recomputation,
+``crps_sum``, ``quantile_loss``, and the report layout."""
 
 import re
 
@@ -16,58 +17,42 @@ from flowcast.kernels import crps_batch
 # ---------------------------------------------------------------------------
 
 
+def _rows(samples, points, targets, horizons):
+    return {(m, h): v for m, h, v in metrics.evaluate_forecasts(samples, points, targets, horizons)}
+
+
+def _point_rows(points, targets, horizons):
+    """Rows of a point forecast scored with a one-particle ensemble at the points."""
+    return _rows(points[:, None], points, targets, horizons)
+
+
 def test_point_metrics_hand_case():
     points = np.array([[[1.0], [2.0]], [[3.0], [5.0]]])  # (windows=2, Q=2, N=1)
     targets = np.array([[[2.0], [2.0]], [[1.0], [1.0]]])
-    out1 = metrics.point_metrics(points, targets, horizon=1)
-    np.testing.assert_allclose(out1["mae"], (1.0 + 2.0) / 2)
-    np.testing.assert_allclose(out1["rmse"], np.sqrt((1.0 + 4.0) / 2))
-    np.testing.assert_allclose(out1["mape"], 100.0 * (1.0 / 2.0 + 2.0 / 1.0) / 2)
-    out2 = metrics.point_metrics(points, targets, horizon=2)
-    np.testing.assert_allclose(out2["mae"], (0.0 + 4.0) / 2)
+    rows = _point_rows(points, targets, [1, 2])
+    np.testing.assert_allclose(rows["mae", 1], (1.0 + 2.0) / 2)
+    np.testing.assert_allclose(rows["rmse", 1], np.sqrt((1.0 + 4.0) / 2))
+    np.testing.assert_allclose(rows["mape", 1], 100.0 * (1.0 / 2.0 + 2.0 / 1.0) / 2)
+    np.testing.assert_allclose(rows["mae", 2], (0.0 + 4.0) / 2)
 
 
 def test_mape_masks_near_zero_targets():
     points = np.array([[[1.0], [1.0]]])
     targets = np.array([[[1e-9], [2.0]]])
-    out = metrics.point_metrics(points, targets, horizon=1)
-    assert np.isnan(out["mape"])  # the only horizon-1 target is masked out
-    out2 = metrics.point_metrics(points, targets, horizon=2)
-    np.testing.assert_allclose(out2["mape"], 50.0)
+    rows = _point_rows(points, targets, [1, 2])
+    assert np.isnan(rows["mape", 1])  # the only horizon-1 target is masked out
+    np.testing.assert_allclose(rows["mape", 2], 50.0)
 
 
 def test_point_metrics_horizon_validation():
     points = targets = np.zeros((1, 2, 1))
-    with pytest.raises(DataError):
-        metrics.point_metrics(points, targets, horizon=3)
+    with pytest.raises(DataError, match=re.escape("requested horizons [0, 3] exceed the forecast horizon 2")):
+        _point_rows(points, targets, [0, 1, 3])
 
 
 # ---------------------------------------------------------------------------
 # CRPS
 # ---------------------------------------------------------------------------
-
-
-def _crps_by_integration(samples, y, grid_pad=6.0, n_grid=200001):
-    """Oracle: integrate (F_hat(x) - 1{x >= y})^2 dx on a dense grid."""
-    lo = min(samples.min(), y) - grid_pad
-    hi = max(samples.max(), y) + grid_pad
-    xs = np.linspace(lo, hi, n_grid)
-    cdf = np.searchsorted(np.sort(samples), xs, side="right") / len(samples)
-    ind = (xs >= y).astype(float)
-    return np.trapezoid((cdf - ind) ** 2, xs)
-
-
-def test_crps_two_point_hand_case():
-    np.testing.assert_allclose(crps_batch(np.array([[0.0, 2.0]]), np.array([1.0])), [0.5], rtol=1e-12)
-
-
-def test_crps_matches_numerical_integration(rng):
-    for _ in range(20):
-        samples = rng.standard_normal(rng.integers(2, 30)) * rng.uniform(0.5, 2.0)
-        y = rng.standard_normal() * 1.5
-        got = crps_batch(samples[None], np.array([y]))[0]
-        want = _crps_by_integration(samples, y)
-        np.testing.assert_allclose(got, want, atol=1e-3)
 
 
 def test_crps_is_bounded_by_mean_absolute_error(rng):
@@ -76,11 +61,6 @@ def test_crps_is_bounded_by_mean_absolute_error(rng):
         y = rng.standard_normal()
         crps = crps_batch(samples[None], np.array([y]))[0]
         assert 0.0 <= crps <= np.mean(np.abs(samples - y)) + 1e-12
-
-
-def test_crps_degenerate_ensemble_equals_absolute_error(rng):
-    y = 0.3
-    np.testing.assert_allclose(crps_batch(np.full((1, 9), -1.2), np.array([y])), [1.5], rtol=1e-12)
 
 
 def test_crps_rewards_sharp_calibrated_forecasts(rng):
@@ -95,14 +75,14 @@ def test_crps_rewards_sharp_calibrated_forecasts(rng):
 @pytest.mark.parametrize("horizon", [0, -1, 5])
 def test_crps_avg_horizon_validation(rng, horizon):
     samples, targets = rng.standard_normal((3, 8, 4, 2)), rng.standard_normal((3, 4, 2))
-    with pytest.raises(DataError, match=f"horizon {horizon} outside 1..4"):
-        metrics.crps_avg(samples, targets, horizon)
+    with pytest.raises(DataError, match=re.escape(f"requested horizons [{horizon}] exceed the forecast horizon 4")):
+        metrics.evaluate_forecasts(samples, samples.mean(axis=1), targets, [horizon])
 
 
 def test_crps_avg_over_windows_and_series(rng):
     samples = rng.standard_normal((3, 8, 4, 2))  # (windows, particles, Q, N)
     targets = rng.standard_normal((3, 4, 2))
-    got = metrics.crps_avg(samples, targets, horizon=2)
+    got = _rows(samples, samples.mean(axis=1), targets, [2])["crps_avg", 2]
     want = np.mean([crps_batch(samples[w, :, 1, i][None], targets[w, 1, i][None])[0] for w in range(3) for i in range(2)])
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -126,7 +106,8 @@ def test_crps_sum_zero_denominator_is_nan():
 
 def test_ql_avg_zero_denominator_is_nan():
     targets = np.zeros((1, 2, 1))
-    assert np.isnan(metrics.ql_avg(np.ones((1, 2, 1)), targets, 0.5, 1))
+    rows = _rows(np.ones((1, 3, 2, 1)), np.ones((1, 2, 1)), targets, [1])
+    assert np.isnan(rows["ql50_avg", 1]) and np.isnan(rows["ql90_avg", 1])
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +142,7 @@ def test_quantile_loss_is_minimized_at_the_true_quantile(rng):
 def test_ql_avg_normalizes_by_target_scale(rng):
     forecasts = rng.standard_normal((2, 3, 2))
     targets = rng.standard_normal((2, 3, 2)) + 3.0
-    got = metrics.ql_avg(forecasts, targets, alpha=0.5, horizon=2)
+    got = _point_rows(forecasts, targets, [2])["ql50_avg", 2]  # every quantile of one particle is that particle
     raw = metrics.quantile_loss(targets[:, 1, :].ravel(), forecasts[:, 1, :].ravel(), 0.5)
     want = raw.sum() / np.abs(targets[:, 1, :]).sum()
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -177,13 +158,54 @@ def test_evaluate_forecasts_produces_expected_rows(rng):
     points = samples.mean(axis=1)
     targets = rng.standard_normal((4, 6, 2))
     rows = metrics.evaluate_forecasts(samples, points, targets, horizons=[1, 3, 6])
-    names = {(m, h) for m, h, _ in rows}
-    for h in (1, 3, 6):
-        for m in ("mae", "mape", "rmse", "crps_avg", "ql50_avg", "ql90_avg"):
-            assert (m, h) in names
-    assert ("crps_sum", "all") in names
+    per_horizon = ("mae", "mape", "rmse", "crps_avg", "ql50_avg", "ql90_avg")
+    assert [(m, h) for m, h, _ in rows] == [(m, h) for h in (1, 3, 6) for m in per_horizon] + [("crps_sum", "all")]
     for _, _, v in rows:
         assert isinstance(v, float)
+
+
+def _pairwise_crps(x, y):
+    """E|X - y| - E|X - X'| / 2 over the ensemble x, each pair counted."""
+    return np.mean(np.abs(x - y)) - 0.5 * np.mean(np.abs(x[:, None] - x[None, :]))
+
+
+def _quantile(x, alpha):
+    """The linearly interpolated sample quantile, numpy's default rule."""
+    xs = np.sort(x)
+    pos = alpha * (len(xs) - 1)
+    lo = int(np.floor(pos))
+    return xs[lo] + (pos - lo) * (xs[min(lo + 1, len(xs) - 1)] - xs[lo])
+
+
+def test_evaluate_forecasts_matches_independent_recomputation(rng):
+    m, n_p, q, n = 3, 7, 4, 2
+    samples = rng.standard_normal((m, n_p, q, n))
+    points = rng.standard_normal((m, q, n))
+    targets = rng.standard_normal((m, q, n))  # of both signs, so the scales are sums of |y|
+    rows = metrics.evaluate_forecasts(samples, points, targets, horizons=[2, 4])
+    want = []
+    for h in (2, 4):
+        cells = [(w, i) for w in range(m) for i in range(n)]
+        y = np.array([targets[w, h - 1, i] for w, i in cells])
+        err = np.array([points[w, h - 1, i] for w, i in cells]) - y
+        crps = [_pairwise_crps(samples[w, :, h - 1, i], targets[w, h - 1, i]) for w, i in cells]
+        want += [
+            ("mae", h, sum(abs(e) for e in err) / len(cells)),
+            ("mape", h, 100.0 * np.mean([abs(e / t) for e, t in zip(err, y) if abs(t) > 1e-3])),
+            ("rmse", h, np.sqrt(sum(e * e for e in err) / len(cells))),
+            ("crps_avg", h, sum(crps) / len(cells)),
+        ]
+        for alpha, name in ((0.5, "ql50_avg"), (0.9, "ql90_avg")):
+            loss = 0.0
+            for (w, i), t in zip(cells, y):
+                qa = _quantile(samples[w, :, h - 1, i], alpha)
+                loss += 2.0 * (alpha * max(t - qa, 0.0) + (1.0 - alpha) * max(qa - t, 0.0))
+            want.append((name, h, loss / np.abs(y).sum()))
+    summed, summed_truth = samples.sum(axis=-1), targets.sum(axis=-1)
+    crps_sum = sum(_pairwise_crps(summed[w, :, t], summed_truth[w, t]) for w in range(m) for t in range(q))
+    want.append(("crps_sum", "all", crps_sum / np.abs(summed_truth).sum()))
+    assert [row[:2] for row in rows] == [row[:2] for row in want]
+    np.testing.assert_allclose([row[2] for row in rows], [row[2] for row in want], rtol=1e-12)
 
 
 def test_metrics_report_csv_layout(tmp_path, rng):
@@ -203,12 +225,16 @@ def test_metrics_report_csv_layout(tmp_path, rng):
 # ---------------------------------------------------------------------------
 
 
+_SHAPES = "samples must be (M, n_particles, Q, N) and points and targets (M, Q, N)"
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: metrics.point_metrics(np.zeros((2, 3, 1)), np.zeros((2, 4, 1)), 1), "points and targets must have identical shapes"),
+        (lambda: metrics.evaluate_forecasts(np.zeros((2, 5, 3, 1)), np.zeros((2, 3, 1)), np.zeros((2, 4, 1)), [1]), _SHAPES),
+        (lambda: metrics.evaluate_forecasts(np.zeros((2, 5, 4, 2)), np.zeros((2, 4, 1)), np.zeros((2, 4, 1)), [1]), _SHAPES),
     ],
-    ids=["shape_mismatch"],
+    ids=["shape_mismatch", "samples_shape_mismatch"],
 )
 def test_input_checks(call, message):
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
